@@ -9,6 +9,11 @@
 //! the materialized ceiling — only the implicit backend runs; those entries
 //! are the headline numbers the scale work moves.
 //!
+//! The `*_batch_routing` twins at `2^20` time the path the trial engine
+//! actually runs: the whole pair slice through each backend's lockstep
+//! `route_batch` at the default frontier width, over the same tables and
+//! workload as the per-route entries.
+//!
 //! Environment: `BENCH_SMOKE=1` shrinks the measurement budget,
 //! `BENCH_OUTPUT`/`BENCH_BASELINE`/`BENCH_TOLERANCE` control the report —
 //! see [`dht_bench::perf`].
@@ -17,7 +22,7 @@ use dht_bench::perf;
 use dht_experiments::implicit_scale::build_implicit_overlay;
 use dht_experiments::spec::build_full_overlay;
 use dht_id::KeySpace;
-use dht_overlay::{default_route_hop_limit, FailureMask, Overlay, RouteOutcome};
+use dht_overlay::{default_route_hop_limit, FailureMask, Overlay, RouteBatch, RouteOutcome};
 use dht_sim::{PairSampler, SeedSequence};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -60,6 +65,15 @@ fn calibrated_median<F: FnMut()>(smoke: bool, mut route_one: F) -> (f64, u64, u6
     (median, routes_per_sample, samples)
 }
 
+/// Hops a route executed (drops at the hops they travelled).
+fn hops_of(outcome: RouteOutcome) -> u64 {
+    match outcome {
+        RouteOutcome::Delivered { hops } | RouteOutcome::Dropped { hops, .. } => u64::from(hops),
+        RouteOutcome::HopLimitExceeded { limit } => u64::from(limit),
+        RouteOutcome::SourceFailed | RouteOutcome::TargetFailed => 0,
+    }
+}
+
 fn print_entry(entry: &perf::RoutingBenchEntry) {
     println!(
         "{:<44} {:>12.1} ns/route {:>10.1} ns/hop {:>14.0} routes/sec",
@@ -93,13 +107,7 @@ fn measure_implicit_point(
         let total: u64 = pairs
             .iter()
             .map(|&(source, target)| {
-                match kernel.route_ranked(&mut cache, words, source, target, hop_limit) {
-                    RouteOutcome::Delivered { hops } | RouteOutcome::Dropped { hops, .. } => {
-                        u64::from(hops)
-                    }
-                    RouteOutcome::HopLimitExceeded { limit } => u64::from(limit),
-                    RouteOutcome::SourceFailed | RouteOutcome::TargetFailed => 0,
-                }
+                hops_of(kernel.route_ranked(&mut cache, words, source, target, hop_limit))
             })
             .sum();
         (total as f64 / pairs.len().max(1) as f64).max(1e-9)
@@ -161,6 +169,74 @@ fn measure_materialized_point(
     entry
 }
 
+/// Measures the lockstep batch of whichever backend `overlay` exposes: each
+/// timed invocation routes the whole pair slice through `route_batch` at the
+/// default frontier width (the implicit backend with one warm row cache, as
+/// each engine worker holds), and the median is per invocation over the
+/// slice length.
+fn measure_batch_point(
+    name: &str,
+    overlay: &dyn Overlay,
+    mask: &FailureMask,
+    pairs: &[(u64, u64)],
+    q: f64,
+    smoke: bool,
+) -> perf::RoutingBenchEntry {
+    let hop_limit = default_route_hop_limit(overlay);
+    let mut batch = RouteBatch::default();
+    let mut outcomes = Vec::with_capacity(pairs.len());
+    let (bench, (median_per_batch, batches_per_sample, samples)) =
+        if let Some(kernel) = overlay.kernel() {
+            let lowered = kernel.compile_mask(mask);
+            let words = lowered.words();
+            let route_all = || {
+                kernel.route_batch(&mut batch, words, pairs, hop_limit, &mut outcomes);
+                black_box(&outcomes);
+            };
+            (
+                "materialized_batch_routing",
+                calibrated_median(smoke, route_all),
+            )
+        } else {
+            let kernel = overlay
+                .implicit_kernel()
+                .expect("the implicit backend exports its kernel");
+            let lowered = kernel.compile_mask(mask);
+            let words = lowered.words();
+            let mut cache = kernel.row_cache();
+            let route_all = || {
+                kernel.route_batch(
+                    &mut batch,
+                    &mut cache,
+                    words,
+                    pairs,
+                    hop_limit,
+                    &mut outcomes,
+                );
+                black_box(&outcomes);
+            };
+            (
+                "implicit_batch_routing",
+                calibrated_median(smoke, route_all),
+            )
+        };
+    let total_hops: u64 = outcomes.iter().map(|&outcome| hops_of(outcome)).sum();
+    let mean_hops = (total_hops as f64 / pairs.len().max(1) as f64).max(1e-9);
+    let median = median_per_batch / pairs.len() as f64;
+    let entry = perf::entry(
+        bench,
+        name,
+        overlay.key_space().bits(),
+        q,
+        median,
+        batches_per_sample * pairs.len() as u64,
+        samples,
+    )
+    .with_ns_per_hop(median / mean_hops);
+    print_entry(&entry);
+    entry
+}
+
 fn main() {
     let smoke = perf::smoke_mode();
     let mut entries = Vec::new();
@@ -178,10 +254,26 @@ fn main() {
                 q,
                 smoke,
             ));
+            entries.push(measure_batch_point(
+                name,
+                materialized.as_ref(),
+                &mask,
+                &pairs,
+                q,
+                smoke,
+            ));
             drop(materialized);
             let implicit =
                 build_implicit_overlay(name, 20, SeedSequence::new(SEED).child(0)).unwrap();
             entries.push(measure_implicit_point(
+                name,
+                implicit.as_ref(),
+                &mask,
+                &pairs,
+                q,
+                smoke,
+            ));
+            entries.push(measure_batch_point(
                 name,
                 implicit.as_ref(),
                 &mask,

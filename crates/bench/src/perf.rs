@@ -5,7 +5,9 @@
 //! `fig6_static_resilience` (trial-engine measurement throughput). Each run
 //! loads the report, replaces its own entries (matched by bench name, mode,
 //! geometry, bits and failure probability) and writes it back, so the file
-//! accumulates the full trajectory regardless of which bench ran last.
+//! accumulates the full trajectory regardless of which bench ran last. A
+//! missing report starts fresh; an existing one that does not parse is an
+//! error, never silently replaced.
 //!
 //! Environment contract (all optional):
 //!
@@ -15,10 +17,12 @@
 //!   `BENCH_routing.json` at the workspace root.
 //! * `BENCH_BASELINE=<path>` — after measuring, compare against the report
 //!   at `<path>` and **exit non-zero** when any matching entry's median
-//!   ns/route regressed more than the tolerance.
+//!   ns/route regressed more than the tolerance, or when that report is
+//!   missing, unreadable or unparseable.
 //! * `BENCH_TOLERANCE=<fraction>` — regression tolerance, default `0.25`.
 
 use serde::{Deserialize, Serialize};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -175,27 +179,45 @@ pub fn tolerance() -> f64 {
         .unwrap_or(DEFAULT_TOLERANCE)
 }
 
-/// Loads a report, or `None` when the file is absent or unparseable.
-#[must_use]
-pub fn load_report(path: &Path) -> Option<RoutingBenchReport> {
-    let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-/// Merges `fresh` entries into the report at [`output_path`] and writes it
-/// back (pretty-printed, trailing newline).
+/// Loads a report: `Ok(None)` when no file exists at `path`.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
-pub fn merge_into_output(fresh: Vec<RoutingBenchEntry>) -> std::io::Result<RoutingBenchReport> {
-    let path = output_path();
-    let mut report = load_report(&path).unwrap_or_default();
+/// A file that exists but cannot be read or does not parse as a report is
+/// an error, never an empty report: callers must not overwrite a trajectory
+/// or pass a gate they could not read.
+pub fn load_report(path: &Path) -> io::Result<Option<RoutingBenchReport>> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(err) => return Err(err),
+    };
+    serde_json::from_str(&text).map(Some).map_err(|err| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{} is not a bench report: {err}", path.display()),
+        )
+    })
+}
+
+/// Merges `fresh` entries into the report at [`output_path`] and writes it
+/// back (pretty-printed, trailing newline). A missing report starts fresh.
+///
+/// # Errors
+///
+/// Propagates filesystem errors, and refuses to touch an existing report
+/// that cannot be read or parsed.
+pub fn merge_into_output(fresh: Vec<RoutingBenchEntry>) -> io::Result<RoutingBenchReport> {
+    merge_into(&output_path(), fresh)
+}
+
+fn merge_into(path: &Path, fresh: Vec<RoutingBenchEntry>) -> io::Result<RoutingBenchReport> {
+    let mut report = load_report(path)?.unwrap_or_default();
     report.schema = SCHEMA.to_owned();
     report.upsert(fresh);
     let mut text = serde_json::to_string_pretty(&report).expect("report serialises");
     text.push('\n');
-    std::fs::write(&path, text)?;
+    std::fs::write(path, text)?;
     println!(
         "wrote {} entries to {}",
         report.entries.len(),
@@ -204,22 +226,32 @@ pub fn merge_into_output(fresh: Vec<RoutingBenchEntry>) -> std::io::Result<Routi
     Ok(report)
 }
 
-/// Compares `current` entries against the baseline report (if
-/// `BENCH_BASELINE` is set and readable) and returns every regression
-/// message; an empty vector means the trajectory held.
-#[must_use]
-pub fn baseline_regressions(current: &[RoutingBenchEntry]) -> Vec<String> {
-    let Some(path) = baseline_path() else {
-        return Vec::new();
-    };
-    let Some(baseline) = load_report(&path) else {
-        println!(
-            "no readable baseline at {}; skipping regression check",
-            path.display()
-        );
-        return Vec::new();
-    };
-    let allowed = tolerance();
+/// Compares `current` entries against the baseline report named by
+/// `BENCH_BASELINE` and returns every regression message; an empty vector
+/// means the trajectory held (or no baseline was requested).
+///
+/// # Errors
+///
+/// A requested baseline that is missing, unreadable or unparseable is an
+/// error: the gate must not pass against a file it could not read.
+pub fn baseline_regressions(current: &[RoutingBenchEntry]) -> io::Result<Vec<String>> {
+    match baseline_path() {
+        Some(path) => regressions_against(&path, current, tolerance()),
+        None => Ok(Vec::new()),
+    }
+}
+
+fn regressions_against(
+    path: &Path,
+    current: &[RoutingBenchEntry],
+    allowed: f64,
+) -> io::Result<Vec<String>> {
+    let baseline = load_report(path)?.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("no baseline report at {}", path.display()),
+        )
+    })?;
     let mut regressions = Vec::new();
     for entry in current {
         let Some(base) = baseline.entries.iter().find(|b| b.matches(entry)) else {
@@ -252,13 +284,16 @@ pub fn baseline_regressions(current: &[RoutingBenchEntry]) -> Vec<String> {
             }
         }
     }
-    regressions
+    Ok(regressions)
 }
 
 /// Prints regressions and exits non-zero if there are any; call at the end
 /// of a bench `main`.
 pub fn enforce_baseline(current: &[RoutingBenchEntry]) {
-    let regressions = baseline_regressions(current);
+    let regressions = baseline_regressions(current).unwrap_or_else(|err| {
+        eprintln!("perf baseline unusable: {err}");
+        std::process::exit(1);
+    });
     if regressions.is_empty() {
         if baseline_path().is_some() {
             println!(
@@ -410,6 +445,37 @@ mod tests {
         let report: RoutingBenchReport = serde_json::from_str(v1).unwrap();
         assert_eq!(report.entries.len(), 1);
         assert_eq!(report.entries[0].median_ns_per_hop, None);
+    }
+
+    /// A scratch path unique to this process and test.
+    fn scratch_file(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("dht-bench-perf-{}-{name}.json", std::process::id()))
+    }
+
+    #[test]
+    fn merge_refuses_to_replace_an_unparseable_report() {
+        let path = scratch_file("merge-unparseable");
+        std::fs::write(&path, "{ not a report").unwrap();
+        let err = merge_into(&path, vec![sample_entry("ring", 16, 1.0)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{ not a report");
+        // A missing report is a fresh start.
+        std::fs::remove_file(&path).unwrap();
+        let report = merge_into(&path, vec![sample_entry("ring", 16, 1.0)]).unwrap();
+        assert_eq!(report.entries.len(), 1);
+        assert_eq!(load_report(&path).unwrap(), Some(report));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_unreadable_baseline_fails_the_gate() {
+        let current = [sample_entry("ring", 16, 1.0)];
+        let path = scratch_file("baseline-unparseable");
+        std::fs::write(&path, "[]").unwrap();
+        assert!(regressions_against(&path, &current, DEFAULT_TOLERANCE).is_err());
+        std::fs::remove_file(&path).unwrap();
+        let err = regressions_against(&path, &current, DEFAULT_TOLERANCE).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
     #[test]

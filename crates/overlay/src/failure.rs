@@ -12,7 +12,7 @@ const WORD_BITS: u64 = 64;
 ///
 /// Starts at 1 so 0 can never be a live stamp (callers may use it as a
 /// "nothing cached" sentinel).
-fn fresh_stamp() -> u64 {
+pub(crate) fn fresh_stamp() -> u64 {
     static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
     NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
 }

@@ -29,6 +29,18 @@
 //!   ([`KernelMask::is_alive_rank`]) — no sparse population-rank lookup per
 //!   probe.
 //!
+//! # One routing loop over two row sources
+//!
+//! Rank-space routing is written once, over a crate-private *row source*:
+//! something that hands out the lowered plan row of a rank. The
+//! materialized source slices the row out of this kernel's CSR plan and
+//! prefetches the next one; the implicit source ([`ImplicitKernel`])
+//! regenerates it into the caller's [`ImplicitRowCache`] and has nothing to
+//! prefetch. On top of it sit one admission prelude, one per-hop step (the
+//! rule's dispatch over the row), one scalar route loop and the lockstep
+//! pass of [`batch`]. Every row either source produces comes from the same
+//! static row lowering, so the two backends cannot disagree on a hop.
+//!
 //! The kernel's outcomes are **bit-identical** to the scalar path: every
 //! [`RouteOutcome`] (including `Dropped { stuck_at }` and hop counts) matches
 //! `route_with_limit` for all five geometries, full and sparse populations
@@ -62,6 +74,7 @@ pub mod implicit;
 use crate::arena::RoutingArena;
 use crate::failure::FailureMask;
 use crate::router::RouteOutcome;
+use batch::prefetch_read;
 use dht_id::{KeySpace, NodeId, Population};
 use std::sync::{Arc, Mutex};
 
@@ -77,7 +90,7 @@ const NO_ENTRY: u32 = u32::MAX;
 ///
 /// Each [`GeometryStrategy`](crate::generic::GeometryStrategy) exports its
 /// rule through `kernel_rule`; strategies that return `None` cannot be
-/// lowered and keep routing through the scalar path.
+/// lowered and route only through the scalar reference path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelRule {
     /// Greedy non-overshooting ring forwarding (Chord, Symphony). Hop key:
@@ -130,12 +143,7 @@ impl KernelMask<'_> {
     #[inline]
     #[must_use]
     pub fn is_alive_rank(&self, rank: u32) -> bool {
-        match self {
-            KernelMask::Full(mask) => mask.is_alive_rank(rank),
-            KernelMask::Compressed(words) => {
-                words[(rank >> 6) as usize] & (1u64 << (rank & 63)) != 0
-            }
-        }
+        alive_bit(self.words(), rank)
     }
 
     /// The rank-indexed bitset words, resolved once so route loops probe a
@@ -233,7 +241,7 @@ struct PlanEntry {
 
 impl RoutingKernel {
     /// Lowers `arena`'s routing tables over `population` into a plan for
-    /// `rule`.
+    /// `rule`, one [`lower_static_row`] per rank.
     ///
     /// Ranks follow the arena/population convention (occupied identifiers in
     /// ascending order). Construction is O(edges) plus, for the ring rule, a
@@ -244,119 +252,17 @@ impl RoutingKernel {
         population: &Arc<Population>,
         arena: &RoutingArena,
     ) -> Self {
-        let space = population.space();
-        let bits = space.bits();
-        let full = population.is_full();
-        let node_count = usize::try_from(population.node_count()).expect("overlay sizes fit usize");
-        debug_assert_eq!(arena.node_count(), node_count);
-
-        let values: Vec<u32> = if full {
-            Vec::new()
-        } else {
-            population
-                .iter_nodes()
-                .map(|node| node.value() as u32)
-                .collect()
-        };
-        let rank_of = |node: NodeId| -> u32 {
-            population
-                .rank_of_value(node.value())
-                .expect("routing tables only reference occupied identifiers") as u32
-        };
-
-        let entry_hint = arena.entry_count() as usize;
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut entries: Vec<PlanEntry> = Vec::with_capacity(entry_hint);
-        offsets.push(0u32);
-        let mut ring_scratch: Vec<(u32, u32)> = Vec::new();
-
-        for (rank, node) in population.iter_nodes().enumerate() {
-            let table = arena.neighbors(rank);
-            match rule {
-                KernelRule::RingAdvance => {
-                    // Sorted by greedy preference — largest clockwise advance
-                    // first, so the hop scan reads forward from the row
-                    // start. Self-entries (advance 0, the sparse placeholder)
-                    // never make greedy progress and are dropped, and
-                    // duplicate advances are the same identifier, so one
-                    // probe suffices.
-                    ring_scratch.clear();
-                    for &entry in table {
-                        let advance = ring_distance_raw(node.value(), entry.value(), space);
-                        if advance > 0 {
-                            ring_scratch.push((advance as u32, rank_of(entry)));
-                        }
-                    }
-                    ring_scratch.sort_unstable();
-                    ring_scratch.dedup_by_key(|&mut (advance, _)| advance);
-                    entries.extend(
-                        ring_scratch
-                            .iter()
-                            .rev()
-                            .map(|&(advance, target)| PlanEntry {
-                                key: advance,
-                                target,
-                            }),
-                    );
-                }
-                KernelRule::PrefixXor | KernelRule::PrefixTree => {
-                    // Positional: entry j sits at bucket/level j, so the
-                    // leading-zero dispatch can index directly. Placeholders
-                    // keep their slot with a NO_ENTRY rank.
-                    debug_assert_eq!(table.len(), bits as usize, "prefix tables hold d entries");
-                    for &entry in table {
-                        if entry == node {
-                            entries.push(PlanEntry {
-                                key: 0,
-                                target: NO_ENTRY,
-                            });
-                        } else {
-                            entries.push(PlanEntry {
-                                key: entry.value() as u32,
-                                target: rank_of(entry),
-                            });
-                        }
-                    }
-                }
-                KernelRule::HypercubeBit => {
-                    // Build order is bit 0 (most significant) downward, so
-                    // the first entry whose bit survives in the XOR diff is
-                    // the scalar rule's minimum.
-                    for &entry in table {
-                        let weight = node.value() ^ entry.value();
-                        debug_assert_eq!(weight.count_ones(), 1, "hypercube links flip one bit");
-                        entries.push(PlanEntry {
-                            key: weight as u32,
-                            target: rank_of(entry),
-                        });
-                    }
-                }
-            }
-            let end =
-                u32::try_from(entries.len()).expect("kernel plans hold at most u32::MAX entries");
-            offsets.push(end);
-        }
-
-        let stride = uniform_stride(&offsets);
-        RoutingKernel {
-            rule,
-            space,
-            bits,
-            full,
-            population: Arc::clone(population),
-            offsets,
-            stride,
-            entries,
-            values,
-            lowering: Mutex::new(None),
-        }
+        let mut ring_scratch = Vec::new();
+        Self::compile_rows(rule, population, arena, |node, table, entries| {
+            lower_static_row(rule, population, node, table, &mut ring_scratch, entries);
+        })
     }
 
     /// Lowers a live overlay's fixed-width arena into a *repairable* plan.
     ///
     /// Unlike [`RoutingKernel::compile`], every plan row keeps exactly the
     /// arena row's width: ring rows retain duplicate and zero-advance (self)
-    /// entries in descending-advance order (the dispatch guard in `ring_hop`
+    /// entries in descending-advance order (the zero guard of the ring hop
     /// stops at the zero tail), and hypercube self placeholders lower to
     /// inert [`NO_ENTRY`] slots. Fixed-width rows are what let
     /// [`RoutingKernel::relower_rank`] repatch a single row in place after a
@@ -367,8 +273,20 @@ impl RoutingKernel {
         population: &Arc<Population>,
         arena: &RoutingArena,
     ) -> Self {
+        Self::compile_rows(rule, population, arena, |node, table, entries| {
+            lower_live_row(rule, population, node, table, entries);
+        })
+    }
+
+    /// The CSR plan both compilers share: `lower_row` appends the entries of
+    /// each occupied node's table, in rank order.
+    fn compile_rows(
+        rule: KernelRule,
+        population: &Arc<Population>,
+        arena: &RoutingArena,
+        mut lower_row: impl FnMut(NodeId, &[NodeId], &mut Vec<PlanEntry>),
+    ) -> Self {
         let space = population.space();
-        let bits = space.bits();
         let full = population.is_full();
         let node_count = usize::try_from(population.node_count()).expect("overlay sizes fit usize");
         debug_assert_eq!(arena.node_count(), node_count);
@@ -381,24 +299,11 @@ impl RoutingKernel {
                 .map(|node| node.value() as u32)
                 .collect()
         };
-        let rank_of = |node: NodeId| -> u32 {
-            population
-                .rank_of_value(node.value())
-                .expect("routing tables only reference occupied identifiers") as u32
-        };
-
         let mut offsets = Vec::with_capacity(node_count + 1);
         let mut entries: Vec<PlanEntry> = Vec::with_capacity(arena.entry_count() as usize);
         offsets.push(0u32);
         for (rank, node) in population.iter_nodes().enumerate() {
-            lower_live_row(
-                rule,
-                space,
-                node,
-                arena.neighbors(rank),
-                &rank_of,
-                &mut entries,
-            );
+            lower_row(node, arena.neighbors(rank), &mut entries);
             let end =
                 u32::try_from(entries.len()).expect("kernel plans hold at most u32::MAX entries");
             offsets.push(end);
@@ -408,7 +313,7 @@ impl RoutingKernel {
         RoutingKernel {
             rule,
             space,
-            bits,
+            bits: space.bits(),
             full,
             population: Arc::clone(population),
             offsets,
@@ -433,14 +338,8 @@ impl RoutingKernel {
     /// violation of the live fixed-width contract).
     pub(crate) fn relower_rank(&mut self, rank: usize, node: NodeId, table: &[NodeId]) {
         let (start, end) = self.bounds(rank as u32);
-        let population = Arc::clone(&self.population);
-        let rank_of = |n: NodeId| -> u32 {
-            population
-                .rank_of_value(n.value())
-                .expect("routing tables only reference occupied identifiers") as u32
-        };
         let mut row: Vec<PlanEntry> = Vec::with_capacity(end - start);
-        lower_live_row(self.rule, self.space, node, table, &rank_of, &mut row);
+        lower_live_row(self.rule, &self.population, node, table, &mut row);
         assert_eq!(
             row.len(),
             end - start,
@@ -540,16 +439,7 @@ impl RoutingKernel {
     /// the kernel.
     #[must_use]
     pub fn compile_mask<'mask>(&self, mask: &'mask FailureMask) -> KernelMask<'mask> {
-        assert_eq!(
-            mask.key_space().bits(),
-            self.bits,
-            "mask is from a different key space"
-        );
-        assert_eq!(
-            mask.population_size(),
-            self.population.node_count(),
-            "mask covers a different population"
-        );
+        check_mask(mask, self.bits, &self.population);
         if self.full {
             return KernelMask::Full(mask);
         }
@@ -579,26 +469,6 @@ impl RoutingKernel {
         KernelMask::Compressed(words)
     }
 
-    /// rank → raw identifier value.
-    #[inline]
-    fn value_of(&self, rank: u32) -> u64 {
-        if self.full {
-            u64::from(rank)
-        } else {
-            u64::from(self.values[rank as usize])
-        }
-    }
-
-    /// raw identifier value → occupied rank, `None` when unoccupied.
-    #[inline]
-    fn rank_of_value(&self, value: u64) -> Option<u32> {
-        if self.full {
-            Some(value as u32)
-        } else {
-            self.population.rank_of_value(value).map(|rank| rank as u32)
-        }
-    }
-
     /// Routes `source` → `target` under the lowered `mask`, giving up after
     /// `hop_limit` hops.
     ///
@@ -618,16 +488,7 @@ impl RoutingKernel {
         target: NodeId,
         hop_limit: u32,
     ) -> RouteOutcome {
-        assert_eq!(
-            source.bits(),
-            self.bits,
-            "source is from a different key space"
-        );
-        assert_eq!(
-            target.bits(),
-            self.bits,
-            "target is from a different key space"
-        );
+        check_endpoints(self.bits, "source", source, target);
         self.route_values(mask, source.value(), target.value(), hop_limit)
     }
 
@@ -643,9 +504,7 @@ impl RoutingKernel {
         target: u64,
         hop_limit: u32,
     ) -> RouteOutcome {
-        // The mask representation is resolved to its bitset once per route;
-        // every probe below is a bare shift-and-mask on the slice.
-        self.route_on_words(mask.words(), source, target, hop_limit)
+        self.route_ranked(mask.words(), source, target, hop_limit)
     }
 
     /// [`RoutingKernel::route_values`] over a caller-held rank-indexed alive
@@ -665,38 +524,7 @@ impl RoutingKernel {
         target: u64,
         hop_limit: u32,
     ) -> RouteOutcome {
-        self.route_on_words(alive_words, source, target, hop_limit)
-    }
-
-    fn route_on_words(
-        &self,
-        words: &[u64],
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        debug_assert!(source <= self.space.max_value(), "source outside the space");
-        debug_assert!(target <= self.space.max_value(), "target outside the space");
-        // Mirrors the scalar driver exactly: source first, then target, then
-        // the greedy loop.
-        let Some(source_rank) = self.alive_rank_of(words, source) else {
-            return RouteOutcome::SourceFailed;
-        };
-        if self.alive_rank_of(words, target).is_none() {
-            return RouteOutcome::TargetFailed;
-        }
-        match self.rule {
-            KernelRule::RingAdvance => {
-                self.route_ring(words, source_rank, source, target, hop_limit)
-            }
-            KernelRule::PrefixXor => self.route_xor(words, source_rank, source, target, hop_limit),
-            KernelRule::PrefixTree => {
-                self.route_tree(words, source_rank, source, target, hop_limit)
-            }
-            KernelRule::HypercubeBit => {
-                self.route_hypercube(words, source_rank, source, target, hop_limit)
-            }
-        }
+        route_rows(&mut self.rows(), alive_words, source, target, hop_limit)
     }
 
     /// The greedy next hop from `current` towards `target`, or `None` when no
@@ -715,53 +543,22 @@ impl RoutingKernel {
         current: NodeId,
         target: NodeId,
     ) -> Option<NodeId> {
-        assert_eq!(
-            current.bits(),
-            self.bits,
-            "current is from a different key space"
-        );
-        assert_eq!(
-            target.bits(),
-            self.bits,
-            "target is from a different key space"
-        );
-        // An unoccupied identifier has no routing table (the scalar path
-        // yields an empty neighbour slice and therefore no hop).
-        let rank = self.rank_of_value(current.value())?;
-        let words = mask.words();
-        let current = current.value();
-        let target = target.value();
-        let value = match self.rule {
-            KernelRule::RingAdvance => {
-                let remaining = ring_distance_raw(current, target, self.space);
-                let (_, next) = self.ring_hop(words, rank, remaining)?;
-                self.value_of(next)
-            }
-            KernelRule::PrefixXor => {
-                if current == target {
-                    return None;
-                }
-                self.xor_hop(words, rank, current, target)?.0
-            }
-            KernelRule::PrefixTree => {
-                if current == target {
-                    return None;
-                }
-                self.tree_hop(words, rank, current, target)?.0
-            }
-            KernelRule::HypercubeBit => {
-                let (weight, _) = self.cube_hop(words, rank, current ^ target)?;
-                current ^ weight
-            }
-        };
-        Some(self.space.wrap(value))
+        check_endpoints(self.bits, "current", current, target);
+        next_hop_rows(
+            &mut self.rows(),
+            mask.words(),
+            current.value(),
+            target.value(),
+        )
     }
 
-    /// `Some(rank)` when `value` is an occupied identifier that survived.
-    #[inline]
-    fn alive_rank_of(&self, words: &[u64], value: u64) -> Option<u32> {
-        let rank = self.rank_of_value(value)?;
-        alive_bit(words, rank).then_some(rank)
+    /// The materialized row source over this plan.
+    fn rows(&self) -> PlanRows<'_> {
+        PlanRows {
+            kernel: self,
+            entries: &self.entries,
+            stride: self.stride,
+        }
     }
 
     /// The plan-entry range of rank `r`: a multiply for fixed-stride plans,
@@ -779,163 +576,293 @@ impl RoutingKernel {
             ),
         }
     }
+}
 
-    /// One ring hop over the plan row of `rank` — see [`ring_hop_row`].
+/// Where the shared route loops read plan rows from.
+///
+/// Two implementations: a materialized [`RoutingKernel`] slices the row out
+/// of its CSR plan and prefetches the next one, and an implicit kernel with
+/// the caller's [`ImplicitRowCache`] regenerates it on a miss (see
+/// [`implicit`]). Everything above the row — admission, the per-rule hop,
+/// the scalar loop and the lockstep pass — is written once against this
+/// trait, so the two backends share every routing decision by construction.
+trait RowSource {
+    /// The dispatch rule of the rows.
+    fn rule(&self) -> KernelRule;
+
+    /// The identifier space routed in.
+    fn space(&self) -> KeySpace;
+
+    /// Occupied rank of the identifier `value`, `None` when unoccupied.
+    fn rank_of_value(&self, value: u64) -> Option<u32>;
+
+    /// The lowered plan row of `rank`.
+    fn row(&mut self, rank: u32) -> &[PlanEntry];
+
+    /// Hints that the row of `rank` is read on the next lockstep pass.
+    fn prefetch(&self, rank: u32);
+}
+
+/// The materialized row source: rows are slices of the compiled plan. The
+/// entry slice and stride are copied out of the kernel, so the route loops
+/// keep them in registers across their stores to the frontier.
+struct PlanRows<'k> {
+    kernel: &'k RoutingKernel,
+    entries: &'k [PlanEntry],
+    stride: Option<u32>,
+}
+
+impl RowSource for PlanRows<'_> {
     #[inline]
-    fn ring_hop(&self, words: &[u64], rank: u32, remaining: u64) -> Option<(u64, u32)> {
-        let (start, end) = self.bounds(rank);
-        ring_hop_row(&self.entries[start..end], words, remaining)
+    fn rule(&self) -> KernelRule {
+        self.kernel.rule
     }
 
-    /// One tree hop over the plan row of `rank` — see [`tree_hop_row`].
     #[inline]
-    fn tree_hop(&self, words: &[u64], rank: u32, current: u64, target: u64) -> Option<(u64, u32)> {
-        let (start, end) = self.bounds(rank);
-        tree_hop_row(&self.entries[start..end], words, self.bits, current, target)
+    fn space(&self) -> KeySpace {
+        self.kernel.space
     }
 
-    /// One XOR hop over the plan row of `rank` — see [`xor_hop_row`].
     #[inline]
-    fn xor_hop(&self, words: &[u64], rank: u32, current: u64, target: u64) -> Option<(u64, u32)> {
-        let (start, end) = self.bounds(rank);
-        xor_hop_row(&self.entries[start..end], words, self.bits, current, target)
+    fn rank_of_value(&self, value: u64) -> Option<u32> {
+        if self.kernel.full {
+            Some(value as u32)
+        } else {
+            let rank = self.kernel.population.rank_of_value(value)?;
+            Some(rank as u32)
+        }
     }
 
-    /// One hypercube hop over the plan row of `rank` — see [`cube_hop_row`].
     #[inline]
-    fn cube_hop(&self, words: &[u64], rank: u32, diff: u64) -> Option<(u64, u32)> {
-        let (start, end) = self.bounds(rank);
-        cube_hop_row(&self.entries[start..end], words, diff)
+    fn row(&mut self, rank: u32) -> &[PlanEntry] {
+        let (start, end) = match self.stride {
+            Some(stride) => (
+                rank as usize * stride as usize,
+                (rank as usize + 1) * stride as usize,
+            ),
+            None => self.kernel.bounds(rank),
+        };
+        &self.entries[start..end]
     }
 
-    fn route_ring(
-        &self,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        // The whole loop runs on the remaining clockwise distance: it starts
-        // at ring_distance(source, target), every hop subtracts its advance,
-        // and zero means arrival — no identifier arithmetic per hop.
-        let mut remaining = ring_distance_raw(source, target, self.space);
-        let mut hops = 0u32;
-        while remaining != 0 {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match self.ring_hop(words, rank, remaining) {
-                Some((advance, next)) => {
-                    remaining -= advance;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(self.value_of(rank)),
-                    }
+    /// Fixed-stride plans (every full population) know the row address
+    /// without a load, so the entry line itself is prefetched — two lines for
+    /// wide rows, because the ring scan reads deeper into the row as the
+    /// remaining distance shrinks. Ragged plans would need `offsets[rank]`
+    /// first, so only that offset line is prefetched and the entry row is
+    /// left to the demand load.
+    #[inline]
+    fn prefetch(&self, rank: u32) {
+        match self.stride {
+            Some(stride) => {
+                let start = rank as usize * stride as usize;
+                prefetch_read(self.entries, start);
+                if stride > 8 {
+                    // A PlanEntry is 8 bytes: lines hold 8 entries.
+                    prefetch_read(self.entries, start + 8);
                 }
             }
+            None => prefetch_read(&self.kernel.offsets, rank as usize),
         }
-        RouteOutcome::Delivered { hops }
     }
+}
 
-    fn route_tree(
-        &self,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        let mut current = source;
-        let mut hops = 0u32;
-        while current != target {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match self.tree_hop(words, rank, current, target) {
-                Some((value, next)) => {
-                    current = value;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(current),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
+/// The admission prelude every route runs, scalar or batched: source
+/// aliveness, then target aliveness, then the trivial-arrival check — the
+/// scalar driver's order. `Ok((rank, cursor))` starts a route at the
+/// source's rank with a non-zero distance cursor (see [`distance`]);
+/// `Err` is the outcome of a lookup that resolves before its first hop.
+#[inline(always)]
+fn admit<R: RowSource>(
+    rows: &R,
+    rule: KernelRule,
+    words: &[u64],
+    source: u64,
+    target: u64,
+) -> Result<(u32, u64), RouteOutcome> {
+    let space = rows.space();
+    debug_assert!(source <= space.max_value(), "source outside the space");
+    debug_assert!(target <= space.max_value(), "target outside the space");
+    let alive_rank = |value| {
+        rows.rank_of_value(value)
+            .filter(|&rank| alive_bit(words, rank))
+    };
+    let Some(rank) = alive_rank(source) else {
+        return Err(RouteOutcome::SourceFailed);
+    };
+    if alive_rank(target).is_none() {
+        return Err(RouteOutcome::TargetFailed);
     }
+    match distance(rule, space, source, target) {
+        0 => Err(RouteOutcome::Delivered { hops: 0 }),
+        cursor => Ok((rank, cursor)),
+    }
+}
 
-    fn route_xor(
-        &self,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        let mut current = source;
-        let mut hops = 0u32;
-        while current != target {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match self.xor_hop(words, rank, current, target) {
-                Some((value, next)) => {
-                    current = value;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(current),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
+/// The distance cursor a route carries instead of its position: the
+/// remaining clockwise distance for the ring rule, the XOR diff for the
+/// prefix and hypercube rules. Zero means arrival, and the position is
+/// recovered from the target by [`position`].
+#[inline]
+fn distance(rule: KernelRule, space: KeySpace, from: u64, to: u64) -> u64 {
+    match rule {
+        KernelRule::RingAdvance => ring_distance_raw(from, to, space),
+        KernelRule::PrefixXor | KernelRule::PrefixTree | KernelRule::HypercubeBit => from ^ to,
     }
+}
 
-    fn route_hypercube(
-        &self,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        // The current identifier is always `target ^ diff`, so the loop only
-        // tracks the diff; correcting a bit is one XOR.
-        let mut diff = source ^ target;
-        let mut hops = 0u32;
-        while diff != 0 {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match self.cube_hop(words, rank, diff) {
-                Some((weight, next)) => {
-                    diff ^= weight;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(target ^ diff),
-                    }
-                }
-            }
+/// The identifier holding a message `cursor` away from `target` — the
+/// inverse of [`distance`].
+#[inline]
+fn position(rule: KernelRule, space: KeySpace, target: u64, cursor: u64) -> u64 {
+    match rule {
+        KernelRule::RingAdvance => target.wrapping_sub(cursor) & space.max_value(),
+        KernelRule::PrefixXor | KernelRule::PrefixTree | KernelRule::HypercubeBit => {
+            target ^ cursor
         }
-        RouteOutcome::Delivered { hops }
     }
+}
+
+/// One greedy hop from `rank`, `cursor` away from `target`: the rule's
+/// dispatch over the rank's row. Returns the cursor after the hop and the
+/// next rank, or `None` when no alive entry makes progress.
+///
+/// Always inlined, so a loop that passes a constant `rule` keeps only that
+/// rule's arm (see [`rule_of`]). The per-rule hop helpers are always
+/// inlined too: left to the optimizer, the XOR helper became a call per hop.
+#[inline(always)]
+fn step<R: RowSource>(
+    rows: &mut R,
+    rule: KernelRule,
+    words: &[u64],
+    rank: u32,
+    cursor: u64,
+    target: u64,
+) -> Option<(u64, u32)> {
+    let bits = rows.space().bits();
+    let row = rows.row(rank);
+    match rule {
+        KernelRule::RingAdvance => {
+            ring_hop_row(row, words, cursor).map(|(advance, next)| (cursor - advance, next))
+        }
+        KernelRule::PrefixXor => xor_hop_row(row, words, bits, cursor, target),
+        KernelRule::PrefixTree => tree_hop_row(row, words, bits, cursor, target),
+        KernelRule::HypercubeBit => {
+            cube_hop_row(row, words, cursor).map(|(weight, next)| (cursor ^ weight, next))
+        }
+    }
+}
+
+/// The `Dropped` outcome of a route stuck `cursor` away from `target`.
+#[inline]
+fn dropped(rule: KernelRule, space: KeySpace, hops: u32, target: u64, cursor: u64) -> RouteOutcome {
+    RouteOutcome::Dropped {
+        hops,
+        stuck_at: space.wrap(position(rule, space, target, cursor)),
+    }
+}
+
+/// The rule of `tag`: 0 ring, 1 XOR, 2 tree, 3 hypercube. The route loops
+/// are compiled once per rule, with the tag as a const generic: the rule is
+/// then a constant in each copy, and [`step`] keeps only that rule's arm in
+/// the hop loop instead of dispatching on every hop.
+const fn rule_of(tag: u8) -> KernelRule {
+    match tag {
+        0 => KernelRule::RingAdvance,
+        1 => KernelRule::PrefixXor,
+        2 => KernelRule::PrefixTree,
+        _ => KernelRule::HypercubeBit,
+    }
+}
+
+/// The scalar route loop: admission, then one [`step`] per hop until the
+/// cursor reaches zero, no hop makes progress or `hop_limit` is spent.
+fn route_rows<R: RowSource>(
+    rows: &mut R,
+    words: &[u64],
+    source: u64,
+    target: u64,
+    hop_limit: u32,
+) -> RouteOutcome {
+    let route: fn(&mut R, &[u64], u64, u64, u32) -> RouteOutcome = match rows.rule() {
+        KernelRule::RingAdvance => route_loop::<R, 0>,
+        KernelRule::PrefixXor => route_loop::<R, 1>,
+        KernelRule::PrefixTree => route_loop::<R, 2>,
+        KernelRule::HypercubeBit => route_loop::<R, 3>,
+    };
+    route(rows, words, source, target, hop_limit)
+}
+
+/// [`route_rows`] for the rule tagged `TAG`.
+fn route_loop<R: RowSource, const TAG: u8>(
+    rows: &mut R,
+    words: &[u64],
+    source: u64,
+    target: u64,
+    hop_limit: u32,
+) -> RouteOutcome {
+    let rule = rule_of(TAG);
+    let (mut rank, mut cursor) = match admit(rows, rule, words, source, target) {
+        Ok(start) => start,
+        Err(outcome) => return outcome,
+    };
+    let mut hops = 0u32;
+    loop {
+        if hops >= hop_limit {
+            return RouteOutcome::HopLimitExceeded { limit: hop_limit };
+        }
+        let Some((left, next)) = step(rows, rule, words, rank, cursor, target) else {
+            return dropped(rule, rows.space(), hops, target, cursor);
+        };
+        hops += 1;
+        if left == 0 {
+            return RouteOutcome::Delivered { hops };
+        }
+        cursor = left;
+        rank = next;
+    }
+}
+
+/// The single-step core of both kernels' `next_hop`: the identifier the
+/// message moves to from `current`, `None` when `current` is unoccupied (no
+/// table, like the scalar path's empty neighbour slice), already at
+/// `target`, or stuck.
+fn next_hop_rows<R: RowSource>(
+    rows: &mut R,
+    words: &[u64],
+    current: u64,
+    target: u64,
+) -> Option<NodeId> {
+    let rank = rows.rank_of_value(current)?;
+    let (rule, space) = (rows.rule(), rows.space());
+    let cursor = distance(rule, space, current, target);
+    if cursor == 0 {
+        return None;
+    }
+    let (left, _) = step(rows, rule, words, rank, cursor, target)?;
+    Some(space.wrap(position(rule, space, target, left)))
+}
+
+/// Asserts that `mask` covers the kernel's key space and population — the
+/// batch-entry validation point of both kernels' `compile_mask`.
+fn check_mask(mask: &FailureMask, bits: u32, population: &Population) {
+    assert_eq!(
+        mask.key_space().bits(),
+        bits,
+        "mask is from a different key space"
+    );
+    assert_eq!(
+        mask.population_size(),
+        population.node_count(),
+        "mask covers a different population"
+    );
+}
+
+/// Asserts that both endpoints of a per-route call live in a `bits`-bit
+/// space; `first` names the first endpoint in the panic message.
+fn check_endpoints(bits: u32, first: &str, from: NodeId, target: NodeId) {
+    assert_eq!(from.bits(), bits, "{first} is from a different key space");
+    assert_eq!(target.bits(), bits, "target is from a different key space");
 }
 
 /// One ring hop over a single plan row: the largest advance `<=` remaining
@@ -947,11 +874,7 @@ impl RoutingKernel {
 /// number of advances above the remaining distance is geometrically
 /// distributed (one per phase above the current one), which beats a
 /// branchy O(log d) binary search on real tables.
-///
-/// Shared by [`RoutingKernel`] (rows sliced out of the compiled plan) and
-/// [`ImplicitKernel`] (rows regenerated on demand), which is what makes the
-/// two backends' hop decisions identical by construction.
-#[inline]
+#[inline(always)]
 fn ring_hop_row(row: &[PlanEntry], words: &[u64], remaining: u64) -> Option<(u64, u32)> {
     for entry in row {
         // Live plans keep zero-advance self entries at the row tail
@@ -970,61 +893,60 @@ fn ring_hop_row(row: &[PlanEntry], words: &[u64], remaining: u64) -> Option<(u64
     None
 }
 
-/// One tree hop over a single plan row: probe the level of the highest
-/// differing bit, no fallback. Returns the entry's value and rank.
-#[inline]
+/// One tree hop over a single plan row: probe the level of the highest bit
+/// of the XOR `diff` to the target, no fallback. Returns the diff after the
+/// hop and the entry's rank.
+#[inline(always)]
 fn tree_hop_row(
     row: &[PlanEntry],
     words: &[u64],
     bits: u32,
-    current: u64,
+    diff: u64,
     target: u64,
 ) -> Option<(u64, u32)> {
-    let level = leading_level(bits, current ^ target);
-    let entry = row[level];
+    let entry = row[leading_level(bits, diff)];
     (entry.target != NO_ENTRY && alive_bit(words, entry.target))
-        .then(|| (u64::from(entry.key), entry.target))
+        .then(|| (u64::from(entry.key) ^ target, entry.target))
 }
 
-/// One XOR hop over a single plan row: the bucket of the highest differing
-/// bit when alive (the provable minimum), else the XOR-closest alive contact
-/// among the lower-order buckets. Returns the contact's value and rank.
-#[inline]
+/// One XOR hop over a single plan row: the bucket of the highest bit of the
+/// XOR `diff` to the target when alive (the provable minimum), else the
+/// XOR-closest alive contact among the lower-order buckets. Returns the diff
+/// after the hop and the contact's rank.
+#[inline(always)]
 fn xor_hop_row(
     row: &[PlanEntry],
     words: &[u64],
     bits: u32,
-    current: u64,
+    diff: u64,
     target: u64,
 ) -> Option<(u64, u32)> {
-    let diff = current ^ target;
     let level = leading_level(bits, diff);
     let primary = row[level];
     if primary.target != NO_ENTRY && alive_bit(words, primary.target) {
-        return Some((u64::from(primary.key), primary.target));
+        return Some((u64::from(primary.key) ^ target, primary.target));
     }
     // Fallback: buckets above `level` can never beat the current
     // distance; buckets below compete on their (precomputed) contact
     // values' XOR distance to the target. Strictly-smaller keeps the
     // scalar path's first-minimum tie behaviour.
-    let mut best: Option<(u64, u64, u32)> = None;
+    let mut best: Option<(u64, u32)> = None;
     for entry in &row[level + 1..bits as usize] {
         if entry.target == NO_ENTRY || !alive_bit(words, entry.target) {
             continue;
         }
-        let value = u64::from(entry.key);
-        let distance = value ^ target;
-        if distance < diff && best.is_none_or(|(d, _, _)| distance < d) {
-            best = Some((distance, value, entry.target));
+        let distance = u64::from(entry.key) ^ target;
+        if distance < diff && best.is_none_or(|(d, _)| distance < d) {
+            best = Some((distance, entry.target));
         }
     }
-    best.map(|(_, value, next)| (value, next))
+    best
 }
 
 /// One hypercube hop over a single plan row: the first (highest-weight) entry
 /// whose bit is still set in `diff` and alive. Returns the corrected bit
 /// weight and the new rank.
-#[inline]
+#[inline(always)]
 fn cube_hop_row(row: &[PlanEntry], words: &[u64], diff: u64) -> Option<(u64, u32)> {
     for entry in row {
         if diff & u64::from(entry.key) != 0 && alive_bit(words, entry.target) {
@@ -1042,23 +964,128 @@ fn leading_level(bits: u32, diff: u64) -> usize {
     (diff.leading_zeros() - (64 - bits)) as usize
 }
 
+/// The occupied rank of a table entry (routing tables only reference
+/// occupied identifiers).
+fn rank_in(population: &Population, node: NodeId) -> u32 {
+    population
+        .rank_of_value(node.value())
+        .expect("routing tables only reference occupied identifiers") as u32
+}
+
+/// Lowers one node's raw routing table into static plan entries, appended
+/// to `entries` — the one row lowering behind both [`RoutingKernel::compile`]
+/// (every rank of an arena) and the implicit backend's row cache (one
+/// regenerated row per miss).
+///
+/// Ring rows are sorted by greedy preference — largest clockwise advance
+/// first, so the hop scan reads forward from the row start. Self entries
+/// (advance 0, the sparse placeholder) never make greedy progress and are
+/// dropped, and duplicate advances are the same identifier, so one probe
+/// suffices. Prefix rows are positional: entry `j` sits at bucket/level `j`
+/// so the leading-zero dispatch can index directly, and placeholders keep
+/// their slot with a [`NO_ENTRY`] rank. Hypercube rows keep build order —
+/// bit 0 (most significant) downward — so the first entry whose bit
+/// survives in the XOR diff is the scalar rule's minimum.
+fn lower_static_row(
+    rule: KernelRule,
+    population: &Population,
+    node: NodeId,
+    table: &[NodeId],
+    ring_scratch: &mut Vec<(u32, u32)>,
+    entries: &mut impl Extend<PlanEntry>,
+) {
+    let space = population.space();
+    let rank_of = |entry| rank_in(population, entry);
+    match rule {
+        KernelRule::RingAdvance => {
+            ring_scratch.clear();
+            for &entry in table {
+                let advance = ring_distance_raw(node.value(), entry.value(), space);
+                if advance > 0 {
+                    ring_scratch.push((advance as u32, rank_of(entry)));
+                }
+            }
+            ring_scratch.sort_unstable();
+            ring_scratch.dedup_by_key(|&mut (advance, _)| advance);
+            entries.extend(
+                ring_scratch
+                    .iter()
+                    .rev()
+                    .map(|&(advance, target)| PlanEntry {
+                        key: advance,
+                        target,
+                    }),
+            );
+        }
+        KernelRule::PrefixXor | KernelRule::PrefixTree => {
+            debug_assert_eq!(
+                table.len(),
+                space.bits() as usize,
+                "prefix tables hold d entries"
+            );
+            entries.extend(
+                table
+                    .iter()
+                    .map(|&entry| prefix_entry(node, entry, rank_of)),
+            );
+        }
+        KernelRule::HypercubeBit => {
+            entries.extend(table.iter().map(|&entry| cube_entry(node, entry, rank_of)));
+        }
+    }
+}
+
+/// An entry that never routes (hop key 0, no target): what an owner's own
+/// slot lowers to, and what an empty row-cache slot holds.
+const INERT_ENTRY: PlanEntry = PlanEntry {
+    key: 0,
+    target: NO_ENTRY,
+};
+
+/// A positional prefix-rule entry: the contact's value and rank, or
+/// [`INERT_ENTRY`] for the owner itself.
+fn prefix_entry(node: NodeId, entry: NodeId, rank_of: impl Fn(NodeId) -> u32) -> PlanEntry {
+    if entry == node {
+        return INERT_ENTRY;
+    }
+    PlanEntry {
+        key: entry.value() as u32,
+        target: rank_of(entry),
+    }
+}
+
+/// A hypercube entry: the weight of the flipped bit and the neighbour's
+/// rank, or [`INERT_ENTRY`] for a live row's self placeholder.
+fn cube_entry(node: NodeId, entry: NodeId, rank_of: impl Fn(NodeId) -> u32) -> PlanEntry {
+    if entry == node {
+        return INERT_ENTRY;
+    }
+    let weight = node.value() ^ entry.value();
+    debug_assert_eq!(weight.count_ones(), 1, "hypercube links flip one bit");
+    PlanEntry {
+        key: weight as u32,
+        target: rank_of(entry),
+    }
+}
+
 /// Lowers one fixed-width live table row into plan entries.
 ///
 /// The live lowering differs from the static one in exactly one way: the row
 /// width is preserved. Ring rows keep duplicate advances and zero-advance
 /// self entries (sorted descending so real advances come first and the
-/// `ring_hop` zero guard stops at the tail); prefix and hypercube rows are
+/// ring hop's zero guard stops at the tail); prefix and hypercube rows are
 /// positional and already fixed-width, with self placeholders lowered to
 /// [`NO_ENTRY`]. Shared by [`RoutingKernel::compile_live`] (all rows) and
 /// [`RoutingKernel::relower_rank`] (one row).
 fn lower_live_row(
     rule: KernelRule,
-    space: KeySpace,
+    population: &Population,
     node: NodeId,
     table: &[NodeId],
-    rank_of: &impl Fn(NodeId) -> u32,
     entries: &mut Vec<PlanEntry>,
 ) {
+    let space = population.space();
+    let rank_of = |entry| rank_in(population, entry);
     match rule {
         KernelRule::RingAdvance => {
             let mut row: Vec<(u32, u32)> = table
@@ -1075,36 +1102,14 @@ fn lower_live_row(
             }));
         }
         KernelRule::PrefixXor | KernelRule::PrefixTree => {
-            for &entry in table {
-                if entry == node {
-                    entries.push(PlanEntry {
-                        key: 0,
-                        target: NO_ENTRY,
-                    });
-                } else {
-                    entries.push(PlanEntry {
-                        key: entry.value() as u32,
-                        target: rank_of(entry),
-                    });
-                }
-            }
+            entries.extend(
+                table
+                    .iter()
+                    .map(|&entry| prefix_entry(node, entry, rank_of)),
+            );
         }
         KernelRule::HypercubeBit => {
-            for &entry in table {
-                if entry == node {
-                    entries.push(PlanEntry {
-                        key: 0,
-                        target: NO_ENTRY,
-                    });
-                } else {
-                    let weight = node.value() ^ entry.value();
-                    debug_assert_eq!(weight.count_ones(), 1, "hypercube links flip one bit");
-                    entries.push(PlanEntry {
-                        key: weight as u32,
-                        target: rank_of(entry),
-                    });
-                }
-            }
+            entries.extend(table.iter().map(|&entry| cube_entry(node, entry, rank_of)));
         }
     }
 }

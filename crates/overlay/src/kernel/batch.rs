@@ -1,5 +1,5 @@
-//! Batched lockstep routing: a structure-of-arrays frontier over the
-//! compiled kernel.
+//! Batched lockstep routing: a structure-of-arrays frontier over either row
+//! source.
 //!
 //! [`RoutingKernel::route_values`] routes one lookup at a time, and on
 //! DRAM-resident plans (2^20 nodes and up) each hop is a dependent pointer
@@ -9,12 +9,13 @@
 //!
 //! [`RouteBatch`] fixes the utilization problem without touching the routing
 //! semantics. It holds a **frontier** of in-flight lookups in parallel arrays
-//! (structure-of-arrays: ranks together, cursors together, …) and
-//! [`RoutingKernel::route_batch`] advances the *whole frontier by one hop per
-//! pass*. While lane `i`'s freshly computed next rank is still cooling, its
-//! plan row is software-prefetched (`prefetch_read`) and the pass moves on
-//! to lane `i + 1` — by the time the next pass returns to lane `i`, the row
-//! is (ideally) already in cache. With 64–256 lanes the dependent chains of
+//! (structure-of-arrays: ranks together, cursors together, …) and the
+//! lockstep pass advances the *whole frontier by one hop per pass*. While
+//! lane `i`'s freshly computed next rank is still cooling, its row source
+//! prefetches the row (the materialized plan issues `prefetch_read`; the
+//! implicit cache has nothing to prefetch) and the pass moves on to lane
+//! `i + 1` — by the time the next pass returns to lane `i`, the row is
+//! (ideally) already in cache. With 64–256 lanes the dependent chains of
 //! independent lookups overlap and the batch approaches the DRAM bandwidth
 //! limit instead of the latency limit.
 //!
@@ -24,16 +25,18 @@
 //! the frontier **refills** from the pending pair slice, so short routes do
 //! not drain the batch below full occupancy while long routes finish.
 //!
-//! Outcomes are **bit-identical** per lookup to [`RoutingKernel::route_values`]:
-//! every lane replays exactly the scalar route loop — same admission checks
-//! in the same order, same per-rule hop helper, same tie-breaking — and
-//! routing is read-only, so lanes cannot interact. The `batch_equivalence`
-//! proptest suite holds all five geometries to this, full and sparse
-//! populations alike, which is what lets `dht_sim`'s trial engine route its
-//! shards through the batch path without perturbing one committed
-//! measurement.
+//! The driver and its pass are written once, generic over the kernel's row
+//! source, and serve both [`RoutingKernel::route_batch`] and
+//! [`ImplicitKernel::route_batch`](super::ImplicitKernel::route_batch).
+//! Outcomes are **bit-identical** per lookup to the scalar route loop:
+//! every lane runs the same admission prelude and the same per-hop step,
+//! and routing is read-only, so lanes cannot interact. The
+//! `batch_equivalence` proptest suite holds all five geometries to this,
+//! full and sparse populations alike, which is what lets `dht_sim`'s trial
+//! engine route its shards through the batch path without perturbing one
+//! committed measurement.
 
-use super::{ring_distance_raw, KernelMask, KernelRule, RoutingKernel};
+use super::{admit, dropped, rule_of, step, KernelMask, KernelRule, RoutingKernel, RowSource};
 use crate::router::RouteOutcome;
 
 /// The default frontier width of [`RouteBatch::default`]: wide enough to
@@ -51,28 +54,26 @@ pub const DEFAULT_BATCH_WIDTH: usize = 128;
 /// any number of `route_batch` calls (the trial engine keeps one per worker
 /// thread).
 ///
-/// The per-lane progress representation mirrors the scalar route loops: ring
-/// lanes track the *remaining clockwise distance* (zero = arrival), prefix
-/// lanes (XOR, tree) track the *current identifier value*, hypercube lanes
-/// track the *remaining XOR diff*. The rule is a property of the kernel, not
-/// the batch, so one batch can be reused across kernels of different rules.
+/// Each lane tracks its route the way the scalar loop does, as a *distance
+/// cursor* to the target: the remaining clockwise distance for the ring
+/// rule, the remaining XOR diff for the prefix and hypercube rules (zero =
+/// arrival). The rule is a property of the kernel, not the batch, so one
+/// batch can be reused across kernels of different rules and backends.
 #[derive(Debug, Clone)]
 pub struct RouteBatch {
     /// Lane → occupied rank currently holding the message.
-    pub(super) current_rank: Vec<u32>,
-    /// Lane → rule-dependent progress cursor: remaining clockwise distance
-    /// (ring), current identifier value (XOR/tree), remaining XOR diff
-    /// (hypercube).
-    pub(super) current: Vec<u64>,
-    /// Lane → target identifier value (arrival test for the prefix rules,
-    /// `stuck_at` reconstruction for the hypercube).
-    pub(super) target: Vec<u64>,
+    current_rank: Vec<u32>,
+    /// Lane → distance cursor to the target.
+    current: Vec<u64>,
+    /// Lane → target identifier value (the prefix rules' fallback distance
+    /// and the `stuck_at` reconstruction).
+    target: Vec<u64>,
     /// Lane → hops taken so far.
-    pub(super) hops: Vec<u32>,
+    hops: Vec<u32>,
     /// Lane → index of this lookup's slot in the caller's outcome buffer.
-    pub(super) slot: Vec<u32>,
+    slot: Vec<u32>,
     /// Maximum number of in-flight lanes.
-    pub(super) width: usize,
+    width: usize,
 }
 
 impl RouteBatch {
@@ -109,7 +110,7 @@ impl RouteBatch {
 
     /// Drops any in-flight lanes (a batch is always drained on return from
     /// `route_batch`; this is a belt-and-braces reset at entry).
-    pub(super) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.current_rank.clear();
         self.current.clear();
         self.target.clear();
@@ -118,7 +119,8 @@ impl RouteBatch {
     }
 
     /// Admits a lookup into a fresh lane.
-    pub(super) fn push(&mut self, rank: u32, cursor: u64, target: u64, slot: u32) {
+    #[inline]
+    fn push(&mut self, rank: u32, cursor: u64, target: u64, slot: u32) {
         self.current_rank.push(rank);
         self.current.push(cursor);
         self.target.push(target);
@@ -130,13 +132,12 @@ impl RouteBatch {
     /// last lane into its place. The swapped-in lane has not been advanced
     /// yet in the current pass (passes walk lanes in ascending order), so the
     /// caller re-processes the same index.
-    #[inline]
-    pub(super) fn retire(
-        &mut self,
-        lane: usize,
-        outcome: RouteOutcome,
-        outcomes: &mut [RouteOutcome],
-    ) {
+    ///
+    /// Kept out of line: a lane retires once per route but hops many times,
+    /// and inlining the pass's three retire sites grew the hop loop enough
+    /// to slow every batch by about a fifth.
+    #[inline(never)]
+    fn retire(&mut self, lane: usize, outcome: RouteOutcome, outcomes: &mut [RouteOutcome]) {
         outcomes[self.slot[lane] as usize] = outcome;
         self.current_rank.swap_remove(lane);
         self.current.swap_remove(lane);
@@ -177,34 +178,14 @@ impl RoutingKernel {
         hop_limit: u32,
         outcomes: &mut Vec<RouteOutcome>,
     ) {
-        assert!(
-            u32::try_from(pairs.len()).is_ok(),
-            "route_batch slices are indexed by u32 slots"
+        route_batch_rows(
+            &mut self.rows(),
+            batch,
+            alive_words,
+            pairs,
+            hop_limit,
+            outcomes,
         );
-        outcomes.clear();
-        // Placeholder only: every slot is overwritten, either at admission or
-        // when its lane retires (the hop limit bounds every route).
-        outcomes.resize(pairs.len(), RouteOutcome::SourceFailed);
-        batch.clear();
-        let mut next = 0usize;
-        loop {
-            while batch.in_flight() < batch.width && next < pairs.len() {
-                let (source, target) = pairs[next];
-                if let Some(done) = self.admit(batch, alive_words, source, target, next as u32) {
-                    outcomes[next] = done;
-                }
-                next += 1;
-            }
-            if batch.in_flight() == 0 {
-                break;
-            }
-            match self.rule {
-                KernelRule::RingAdvance => self.ring_pass(batch, alive_words, hop_limit, outcomes),
-                KernelRule::PrefixXor => self.xor_pass(batch, alive_words, hop_limit, outcomes),
-                KernelRule::PrefixTree => self.tree_pass(batch, alive_words, hop_limit, outcomes),
-                KernelRule::HypercubeBit => self.cube_pass(batch, alive_words, hop_limit, outcomes),
-            }
-        }
     }
 
     /// [`RoutingKernel::route_batch`] over a lowered [`KernelMask`]: the mask
@@ -220,269 +201,108 @@ impl RoutingKernel {
     ) {
         self.route_batch(batch, mask.words(), pairs, hop_limit, outcomes);
     }
+}
 
-    /// Runs the scalar path's admission prelude for one pair: endpoint
-    /// aliveness in source-then-target order, then the rule's trivial-arrival
-    /// check. Returns the outcome when the lookup resolves immediately, or
-    /// `None` after pushing a lane (prefetching its first plan row).
-    #[inline]
-    fn admit(
-        &self,
-        batch: &mut RouteBatch,
-        words: &[u64],
-        source: u64,
-        target: u64,
-        slot: u32,
-    ) -> Option<RouteOutcome> {
-        debug_assert!(source <= self.space.max_value(), "source outside the space");
-        debug_assert!(target <= self.space.max_value(), "target outside the space");
-        let Some(source_rank) = self.alive_rank_of(words, source) else {
-            return Some(RouteOutcome::SourceFailed);
-        };
-        if self.alive_rank_of(words, target).is_none() {
-            return Some(RouteOutcome::TargetFailed);
+/// The lockstep driver behind both kernels' `route_batch`, compiled once
+/// per rule like the scalar loop (see [`rule_of`]).
+pub(super) fn route_batch_rows<R: RowSource>(
+    rows: &mut R,
+    batch: &mut RouteBatch,
+    words: &[u64],
+    pairs: &[(u64, u64)],
+    hop_limit: u32,
+    outcomes: &mut Vec<RouteOutcome>,
+) {
+    type Lockstep<R> =
+        fn(&mut R, &mut RouteBatch, &[u64], &[(u64, u64)], u32, &mut Vec<RouteOutcome>);
+    let lockstep: Lockstep<R> = match rows.rule() {
+        KernelRule::RingAdvance => lockstep::<R, 0>,
+        KernelRule::PrefixXor => lockstep::<R, 1>,
+        KernelRule::PrefixTree => lockstep::<R, 2>,
+        KernelRule::HypercubeBit => lockstep::<R, 3>,
+    };
+    lockstep(rows, batch, words, pairs, hop_limit, outcomes);
+}
+
+/// [`route_batch_rows`] for the rule tagged `TAG`: admit until the
+/// frontier is full, run one [`pass`], repeat until every pair resolved.
+fn lockstep<R: RowSource, const TAG: u8>(
+    rows: &mut R,
+    batch: &mut RouteBatch,
+    words: &[u64],
+    pairs: &[(u64, u64)],
+    hop_limit: u32,
+    outcomes: &mut Vec<RouteOutcome>,
+) {
+    let rule = rule_of(TAG);
+    assert!(
+        u32::try_from(pairs.len()).is_ok(),
+        "route_batch slices are indexed by u32 slots"
+    );
+    outcomes.clear();
+    // Placeholder only: every slot is overwritten, either at admission or
+    // when its lane retires (the hop limit bounds every route).
+    outcomes.resize(pairs.len(), RouteOutcome::SourceFailed);
+    batch.clear();
+    let mut next = 0usize;
+    loop {
+        while batch.in_flight() < batch.width && next < pairs.len() {
+            let (source, target) = pairs[next];
+            match admit(rows, rule, words, source, target) {
+                Ok((rank, cursor)) => {
+                    rows.prefetch(rank);
+                    batch.push(rank, cursor, target, next as u32);
+                }
+                Err(outcome) => outcomes[next] = outcome,
+            }
+            next += 1;
         }
-        let cursor = match self.rule {
-            KernelRule::RingAdvance => {
-                let remaining = ring_distance_raw(source, target, self.space);
-                if remaining == 0 {
-                    return Some(RouteOutcome::Delivered { hops: 0 });
-                }
-                remaining
-            }
-            KernelRule::PrefixXor | KernelRule::PrefixTree => {
-                if source == target {
-                    return Some(RouteOutcome::Delivered { hops: 0 });
-                }
-                source
-            }
-            KernelRule::HypercubeBit => {
-                let diff = source ^ target;
-                if diff == 0 {
-                    return Some(RouteOutcome::Delivered { hops: 0 });
-                }
-                diff
-            }
-        };
-        self.prefetch_row(source_rank);
-        batch.push(source_rank, cursor, target, slot);
-        None
-    }
-
-    /// One lockstep pass of the ring rule: every lane takes the hop
-    /// [`RoutingKernel::route_values`] would take, in lane order.
-    fn ring_pass(
-        &self,
-        batch: &mut RouteBatch,
-        words: &[u64],
-        hop_limit: u32,
-        outcomes: &mut [RouteOutcome],
-    ) {
-        let mut lane = 0usize;
-        while lane < batch.in_flight() {
-            let hops = batch.hops[lane];
-            if hops >= hop_limit {
-                batch.retire(
-                    lane,
-                    RouteOutcome::HopLimitExceeded { limit: hop_limit },
-                    outcomes,
-                );
-                continue;
-            }
-            let rank = batch.current_rank[lane];
-            let remaining = batch.current[lane];
-            match self.ring_hop(words, rank, remaining) {
-                Some((advance, next)) => {
-                    let left = remaining - advance;
-                    if left == 0 {
-                        batch.retire(lane, RouteOutcome::Delivered { hops: hops + 1 }, outcomes);
-                        continue;
-                    }
-                    batch.current[lane] = left;
-                    batch.current_rank[lane] = next;
-                    batch.hops[lane] = hops + 1;
-                    self.prefetch_row(next);
-                    lane += 1;
-                }
-                None => {
-                    batch.retire(
-                        lane,
-                        RouteOutcome::Dropped {
-                            hops,
-                            stuck_at: self.space.wrap(self.value_of(rank)),
-                        },
-                        outcomes,
-                    );
-                }
-            }
+        if batch.in_flight() == 0 {
+            break;
         }
+        pass(rows, rule, batch, words, hop_limit, outcomes);
     }
+}
 
-    /// One lockstep pass of the XOR (Kademlia) rule.
-    fn xor_pass(
-        &self,
-        batch: &mut RouteBatch,
-        words: &[u64],
-        hop_limit: u32,
-        outcomes: &mut [RouteOutcome],
-    ) {
-        let mut lane = 0usize;
-        while lane < batch.in_flight() {
-            let hops = batch.hops[lane];
-            if hops >= hop_limit {
-                batch.retire(
-                    lane,
-                    RouteOutcome::HopLimitExceeded { limit: hop_limit },
-                    outcomes,
-                );
-                continue;
-            }
-            let rank = batch.current_rank[lane];
-            let current = batch.current[lane];
-            let target = batch.target[lane];
-            match self.xor_hop(words, rank, current, target) {
-                Some((value, next)) => {
-                    if value == target {
-                        batch.retire(lane, RouteOutcome::Delivered { hops: hops + 1 }, outcomes);
-                        continue;
-                    }
-                    batch.current[lane] = value;
-                    batch.current_rank[lane] = next;
-                    batch.hops[lane] = hops + 1;
-                    self.prefetch_row(next);
-                    lane += 1;
-                }
-                None => {
-                    batch.retire(
-                        lane,
-                        RouteOutcome::Dropped {
-                            hops,
-                            stuck_at: self.space.wrap(current),
-                        },
-                        outcomes,
-                    );
-                }
-            }
+/// One lockstep pass: every lane takes the hop the scalar route loop would
+/// take, in lane order, prefetching the row of its next rank.
+#[inline(always)]
+fn pass<R: RowSource>(
+    rows: &mut R,
+    rule: KernelRule,
+    batch: &mut RouteBatch,
+    words: &[u64],
+    hop_limit: u32,
+    outcomes: &mut [RouteOutcome],
+) {
+    let mut lane = 0usize;
+    while lane < batch.in_flight() {
+        let hops = batch.hops[lane];
+        if hops >= hop_limit {
+            batch.retire(
+                lane,
+                RouteOutcome::HopLimitExceeded { limit: hop_limit },
+                outcomes,
+            );
+            continue;
         }
-    }
-
-    /// One lockstep pass of the tree (Plaxton) rule.
-    fn tree_pass(
-        &self,
-        batch: &mut RouteBatch,
-        words: &[u64],
-        hop_limit: u32,
-        outcomes: &mut [RouteOutcome],
-    ) {
-        let mut lane = 0usize;
-        while lane < batch.in_flight() {
-            let hops = batch.hops[lane];
-            if hops >= hop_limit {
-                batch.retire(
-                    lane,
-                    RouteOutcome::HopLimitExceeded { limit: hop_limit },
-                    outcomes,
-                );
-                continue;
+        let cursor = batch.current[lane];
+        let target = batch.target[lane];
+        match step(rows, rule, words, batch.current_rank[lane], cursor, target) {
+            Some((0, _)) => {
+                batch.retire(lane, RouteOutcome::Delivered { hops: hops + 1 }, outcomes);
             }
-            let rank = batch.current_rank[lane];
-            let current = batch.current[lane];
-            let target = batch.target[lane];
-            match self.tree_hop(words, rank, current, target) {
-                Some((value, next)) => {
-                    if value == target {
-                        batch.retire(lane, RouteOutcome::Delivered { hops: hops + 1 }, outcomes);
-                        continue;
-                    }
-                    batch.current[lane] = value;
-                    batch.current_rank[lane] = next;
-                    batch.hops[lane] = hops + 1;
-                    self.prefetch_row(next);
-                    lane += 1;
-                }
-                None => {
-                    batch.retire(
-                        lane,
-                        RouteOutcome::Dropped {
-                            hops,
-                            stuck_at: self.space.wrap(current),
-                        },
-                        outcomes,
-                    );
-                }
+            Some((left, next)) => {
+                batch.current[lane] = left;
+                batch.current_rank[lane] = next;
+                batch.hops[lane] = hops + 1;
+                rows.prefetch(next);
+                lane += 1;
             }
-        }
-    }
-
-    /// One lockstep pass of the hypercube rule. Lanes track the remaining XOR
-    /// diff; the held identifier is always `target ^ diff`.
-    fn cube_pass(
-        &self,
-        batch: &mut RouteBatch,
-        words: &[u64],
-        hop_limit: u32,
-        outcomes: &mut [RouteOutcome],
-    ) {
-        let mut lane = 0usize;
-        while lane < batch.in_flight() {
-            let hops = batch.hops[lane];
-            if hops >= hop_limit {
-                batch.retire(
-                    lane,
-                    RouteOutcome::HopLimitExceeded { limit: hop_limit },
-                    outcomes,
-                );
-                continue;
+            None => {
+                let outcome = dropped(rule, rows.space(), hops, target, cursor);
+                batch.retire(lane, outcome, outcomes);
             }
-            let rank = batch.current_rank[lane];
-            let diff = batch.current[lane];
-            match self.cube_hop(words, rank, diff) {
-                Some((weight, next)) => {
-                    let left = diff ^ weight;
-                    if left == 0 {
-                        batch.retire(lane, RouteOutcome::Delivered { hops: hops + 1 }, outcomes);
-                        continue;
-                    }
-                    batch.current[lane] = left;
-                    batch.current_rank[lane] = next;
-                    batch.hops[lane] = hops + 1;
-                    self.prefetch_row(next);
-                    lane += 1;
-                }
-                None => {
-                    batch.retire(
-                        lane,
-                        RouteOutcome::Dropped {
-                            hops,
-                            stuck_at: self.space.wrap(batch.target[lane] ^ diff),
-                        },
-                        outcomes,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Prefetches the plan row of `rank` for the next pass.
-    ///
-    /// Fixed-stride plans (every full population) know the row address
-    /// without a load, so the entry line itself is prefetched — two lines for
-    /// wide rows, because the ring scan reads deeper into the row as the
-    /// remaining distance shrinks. Ragged plans would need `offsets[rank]`
-    /// first, so only that offset line is prefetched and the entry row is
-    /// left to the demand load.
-    #[inline]
-    fn prefetch_row(&self, rank: u32) {
-        match self.stride {
-            Some(stride) => {
-                let start = rank as usize * stride as usize;
-                prefetch_read(&self.entries, start);
-                if stride > 8 {
-                    // A PlanEntry is 8 bytes: lines hold 8 entries.
-                    prefetch_read(&self.entries, start + 8);
-                }
-            }
-            None => prefetch_read(&self.offsets, rank as usize),
         }
     }
 }

@@ -18,17 +18,24 @@
 //!
 //! [`ImplicitKernel`] exploits exactly that: it stores a constant-size
 //! descriptor (seed, rule, stream stride) and regenerates any plan row on
-//! demand, lowering it with the same per-rule lowering as
-//! [`RoutingKernel`](super::RoutingKernel)'s compiler and dispatching hops through the *same*
-//! row-slice hop helpers. Outcomes — [`RouteOutcome`] variants, hop counts,
-//! `stuck_at` identifiers, batch orderings — are therefore **bit-identical**
-//! to the materialized kernel built from the same seed, which the
-//! `implicit_equivalence` property suite asserts across every geometry.
+//! demand. This module holds only that row source — the descriptor, the
+//! [`ImplicitRowCache`] and the cache fill. Routing itself is the kernel
+//! module's one route loop, admission prelude and lockstep pass, run over
+//! the cache instead of a CSR plan, and every row is lowered by the same
+//! static row lowering [`RoutingKernel`](super::RoutingKernel)'s compiler
+//! uses (with rank == value). Outcomes — [`RouteOutcome`] variants, hop
+//! counts, `stuck_at` identifiers, batch orderings — are therefore
+//! **bit-identical** to the materialized kernel built from the same seed,
+//! which the `implicit_equivalence` property suite asserts across every
+//! geometry.
 //!
 //! Regeneration cost is amortized by an [`ImplicitRowCache`]: a direct-mapped
 //! cache of lowered rows, owned by the *caller* (one per worker thread), so
 //! the kernel itself stays shareable and its resident set stays constant.
 //! Routes concentrate near targets, so hot rows hit the cache even at 2^30.
+//! Each cache is stamped with its kernel's workspace-unique id, and every
+//! call that takes a cache checks the stamp, so a cache cannot silently
+//! serve rows of another kernel.
 //!
 //! # Example
 //!
@@ -49,11 +56,12 @@
 //! # Ok::<(), dht_overlay::OverlayError>(())
 //! ```
 
+use super::batch::route_batch_rows;
 use super::{
-    alive_bit, cube_hop_row, ring_distance_raw, ring_hop_row, tree_hop_row, xor_hop_row,
-    KernelMask, KernelRule, PlanEntry, RouteBatch, NO_ENTRY,
+    check_endpoints, check_mask, lower_static_row, next_hop_rows, route_rows, KernelMask,
+    KernelRule, PlanEntry, RouteBatch, RowSource, INERT_ENTRY, NO_ENTRY,
 };
-use crate::failure::FailureMask;
+use crate::failure::{fresh_stamp, FailureMask};
 use crate::generic::GeometryStrategy;
 use crate::router::RouteOutcome;
 use crate::traits::{validate_implicit_bits, Overlay, OverlayError};
@@ -88,8 +96,9 @@ type RowFn = dyn Fn(NodeId, &mut ChaCha8Rng, &mut Vec<NodeId>) + Send + Sync;
 pub struct ImplicitKernel {
     rule: KernelRule,
     space: KeySpace,
-    bits: u32,
     population: Arc<Population>,
+    /// Workspace-unique stamp, copied into every cache this kernel creates.
+    id: u64,
     stream_seed: u64,
     /// 32-bit words of the shared construction stream each node consumes —
     /// rank `r`'s draws start at word `r × words_per_node`.
@@ -162,14 +171,13 @@ impl ImplicitKernel {
             });
         };
         let row_width = strategy.table_len_hint(population);
-        let space = population.space();
         let generator = strategy.clone();
         let generator_population = Arc::clone(population);
         Ok(ImplicitKernel {
             rule,
-            space,
-            bits: space.bits(),
+            space: population.space(),
             population: Arc::clone(population),
+            id: fresh_stamp(),
             stream_seed,
             words_per_node,
             row_width,
@@ -233,23 +241,17 @@ impl ImplicitKernel {
     }
 
     /// A fresh row cache with `slots` direct-mapped slots (rounded up to a
-    /// power of two, at least 1).
+    /// power of two, at least 1), stamped as this kernel's.
     #[must_use]
     pub fn row_cache_with_slots(&self, slots: usize) -> ImplicitRowCache {
         let slots = slots.max(1).next_power_of_two();
         ImplicitRowCache {
-            stream_seed: self.stream_seed,
+            kernel_id: self.id,
             row_width: self.row_width,
             slot_mask: (slots - 1) as u32,
             ranks: vec![NO_ENTRY; slots],
             lens: vec![0; slots],
-            entries: vec![
-                PlanEntry {
-                    key: 0,
-                    target: NO_ENTRY
-                };
-                slots * self.row_width
-            ],
+            entries: vec![INERT_ENTRY; slots * self.row_width],
             rng: ChaCha8Rng::seed_from_u64(self.stream_seed),
             ids: Vec::with_capacity(self.row_width),
             ring_scratch: Vec::with_capacity(self.row_width),
@@ -278,61 +280,21 @@ impl ImplicitKernel {
     /// the kernel.
     #[must_use]
     pub fn compile_mask<'mask>(&self, mask: &'mask FailureMask) -> KernelMask<'mask> {
-        assert_eq!(
-            mask.key_space().bits(),
-            self.bits,
-            "mask is from a different key space"
-        );
-        assert_eq!(
-            mask.population_size(),
-            self.population.node_count(),
-            "mask covers a different population"
-        );
+        check_mask(mask, self.space.bits(), &self.population);
         KernelMask::Full(mask)
     }
 
-    /// The lowered plan row of `rank`, regenerated on a cache miss.
-    #[inline]
-    fn row<'c>(&self, cache: &'c mut ImplicitRowCache, rank: u32) -> &'c [PlanEntry] {
-        debug_assert_eq!(
-            cache.stream_seed, self.stream_seed,
-            "row cache belongs to a different kernel"
+    /// The row source of this kernel over `cache` — the one place the
+    /// cache's stamp is checked, once per public call.
+    fn rows<'a>(&'a self, cache: &'a mut ImplicitRowCache) -> CachedRows<'a> {
+        assert_eq!(
+            cache.kernel_id, self.id,
+            "row cache belongs to a different implicit kernel"
         );
-        debug_assert_eq!(
-            cache.row_width, self.row_width,
-            "row cache belongs to a different kernel"
-        );
-        let slot = (rank & cache.slot_mask) as usize;
-        let start = slot * cache.row_width;
-        if cache.ranks[slot] != rank {
-            cache.misses += 1;
-            let node = self.space.wrap(u64::from(rank));
-            cache
-                .rng
-                .set_word_pos(u64::from(rank) * self.words_per_node);
-            cache.ids.clear();
-            (self.row_fn)(node, &mut cache.rng, &mut cache.ids);
-            let len = lower_row(
-                self.rule,
-                self.space,
-                node,
-                &cache.ids,
-                &mut cache.ring_scratch,
-                &mut cache.entries[start..start + cache.row_width],
-            );
-            cache.lens[slot] = len as u32;
-            cache.ranks[slot] = rank;
-        } else {
-            cache.hits += 1;
+        CachedRows {
+            kernel: self,
+            cache,
         }
-        &cache.entries[start..start + cache.lens[slot] as usize]
-    }
-
-    /// `Some(rank)` when `value` survived (full population: rank == value).
-    #[inline]
-    fn alive_rank_of(&self, words: &[u64], value: u64) -> Option<u32> {
-        let rank = value as u32;
-        alive_bit(words, rank).then_some(rank)
     }
 
     /// Routes `source` → `target` under the lowered `mask`, giving up after
@@ -342,7 +304,7 @@ impl ImplicitKernel {
     /// # Panics
     ///
     /// Panics if `source` or `target` do not belong to the kernel's key
-    /// space.
+    /// space, or if `cache` was created by another kernel.
     #[must_use]
     pub fn route(
         &self,
@@ -352,21 +314,16 @@ impl ImplicitKernel {
         target: NodeId,
         hop_limit: u32,
     ) -> RouteOutcome {
-        assert_eq!(
-            source.bits(),
-            self.bits,
-            "source is from a different key space"
-        );
-        assert_eq!(
-            target.bits(),
-            self.bits,
-            "target is from a different key space"
-        );
+        check_endpoints(self.space.bits(), "source", source, target);
         self.route_values(cache, mask, source.value(), target.value(), hop_limit)
     }
 
     /// [`ImplicitKernel::route`] over raw identifier values (the key-space
     /// validation hoisted to [`ImplicitKernel::compile_mask`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` was created by another kernel.
     #[must_use]
     pub fn route_values(
         &self,
@@ -381,6 +338,10 @@ impl ImplicitKernel {
 
     /// [`ImplicitKernel::route_values`] over a caller-held rank-indexed alive
     /// bitset — the [`RoutingKernel::route_ranked`](super::RoutingKernel::route_ranked) counterpart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` was created by another kernel.
     #[must_use]
     pub fn route_ranked(
         &self,
@@ -390,30 +351,7 @@ impl ImplicitKernel {
         target: u64,
         hop_limit: u32,
     ) -> RouteOutcome {
-        debug_assert!(source <= self.space.max_value(), "source outside the space");
-        debug_assert!(target <= self.space.max_value(), "target outside the space");
-        // Mirrors the materialized kernel exactly: source first, then target,
-        // then the per-rule greedy loop.
-        let Some(source_rank) = self.alive_rank_of(words, source) else {
-            return RouteOutcome::SourceFailed;
-        };
-        if self.alive_rank_of(words, target).is_none() {
-            return RouteOutcome::TargetFailed;
-        }
-        match self.rule {
-            KernelRule::RingAdvance => {
-                self.route_ring(cache, words, source_rank, source, target, hop_limit)
-            }
-            KernelRule::PrefixXor => {
-                self.route_xor(cache, words, source_rank, source, target, hop_limit)
-            }
-            KernelRule::PrefixTree => {
-                self.route_tree(cache, words, source_rank, source, target, hop_limit)
-            }
-            KernelRule::HypercubeBit => {
-                self.route_hypercube(cache, words, source_rank, source, target, hop_limit)
-            }
-        }
+        route_rows(&mut self.rows(cache), words, source, target, hop_limit)
     }
 
     /// The greedy next hop from `current` towards `target`, or `None` when no
@@ -423,7 +361,7 @@ impl ImplicitKernel {
     /// # Panics
     ///
     /// Panics if `current` or `target` do not belong to the kernel's key
-    /// space.
+    /// space, or if `cache` was created by another kernel.
     #[must_use]
     pub fn next_hop(
         &self,
@@ -432,183 +370,29 @@ impl ImplicitKernel {
         current: NodeId,
         target: NodeId,
     ) -> Option<NodeId> {
-        assert_eq!(
-            current.bits(),
-            self.bits,
-            "current is from a different key space"
-        );
-        assert_eq!(
-            target.bits(),
-            self.bits,
-            "target is from a different key space"
-        );
-        let words = mask.words();
-        let current = current.value();
-        let target = target.value();
-        let rank = current as u32;
-        let value = match self.rule {
-            KernelRule::RingAdvance => {
-                let remaining = ring_distance_raw(current, target, self.space);
-                let (_, next) = ring_hop_row(self.row(cache, rank), words, remaining)?;
-                u64::from(next)
-            }
-            KernelRule::PrefixXor => {
-                if current == target {
-                    return None;
-                }
-                xor_hop_row(self.row(cache, rank), words, self.bits, current, target)?.0
-            }
-            KernelRule::PrefixTree => {
-                if current == target {
-                    return None;
-                }
-                tree_hop_row(self.row(cache, rank), words, self.bits, current, target)?.0
-            }
-            KernelRule::HypercubeBit => {
-                let (weight, _) = cube_hop_row(self.row(cache, rank), words, current ^ target)?;
-                current ^ weight
-            }
-        };
-        Some(self.space.wrap(value))
-    }
-
-    fn route_ring(
-        &self,
-        cache: &mut ImplicitRowCache,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        let mut remaining = ring_distance_raw(source, target, self.space);
-        let mut hops = 0u32;
-        while remaining != 0 {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match ring_hop_row(self.row(cache, rank), words, remaining) {
-                Some((advance, next)) => {
-                    remaining -= advance;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(u64::from(rank)),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
-    }
-
-    fn route_tree(
-        &self,
-        cache: &mut ImplicitRowCache,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        let mut current = source;
-        let mut hops = 0u32;
-        while current != target {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match tree_hop_row(self.row(cache, rank), words, self.bits, current, target) {
-                Some((value, next)) => {
-                    current = value;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(current),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
-    }
-
-    fn route_xor(
-        &self,
-        cache: &mut ImplicitRowCache,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        let mut current = source;
-        let mut hops = 0u32;
-        while current != target {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match xor_hop_row(self.row(cache, rank), words, self.bits, current, target) {
-                Some((value, next)) => {
-                    current = value;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(current),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
-    }
-
-    fn route_hypercube(
-        &self,
-        cache: &mut ImplicitRowCache,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        let mut diff = source ^ target;
-        let mut hops = 0u32;
-        while diff != 0 {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match cube_hop_row(self.row(cache, rank), words, diff) {
-                Some((weight, next)) => {
-                    diff ^= weight;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(target ^ diff),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
+        check_endpoints(self.space.bits(), "current", current, target);
+        next_hop_rows(
+            &mut self.rows(cache),
+            mask.words(),
+            current.value(),
+            target.value(),
+        )
     }
 
     /// Routes every `(source, target)` pair through the lockstep
     /// [`RouteBatch`] frontier — the [`RoutingKernel::route_batch`](super::RoutingKernel::route_batch)
-    /// counterpart, with identical admission order, per-rule hops, lane
-    /// compaction and therefore identical `outcomes`.
+    /// counterpart, running the same driver and pass over this kernel's rows
+    /// and therefore filling identical `outcomes`.
     ///
     /// `alive_words` follows the [`RoutingKernel::route_ranked`](super::RoutingKernel::route_ranked) contract.
-    /// The implicit pass performs no software prefetch (row regeneration is
-    /// compute-bound, not latency-bound); the frontier still amortizes the
-    /// row cache, because consecutive lanes near the same target reuse rows.
+    /// The implicit row source performs no software prefetch (row
+    /// regeneration is compute-bound, not latency-bound); the frontier still
+    /// amortizes the row cache, because consecutive lanes near the same
+    /// target reuse rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` was created by another kernel.
     pub fn route_batch(
         &self,
         batch: &mut RouteBatch,
@@ -618,145 +402,92 @@ impl ImplicitKernel {
         hop_limit: u32,
         outcomes: &mut Vec<RouteOutcome>,
     ) {
-        assert!(
-            u32::try_from(pairs.len()).is_ok(),
-            "route_batch slices are indexed by u32 slots"
+        route_batch_rows(
+            &mut self.rows(cache),
+            batch,
+            alive_words,
+            pairs,
+            hop_limit,
+            outcomes,
         );
-        outcomes.clear();
-        outcomes.resize(pairs.len(), RouteOutcome::SourceFailed);
-        batch.clear();
-        let mut next = 0usize;
-        loop {
-            while batch.in_flight() < batch.width && next < pairs.len() {
-                let (source, target) = pairs[next];
-                if let Some(done) = self.admit(batch, alive_words, source, target, next as u32) {
-                    outcomes[next] = done;
-                }
-                next += 1;
-            }
-            if batch.in_flight() == 0 {
-                break;
-            }
-            self.batch_pass(batch, cache, alive_words, hop_limit, outcomes);
-        }
     }
+}
 
-    /// The admission prelude of one pair, byte-for-byte the materialized
-    /// batch's: endpoint aliveness source-then-target, then the rule's
-    /// trivial-arrival check.
+/// The implicit row source: an [`ImplicitKernel`] reading rows through the
+/// caller's [`ImplicitRowCache`], regenerating them on a miss. Full
+/// populations only, so rank == value and there is nothing to prefetch.
+struct CachedRows<'a> {
+    kernel: &'a ImplicitKernel,
+    cache: &'a mut ImplicitRowCache,
+}
+
+impl RowSource for CachedRows<'_> {
     #[inline]
-    fn admit(
-        &self,
-        batch: &mut RouteBatch,
-        words: &[u64],
-        source: u64,
-        target: u64,
-        slot: u32,
-    ) -> Option<RouteOutcome> {
-        debug_assert!(source <= self.space.max_value(), "source outside the space");
-        debug_assert!(target <= self.space.max_value(), "target outside the space");
-        let Some(source_rank) = self.alive_rank_of(words, source) else {
-            return Some(RouteOutcome::SourceFailed);
-        };
-        if self.alive_rank_of(words, target).is_none() {
-            return Some(RouteOutcome::TargetFailed);
-        }
-        let cursor = match self.rule {
-            KernelRule::RingAdvance => {
-                let remaining = ring_distance_raw(source, target, self.space);
-                if remaining == 0 {
-                    return Some(RouteOutcome::Delivered { hops: 0 });
-                }
-                remaining
-            }
-            KernelRule::PrefixXor | KernelRule::PrefixTree => {
-                if source == target {
-                    return Some(RouteOutcome::Delivered { hops: 0 });
-                }
-                source
-            }
-            KernelRule::HypercubeBit => {
-                let diff = source ^ target;
-                if diff == 0 {
-                    return Some(RouteOutcome::Delivered { hops: 0 });
-                }
-                diff
-            }
-        };
-        batch.push(source_rank, cursor, target, slot);
-        None
+    fn rule(&self) -> KernelRule {
+        self.kernel.rule
     }
 
-    /// One lockstep pass: every lane takes the hop the scalar loop would
-    /// take, in lane order, retiring and compacting resolved lanes exactly
-    /// like the materialized passes.
-    fn batch_pass(
-        &self,
-        batch: &mut RouteBatch,
-        cache: &mut ImplicitRowCache,
-        words: &[u64],
-        hop_limit: u32,
-        outcomes: &mut [RouteOutcome],
-    ) {
-        let mut lane = 0usize;
-        while lane < batch.in_flight() {
-            let hops = batch.hops[lane];
-            if hops >= hop_limit {
-                batch.retire(
-                    lane,
-                    RouteOutcome::HopLimitExceeded { limit: hop_limit },
-                    outcomes,
-                );
-                continue;
-            }
-            let rank = batch.current_rank[lane];
-            let cursor = batch.current[lane];
-            let target = batch.target[lane];
-            // (new cursor, next rank) when the lane advances, or the drop
-            // outcome's stuck_at identifier value.
-            let hop = match self.rule {
-                KernelRule::RingAdvance => ring_hop_row(self.row(cache, rank), words, cursor)
-                    .map(|(advance, next)| (cursor - advance, next)),
-                KernelRule::PrefixXor => {
-                    xor_hop_row(self.row(cache, rank), words, self.bits, cursor, target)
-                }
-                KernelRule::PrefixTree => {
-                    tree_hop_row(self.row(cache, rank), words, self.bits, cursor, target)
-                }
-                KernelRule::HypercubeBit => cube_hop_row(self.row(cache, rank), words, cursor)
-                    .map(|(weight, next)| (cursor ^ weight, next)),
+    #[inline]
+    fn space(&self) -> KeySpace {
+        self.kernel.space
+    }
+
+    #[inline]
+    fn rank_of_value(&self, value: u64) -> Option<u32> {
+        Some(value as u32)
+    }
+
+    /// The lowered plan row of `rank`, regenerated and lowered into its
+    /// direct-mapped slot on a miss.
+    #[inline]
+    fn row(&mut self, rank: u32) -> &[PlanEntry] {
+        let kernel = self.kernel;
+        let cache = &mut *self.cache;
+        let slot = (rank & cache.slot_mask) as usize;
+        let start = slot * cache.row_width;
+        if cache.ranks[slot] == rank {
+            cache.hits += 1;
+        } else {
+            cache.misses += 1;
+            let node = kernel.space.wrap(u64::from(rank));
+            cache
+                .rng
+                .set_word_pos(u64::from(rank) * kernel.words_per_node);
+            cache.ids.clear();
+            (kernel.row_fn)(node, &mut cache.rng, &mut cache.ids);
+            let mut fill = SlotFill {
+                slot: &mut cache.entries[start..start + cache.row_width],
+                len: 0,
             };
-            match hop {
-                Some((cursor, next)) => {
-                    let arrived = match self.rule {
-                        KernelRule::RingAdvance | KernelRule::HypercubeBit => cursor == 0,
-                        KernelRule::PrefixXor | KernelRule::PrefixTree => cursor == target,
-                    };
-                    if arrived {
-                        batch.retire(lane, RouteOutcome::Delivered { hops: hops + 1 }, outcomes);
-                        continue;
-                    }
-                    batch.current[lane] = cursor;
-                    batch.current_rank[lane] = next;
-                    batch.hops[lane] = hops + 1;
-                    lane += 1;
-                }
-                None => {
-                    let stuck_at = match self.rule {
-                        KernelRule::RingAdvance => u64::from(rank),
-                        KernelRule::PrefixXor | KernelRule::PrefixTree => cursor,
-                        KernelRule::HypercubeBit => target ^ cursor,
-                    };
-                    batch.retire(
-                        lane,
-                        RouteOutcome::Dropped {
-                            hops,
-                            stuck_at: self.space.wrap(stuck_at),
-                        },
-                        outcomes,
-                    );
-                }
-            }
+            lower_static_row(
+                kernel.rule,
+                &kernel.population,
+                node,
+                &cache.ids,
+                &mut cache.ring_scratch,
+                &mut fill,
+            );
+            cache.lens[slot] = fill.len as u32;
+            cache.ranks[slot] = rank;
+        }
+        &cache.entries[start..start + cache.lens[slot] as usize]
+    }
+
+    #[inline]
+    fn prefetch(&self, _rank: u32) {}
+}
+
+/// Collects a lowered row straight into its cache slot.
+struct SlotFill<'s> {
+    slot: &'s mut [PlanEntry],
+    len: usize,
+}
+
+impl Extend<PlanEntry> for SlotFill<'_> {
+    fn extend<I: IntoIterator<Item = PlanEntry>>(&mut self, entries: I) {
+        for entry in entries {
+            self.slot[self.len] = entry;
+            self.len += 1;
         }
     }
 }
@@ -770,8 +501,9 @@ impl ImplicitKernel {
 /// on a hit, only regeneration cost does.
 #[derive(Debug, Clone)]
 pub struct ImplicitRowCache {
-    /// Stamp of the owning kernel (checked in debug builds).
-    stream_seed: u64,
+    /// Stamp of the owning kernel, checked on every call that takes the
+    /// cache.
+    kernel_id: u64,
     row_width: usize,
     /// `slots - 1` for the power-of-two slot count.
     slot_mask: u32,
@@ -819,68 +551,6 @@ impl ImplicitRowCache {
             + self.lens.capacity() * std::mem::size_of::<u32>()
             + self.ids.capacity() * std::mem::size_of::<NodeId>()
             + self.ring_scratch.capacity() * std::mem::size_of::<(u32, u32)>()
-    }
-}
-
-/// Lowers one freshly regenerated full-population table row into `out`,
-/// returning the lowered length — the single-row counterpart of
-/// [`RoutingKernel::compile`](super::RoutingKernel::compile)'s per-rank lowering, with `rank == value`.
-fn lower_row(
-    rule: KernelRule,
-    space: KeySpace,
-    node: NodeId,
-    table: &[NodeId],
-    ring_scratch: &mut Vec<(u32, u32)>,
-    out: &mut [PlanEntry],
-) -> usize {
-    match rule {
-        KernelRule::RingAdvance => {
-            // Sorted by greedy preference, zero advances dropped, duplicate
-            // advances deduplicated — exactly the static compile's lowering.
-            ring_scratch.clear();
-            for &entry in table {
-                let advance = ring_distance_raw(node.value(), entry.value(), space);
-                if advance > 0 {
-                    ring_scratch.push((advance as u32, entry.value() as u32));
-                }
-            }
-            ring_scratch.sort_unstable();
-            ring_scratch.dedup_by_key(|&mut (advance, _)| advance);
-            for (slot, &(advance, target)) in ring_scratch.iter().rev().enumerate() {
-                out[slot] = PlanEntry {
-                    key: advance,
-                    target,
-                };
-            }
-            ring_scratch.len()
-        }
-        KernelRule::PrefixXor | KernelRule::PrefixTree => {
-            for (slot, &entry) in table.iter().enumerate() {
-                out[slot] = if entry == node {
-                    PlanEntry {
-                        key: 0,
-                        target: NO_ENTRY,
-                    }
-                } else {
-                    PlanEntry {
-                        key: entry.value() as u32,
-                        target: entry.value() as u32,
-                    }
-                };
-            }
-            table.len()
-        }
-        KernelRule::HypercubeBit => {
-            for (slot, &entry) in table.iter().enumerate() {
-                let weight = node.value() ^ entry.value();
-                debug_assert_eq!(weight.count_ones(), 1, "hypercube links flip one bit");
-                out[slot] = PlanEntry {
-                    key: weight as u32,
-                    target: entry.value() as u32,
-                };
-            }
-            table.len()
-        }
     }
 }
 
@@ -1271,6 +941,24 @@ mod tests {
         let overlay = ImplicitOverlay::hypercube(6).unwrap();
         let space = overlay.key_space();
         let _ = overlay.neighbors(space.wrap(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "different implicit kernel")]
+    fn a_row_cache_is_bound_to_its_kernel() {
+        // Same stream seed and row width: only the kernel stamp tells the
+        // two kernels' caches apart.
+        let ring = ImplicitOverlay::ring(10, ChordVariant::Deterministic, 0).unwrap();
+        let cube = ImplicitOverlay::hypercube(10).unwrap();
+        let ring_kernel = ring.implicit_kernel().unwrap();
+        let cube_kernel = cube.implicit_kernel().unwrap();
+        assert_eq!(ring_kernel.stream_seed(), cube_kernel.stream_seed());
+        assert_eq!(ring_kernel.row_width(), cube_kernel.row_width());
+        let mut cache = ring_kernel.row_cache();
+        let mask = FailureMask::none(ring.key_space());
+        let words = mask.words();
+        let _ = ring_kernel.route_ranked(&mut cache, words, 1, 700, 64);
+        let _ = cube_kernel.route_ranked(&mut cache, words, 1, 700, 64);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl RouteOutcome {
 /// `64 · 20`.
 ///
 /// Batch drivers (`dht_sim`'s trial engine) compute this once per trial and
-/// call [`route_with_limit`] directly.
+/// pass it to the kernels' batch routes.
 #[must_use]
 pub fn default_route_hop_limit<O>(overlay: &O) -> u32
 where
@@ -131,10 +131,10 @@ where
 
 /// [`route_with_limit`] with the key-space validation hoisted to the caller.
 ///
-/// Batch drivers that route millions of pairs drawn from the overlay's own
-/// population (the trial engine of `dht_sim`) validate the key space once per
-/// batch and call this directly, so the hot loop stops paying two asserts per
-/// routed pair. Debug builds still assert; release builds trust the caller.
+/// Reference drivers that route many pairs drawn from the overlay's own
+/// population (the scalar oracle of `dht_sim`'s engine tests) validate the
+/// key space once and call this directly, so no routed pair pays the two
+/// asserts. Debug builds still assert; release builds trust the caller.
 #[must_use]
 pub fn route_prevalidated<O>(
     overlay: &O,

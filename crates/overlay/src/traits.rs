@@ -140,12 +140,19 @@ pub trait Overlay: Send + Sync {
     /// The compiled rank-space routing kernel, when the overlay can lower
     /// itself into one (see [`crate::kernel`]).
     ///
-    /// Batch drivers (`dht_sim`'s trial engine) route through the kernel
-    /// whenever it is available; its outcomes are bit-identical to
+    /// Batch drivers (`dht_sim`'s trial engine) route through this kernel,
+    /// or else through [`Overlay::implicit_kernel`]; both run the kernel
+    /// module's one routing loop, and their outcomes are bit-identical to
     /// [`Overlay::next_hop`] driven hop by hop, so callers never observe the
-    /// difference except in speed. The default is `None`: scalar routing
-    /// only. [`crate::GeometryOverlay`] compiles the kernel lazily on first
-    /// call and caches it.
+    /// difference except in speed. [`crate::GeometryOverlay`] compiles the
+    /// kernel lazily on first call and caches it. The default is `None`.
+    ///
+    /// # Panics
+    ///
+    /// Never panics itself, but there is no scalar fallback: an overlay
+    /// that returns `None` here and from [`Overlay::implicit_kernel`] makes
+    /// `dht_sim`'s `TrialEngine` panic with its geometry name. Such an
+    /// overlay routes only through [`crate::route`].
     fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
         None
     }
@@ -154,10 +161,17 @@ pub trait Overlay: Send + Sync {
     /// table rows on demand instead of storing them (see
     /// [`crate::ImplicitOverlay`]).
     ///
-    /// Batch drivers prefer [`Overlay::kernel`] when present, then fall back
-    /// to this, then to scalar [`Overlay::next_hop`] routing. Implicit
+    /// Batch drivers prefer [`Overlay::kernel`] when present and use this
+    /// otherwise: the same routing loop, reading rows from a per-worker
+    /// [`crate::ImplicitRowCache`] instead of a compiled plan. Implicit
     /// outcomes are bit-identical to the materialized kernel built from the
     /// same seed. The default is `None`.
+    ///
+    /// # Panics
+    ///
+    /// Never panics itself, but an overlay that exposes neither this nor
+    /// [`Overlay::kernel`] makes `dht_sim`'s `TrialEngine` panic with its
+    /// geometry name: there is no per-hop scalar fallback in the engine.
     fn implicit_kernel(&self) -> Option<&crate::kernel::ImplicitKernel> {
         None
     }

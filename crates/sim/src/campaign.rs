@@ -10,16 +10,14 @@
 //! difference between a clean outage and expensive brown-out behaviour.
 //!
 //! [`TrialEngine::run_campaign_trial`] drives the identical sharded loop as
-//! [`TrialEngine::run_trial`] — same shard grid, same per-shard RNG streams,
-//! same shard-order fold — so campaign tallies inherit the engine's
-//! thread-count-invariance contract, and the embedded [`TrialTally`] is
+//! [`TrialEngine::run_trial`] — same kernel dispatch (materialized or
+//! implicit), same shard grid, same per-shard RNG streams, same shard-order
+//! fold — so campaign tallies inherit the engine's thread-count- and
+//! backend-invariance contracts, and the embedded [`TrialTally`] is
 //! bit-identical to what `run_trial` reports for the same inputs.
 
-use crate::engine::{BatchScratch, ShardTally, TrialEngine, TrialTally};
-use crate::pair_sampler::PairSampler;
-use dht_overlay::{
-    default_route_hop_limit, route_prevalidated, FailureMask, Overlay, RouteOutcome,
-};
+use crate::engine::{ShardTally, TrialEngine, TrialTally};
+use dht_overlay::{FailureMask, Overlay, RouteOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Distribution of hop depths at which dropped messages got stuck.
@@ -128,6 +126,10 @@ impl CampaignTally {
 }
 
 impl ShardTally for CampaignTally {
+    fn record(&mut self, outcome: RouteOutcome) {
+        CampaignTally::record(self, outcome);
+    }
+
     fn fold(&mut self, other: &Self) {
         self.merge(other);
     }
@@ -135,14 +137,19 @@ impl ShardTally for CampaignTally {
 
 impl TrialEngine {
     /// [`TrialEngine::run_trial`] with campaign metrics: routes the same
-    /// pairs through the same shard grid and RNG streams, but folds each
-    /// outcome into a [`CampaignTally`] so drops also record their stuck
-    /// depth. `None` when fewer than two nodes survive.
+    /// pairs through the same kernel dispatch, shard grid and RNG streams,
+    /// but folds each outcome into a [`CampaignTally`] so drops also record
+    /// their stuck depth. `None` when fewer than two nodes survive.
     ///
     /// The embedded [`CampaignTally::trial`] is bit-identical to the tally
     /// `run_trial` returns for the same `(overlay, mask, pairs, pair_seed,
-    /// pairs_per_shard)`, for any thread count — the campaign view is pure
-    /// observation, never perturbation.
+    /// pairs_per_shard)`, for any thread count and either backend — the
+    /// campaign view is pure observation, never perturbation.
+    ///
+    /// # Panics
+    ///
+    /// As [`TrialEngine::run_trial`]: on a mask from another key space, or
+    /// an overlay that exposes neither kernel.
     pub fn run_campaign_trial<O>(
         &self,
         overlay: &O,
@@ -153,50 +160,7 @@ impl TrialEngine {
     where
         O: Overlay + ?Sized,
     {
-        let sampler = PairSampler::new(mask)?;
-        let space = mask.key_space();
-        assert_eq!(
-            space.bits(),
-            overlay.key_space().bits(),
-            "mask is from a different key space than the overlay"
-        );
-        let hop_limit = default_route_hop_limit(overlay);
-        let tally = match overlay.kernel() {
-            Some(kernel) => {
-                let lowered = kernel.compile_mask(mask);
-                let words = lowered.words();
-                self.run_shards(
-                    pairs,
-                    pair_seed,
-                    BatchScratch::new,
-                    |budget, rng, tally: &mut CampaignTally, scratch: &mut BatchScratch| {
-                        scratch.route_shard(kernel, words, &sampler, budget, hop_limit, rng);
-                        // Draw order, exactly like the plain trial path.
-                        for &outcome in &scratch.outcomes {
-                            tally.record(outcome);
-                        }
-                    },
-                )
-            }
-            None => self.run_shards(
-                pairs,
-                pair_seed,
-                || (),
-                |budget, rng, tally: &mut CampaignTally, ()| {
-                    for _ in 0..budget {
-                        let (source, target) = sampler.sample_values(rng);
-                        tally.record(route_prevalidated(
-                            overlay,
-                            space.wrap(source),
-                            space.wrap(target),
-                            mask,
-                            hop_limit,
-                        ));
-                    }
-                },
-            ),
-        };
-        Some(tally)
+        self.run_routed(overlay, mask, pairs, pair_seed)
     }
 }
 
@@ -275,6 +239,47 @@ mod tests {
         assert!(tally.trial.dropped > 0, "cascade at 20% seeds drops");
         let limit = dht_overlay::default_route_hop_limit(&overlay);
         assert!(tally.stuck_depth.max_depth().unwrap() < limit);
+    }
+
+    /// Campaigns on the implicit backend run the engine's batched implicit
+    /// arm, not a scalar fallback: against the materialized twin of the same
+    /// stream seed, under a correlated mask lowered on the twin, the whole
+    /// campaign tally matches at every thread count.
+    #[test]
+    fn implicit_campaigns_tally_identically_to_the_materialized_twin() {
+        use dht_overlay::ImplicitOverlay;
+
+        let stream_seed = 19;
+        let rng = || ChaCha8Rng::seed_from_u64(stream_seed);
+        let plan = FailurePlan::SegmentCorrelated {
+            fraction: 0.3,
+            segments: 8,
+        };
+        let twins: [(Box<dyn Overlay>, Box<dyn Overlay>); 2] = [
+            (
+                Box::new(ChordOverlay::build_randomized(12, &mut rng()).unwrap()),
+                Box::new(ImplicitOverlay::ring(12, ChordVariant::Randomized, stream_seed).unwrap()),
+            ),
+            (
+                Box::new(KademliaOverlay::build(12, &mut rng()).unwrap()),
+                Box::new(ImplicitOverlay::xor(12, stream_seed).unwrap()),
+            ),
+        ];
+        for (materialized, implicit) in &twins {
+            assert!(implicit.kernel().is_none() && implicit.implicit_kernel().is_some());
+            let mask = plan.lower(materialized.as_ref(), 5);
+            for threads in [1, 2, 5] {
+                let engine = TrialEngine::new(threads);
+                let reference = engine.run_campaign_trial(materialized.as_ref(), &mask, 20_000, 7);
+                assert!(reference.as_ref().is_some_and(|t| t.trial.dropped > 0));
+                assert_eq!(
+                    engine.run_campaign_trial(implicit.as_ref(), &mask, 20_000, 7),
+                    reference,
+                    "{} at {threads} threads",
+                    implicit.geometry_name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,31 +21,30 @@
 //! allocation: pairs are drawn by rank directly from the mask's bitset
 //! ([`PairSampler`]), outcomes are folded into the shard's tally on the
 //! spot, and each worker thread reuses one scratch allocation (its routing
-//! frontier and pair buffer) across every shard it executes.
+//! frontier, pair and outcome buffers) across every shard it executes.
 //!
-//! When the overlay exposes a compiled kernel, shards route through the
-//! **batched lockstep path** ([`RoutingKernel::route_batch`]): the shard's
-//! whole pair budget is drawn in one [`PairSampler::sample_values_into`] call
-//! (the identical RNG stream as per-pair draws), routed with up to a
+//! Every shard routes through the **batched lockstep path** of whichever
+//! kernel the overlay exposes: the compiled plan ([`Overlay::kernel`]) or
+//! the implicit backend ([`Overlay::implicit_kernel`], with one
+//! [`ImplicitRowCache`] per worker, so the resident set stays mask +
+//! O(cache) bytes at any overlay size). The backend is resolved once per
+//! trial into a two-variant router; plain trials and failure campaigns share
+//! it and one shard body, differing only in the tally they fold. A shard's
+//! pair budget is drawn in one [`PairSampler::sample_values_into`] call (the
+//! identical RNG stream as per-pair draws), routed with up to a
 //! [`RouteBatch`] width of lookups in flight, and recorded in draw order —
-//! so the batched engine's tallies are bit-identical to the per-route
-//! engine's, which are bit-identical to the scalar path's.
+//! so the tallies are bit-identical to routing each pair through the scalar
+//! reference path.
 //!
-//! Overlays with no materialized kernel but an **implicit** one
-//! ([`dht_overlay::ImplicitOverlay`], beyond the materialized ceiling) run
-//! the same lockstep scheme through [`ImplicitKernel::route_batch`]: each
-//! worker carries one [`ImplicitRowCache`] in its scratch, so plan rows are
-//! regenerated per worker and the engine's resident set stays mask +
-//! O(cache) bytes regardless of the overlay size.
+//! [`ImplicitRowCache`]: dht_overlay::ImplicitRowCache
 
 use crate::pair_sampler::PairSampler;
 use crate::rng::SeedSequence;
 use dht_mathkit::stats::RunningStats;
 use dht_overlay::{
-    default_route_hop_limit, route_prevalidated, FailureMask, ImplicitKernel, ImplicitRowCache,
-    Overlay, RouteBatch, RouteOutcome, RoutingKernel,
+    default_route_hop_limit, FailureMask, ImplicitKernel, ImplicitRowCache, KernelMask, Overlay,
+    RouteBatch, RouteOutcome, RoutingKernel,
 };
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Default number of pairs per logical shard.
@@ -122,17 +121,24 @@ impl TrialTally {
     }
 }
 
-/// A per-shard result the engine can fold in shard order — the seam that
-/// lets [`TrialEngine::run_shards`] drive richer tallies (the campaign
-/// engine's stuck-depth histograms) through the identical sharding scheme,
-/// preserving the thread-count-invariance contract for every tally type.
+/// A per-shard result the engine records outcomes into and folds in shard
+/// order — the seam that lets plain trials and campaigns (the stuck-depth
+/// histograms of [`crate::campaign`]) share one shard body, preserving the
+/// thread-count-invariance contract for every tally type.
 pub(crate) trait ShardTally: Default + Clone + Send {
+    /// Records one route outcome, in draw order.
+    fn record(&mut self, outcome: RouteOutcome);
+
     /// Folds `other` into `self`; the engine always calls this in shard
     /// order.
     fn fold(&mut self, other: &Self);
 }
 
 impl ShardTally for TrialTally {
+    fn record(&mut self, outcome: RouteOutcome) {
+        TrialTally::record(self, outcome);
+    }
+
     fn fold(&mut self, other: &Self) {
         self.merge(other);
     }
@@ -214,17 +220,22 @@ impl TrialEngine {
     /// [`SeedSequence`] streams; the result is a pure function of
     /// `(overlay, mask, pairs, pair_seed, pairs_per_shard)`.
     ///
-    /// When the overlay exposes a compiled routing kernel
-    /// ([`Overlay::kernel`]) the pairs are routed through its **batched
+    /// The pairs are routed through the overlay's kernel on its **batched
     /// lockstep path**: the mask is lowered into rank space once (memoized
     /// per mask generation), its bitset words are resolved once for the whole
     /// trial, and each shard draws its full pair budget in one call and
     /// routes it with up to a frontier's width of lookups in flight
-    /// ([`RoutingKernel::route_batch`]). Batched outcomes are bit-identical
-    /// per pair to the per-route kernel path, which is bit-identical to the
-    /// scalar path (the `kernel_equivalence` and `batch_equivalence` suites
-    /// prove it), and outcomes are recorded in draw order — so which path ran
-    /// is not observable in the tally.
+    /// ([`RoutingKernel::route_batch`] or [`ImplicitKernel::route_batch`]).
+    /// Batched outcomes are bit-identical per pair to the scalar reference
+    /// path (the `kernel_equivalence`, `batch_equivalence` and
+    /// `implicit_equivalence` suites prove it), and outcomes are recorded in
+    /// draw order — so which backend ran is not observable in the tally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` covers a different key space than the overlay, or if
+    /// the overlay exposes neither [`Overlay::kernel`] nor
+    /// [`Overlay::implicit_kernel`]; the message names its geometry.
     pub fn run_trial<O>(
         &self,
         overlay: &O,
@@ -235,118 +246,69 @@ impl TrialEngine {
     where
         O: Overlay + ?Sized,
     {
+        self.run_routed(overlay, mask, pairs, pair_seed)
+    }
+
+    /// The shard loop behind [`TrialEngine::run_trial`] and
+    /// [`TrialEngine::run_campaign_trial`]: resolves a [`Router`] and the
+    /// mask's rank-space words once, routes each shard's pairs in a batch
+    /// and records them into a tally of type `T`. Tallies merge in shard
+    /// order, which is where thread-count invariance lives. Each worker
+    /// reuses one [`Scratch`]; the tally is the only output channel.
+    pub(crate) fn run_routed<T, O>(
+        &self,
+        overlay: &O,
+        mask: &FailureMask,
+        pairs: u64,
+        pair_seed: u64,
+    ) -> Option<T>
+    where
+        T: ShardTally,
+        O: Overlay + ?Sized,
+    {
         let sampler = PairSampler::new(mask)?;
         // Batch-entry validation, hoisted: every pair the sampler yields
         // lives in the mask's key space, so the key-space checks the scalar
         // router would repeat per routed pair are paid once per trial here.
-        let space = mask.key_space();
         assert_eq!(
-            space.bits(),
+            mask.key_space().bits(),
             overlay.key_space().bits(),
             "mask is from a different key space than the overlay"
         );
         let hop_limit = default_route_hop_limit(overlay);
-        let tally = if let Some(kernel) = overlay.kernel() {
-            let lowered = kernel.compile_mask(mask);
-            // Resolve the mask representation to its bitset words once
-            // per trial; shards route against the bare slice.
-            let words = lowered.words();
-            self.run_shards(
-                pairs,
-                pair_seed,
-                BatchScratch::new,
-                |budget, rng, tally: &mut TrialTally, scratch: &mut BatchScratch| {
-                    scratch.route_shard(kernel, words, &sampler, budget, hop_limit, rng);
-                    // Draw order, not retirement order: the tally's
-                    // floating-point hop statistics must fold exactly as
-                    // the per-route path folds them.
-                    for &outcome in &scratch.outcomes {
-                        tally.record(outcome);
-                    }
-                },
-            )
-        } else if let Some(kernel) = overlay.implicit_kernel() {
-            let lowered = kernel.compile_mask(mask);
-            let words = lowered.words();
-            self.run_shards(
-                pairs,
-                pair_seed,
-                || ImplicitScratch::new(kernel),
-                |budget, rng, tally: &mut TrialTally, scratch: &mut ImplicitScratch| {
-                    scratch.route_shard(kernel, words, &sampler, budget, hop_limit, rng);
-                    for &outcome in &scratch.outcomes {
-                        tally.record(outcome);
-                    }
-                },
-            )
-        } else {
-            self.run_shards(
-                pairs,
-                pair_seed,
-                || (),
-                |budget, rng, tally: &mut TrialTally, ()| {
-                    for _ in 0..budget {
-                        let (source, target) = sampler.sample_values(rng);
-                        tally.record(route_prevalidated(
-                            overlay,
-                            space.wrap(source),
-                            space.wrap(target),
-                            mask,
-                            hop_limit,
-                        ));
-                    }
-                },
-            )
-        };
-        Some(tally)
-    }
+        let router = Router::of(overlay);
+        let lowered = router.compile_mask(mask);
+        // Resolve the mask representation to its bitset words once per
+        // trial; shards route against the bare slice.
+        let words = lowered.words();
 
-    /// Runs the sharded pair budget, calling `run_shard_body` once per shard
-    /// with the shard's budget, RNG, tally and the worker's reusable scratch,
-    /// and merges the per-shard tallies in shard order (the
-    /// thread-count-invariance contract lives here).
-    ///
-    /// `make_scratch` runs once per worker thread — a shard body that batches
-    /// its routing reuses one frontier and pair buffer across every shard the
-    /// worker executes. Scratch must not carry results between shards; the
-    /// tally is the only output channel.
-    ///
-    /// Generic over the tally type so sibling engines (the campaign runner in
-    /// [`crate::campaign`]) inherit the exact sharding scheme — same shard
-    /// grid, same per-shard streams, same shard-order fold.
-    pub(crate) fn run_shards<T, S, M, F>(
-        &self,
-        pairs: u64,
-        pair_seed: u64,
-        make_scratch: M,
-        run_shard_body: F,
-    ) -> T
-    where
-        T: ShardTally,
-        M: Fn() -> S + Sync,
-        F: Fn(u64, &mut ChaCha8Rng, &mut T, &mut S) + Sync,
-    {
         let pairs = pairs.max(1);
         let shard_count = usize::try_from(pairs.div_ceil(self.pairs_per_shard))
             .expect("shard count fits in usize");
         let shard_seeds = SeedSequence::new(pair_seed);
-
-        let run_shard = |shard: usize, scratch: &mut S| -> T {
+        let run_shard = |shard: usize, scratch: &mut Scratch| -> T {
             let mut rng = shard_seeds.child_rng(shard as u64);
             let budget = if shard + 1 == shard_count {
                 pairs - self.pairs_per_shard * (shard_count as u64 - 1)
             } else {
                 self.pairs_per_shard
             };
+            sampler.sample_values_into(budget, &mut rng, &mut scratch.pairs);
+            router.route(scratch, words, hop_limit);
+            // Draw order, not retirement order: the tally's floating-point
+            // hop statistics must fold exactly as the per-route path folds
+            // them.
             let mut tally = T::default();
-            run_shard_body(budget, &mut rng, &mut tally, scratch);
+            for &outcome in &scratch.outcomes {
+                tally.record(outcome);
+            }
             tally
         };
 
         let threads = self.threads.min(shard_count);
         let mut merged = T::default();
         if threads <= 1 {
-            let mut scratch = make_scratch();
+            let mut scratch = Scratch::default();
             for shard in 0..shard_count {
                 merged.fold(&run_shard(shard, &mut scratch));
             }
@@ -356,10 +318,9 @@ impl TrialEngine {
             std::thread::scope(|scope| {
                 for (worker, slots) in tallies.chunks_mut(chunk).enumerate() {
                     let run_shard = &run_shard;
-                    let make_scratch = &make_scratch;
                     let base = worker * chunk;
                     scope.spawn(move || {
-                        let mut scratch = make_scratch();
+                        let mut scratch = Scratch::default();
                         for (offset, slot) in slots.iter_mut().enumerate() {
                             *slot = run_shard(base + offset, &mut scratch);
                         }
@@ -372,103 +333,80 @@ impl TrialEngine {
                 merged.fold(tally);
             }
         }
-        merged
+        Some(merged)
     }
 }
 
-/// Per-worker scratch of the batched kernel path: one routing frontier, one
-/// pair buffer and one outcome buffer, reused across every shard the worker
-/// executes — the engine's only allocations after the first shard.
-pub(crate) struct BatchScratch {
-    batch: RouteBatch,
-    pairs: Vec<(u64, u64)>,
-    /// The shard's outcomes in draw order after a
-    /// [`BatchScratch::route_shard`] call; callers fold these into their
-    /// tally of choice.
-    pub(crate) outcomes: Vec<RouteOutcome>,
+/// The kernel a trial routes through, resolved once per trial and shared by
+/// every worker.
+#[derive(Clone, Copy)]
+enum Router<'o> {
+    /// A compiled rank-space plan.
+    Plan(&'o RoutingKernel),
+    /// The implicit backend; each worker routes through its own row cache.
+    Generated(&'o ImplicitKernel),
 }
 
-impl BatchScratch {
-    pub(crate) fn new() -> Self {
-        BatchScratch {
-            batch: RouteBatch::default(),
-            pairs: Vec::new(),
-            outcomes: Vec::new(),
+impl<'o> Router<'o> {
+    /// The overlay's compiled kernel, else its implicit kernel; panics,
+    /// naming the geometry, when the overlay exposes neither.
+    fn of<O: Overlay + ?Sized>(overlay: &'o O) -> Self {
+        if let Some(kernel) = overlay.kernel() {
+            Router::Plan(kernel)
+        } else if let Some(kernel) = overlay.implicit_kernel() {
+            Router::Generated(kernel)
+        } else {
+            panic!(
+                "overlay `{}` exposes no routing kernel: the trial engine routes through \
+                 Overlay::kernel or Overlay::implicit_kernel",
+                overlay.geometry_name()
+            )
         }
     }
 
-    /// Routes one shard through the batched lockstep path: draw the whole
-    /// budget (the identical RNG stream as per-pair draws), route it with a
-    /// full frontier, and leave the outcomes in `self.outcomes` in draw
-    /// order for the caller to record.
-    pub(crate) fn route_shard(
-        &mut self,
-        kernel: &RoutingKernel,
-        alive_words: &[u64],
-        sampler: &PairSampler<'_>,
-        budget: u64,
-        hop_limit: u32,
-        rng: &mut ChaCha8Rng,
-    ) {
-        sampler.sample_values_into(budget, rng, &mut self.pairs);
-        kernel.route_batch(
-            &mut self.batch,
-            alive_words,
-            &self.pairs,
-            hop_limit,
-            &mut self.outcomes,
-        );
-    }
-}
-
-/// Per-worker scratch of the implicit backend: the batched path's frontier
-/// and buffers plus one [`ImplicitRowCache`] — row regeneration state stays
-/// worker-local, so the shared kernel never synchronises and the engine's
-/// resident set is bounded by threads × cache size, not the overlay size.
-pub(crate) struct ImplicitScratch {
-    batch: RouteBatch,
-    cache: ImplicitRowCache,
-    pairs: Vec<(u64, u64)>,
-    pub(crate) outcomes: Vec<RouteOutcome>,
-}
-
-impl ImplicitScratch {
-    pub(crate) fn new(kernel: &ImplicitKernel) -> Self {
-        ImplicitScratch {
-            batch: RouteBatch::default(),
-            cache: kernel.row_cache(),
-            pairs: Vec::new(),
-            outcomes: Vec::new(),
+    fn compile_mask<'mask>(self, mask: &'mask FailureMask) -> KernelMask<'mask> {
+        match self {
+            Router::Plan(kernel) => kernel.compile_mask(mask),
+            Router::Generated(kernel) => kernel.compile_mask(mask),
         }
     }
 
-    /// The implicit counterpart of [`BatchScratch::route_shard`]: identical
-    /// draw stream, identical lockstep admission, outcomes in draw order.
-    pub(crate) fn route_shard(
-        &mut self,
-        kernel: &ImplicitKernel,
-        alive_words: &[u64],
-        sampler: &PairSampler<'_>,
-        budget: u64,
-        hop_limit: u32,
-        rng: &mut ChaCha8Rng,
-    ) {
-        sampler.sample_values_into(budget, rng, &mut self.pairs);
-        kernel.route_batch(
-            &mut self.batch,
-            &mut self.cache,
-            alive_words,
-            &self.pairs,
-            hop_limit,
-            &mut self.outcomes,
-        );
+    /// Routes `scratch.pairs` into `scratch.outcomes` in one lockstep batch.
+    fn route(self, scratch: &mut Scratch, words: &[u64], hop_limit: u32) {
+        let Scratch {
+            batch,
+            cache,
+            pairs,
+            outcomes,
+        } = scratch;
+        match self {
+            Router::Plan(kernel) => kernel.route_batch(batch, words, pairs, hop_limit, outcomes),
+            Router::Generated(kernel) => {
+                let cache = cache.get_or_insert_with(|| kernel.row_cache());
+                kernel.route_batch(batch, cache, words, pairs, hop_limit, outcomes);
+            }
+        }
     }
+}
+
+/// Per-worker scratch: one routing frontier, one pair buffer, one outcome
+/// buffer and, on the implicit backend, one row cache — reused across every
+/// shard the worker executes, the engine's only allocations after the first
+/// shard.
+#[derive(Default)]
+struct Scratch {
+    batch: RouteBatch,
+    cache: Option<ImplicitRowCache>,
+    pairs: Vec<(u64, u64)>,
+    /// The shard's outcomes in draw order after [`Router::route`].
+    outcomes: Vec<RouteOutcome>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dht_id::KeySpace;
+    use dht_overlay::route_prevalidated;
     use dht_overlay::{CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -527,34 +465,44 @@ mod tests {
         );
     }
 
-    /// Hides an overlay's compiled kernel so the engine takes the scalar
-    /// path: the two paths must tally identically.
-    struct ScalarOnly<'o, O: Overlay + ?Sized>(&'o O);
-
-    impl<O: Overlay + ?Sized> Overlay for ScalarOnly<'_, O> {
-        fn geometry_name(&self) -> &'static str {
-            self.0.geometry_name()
+    /// The engine's scalar oracle: the same shard grid and per-shard
+    /// [`SeedSequence`] streams as [`TrialEngine::run_trial`], each pair
+    /// drawn one at a time and routed hop by hop through
+    /// [`route_prevalidated`].
+    fn scalar_reference(
+        engine: &TrialEngine,
+        overlay: &dyn Overlay,
+        mask: &FailureMask,
+        pairs: u64,
+        pair_seed: u64,
+    ) -> Option<TrialTally> {
+        let sampler = PairSampler::new(mask)?;
+        let space = mask.key_space();
+        let hop_limit = default_route_hop_limit(overlay);
+        let shard_size = engine.pairs_per_shard();
+        let shard_seeds = SeedSequence::new(pair_seed);
+        let mut merged = TrialTally::default();
+        for shard in 0..pairs.div_ceil(shard_size) {
+            let mut rng = shard_seeds.child_rng(shard);
+            let mut tally = TrialTally::default();
+            for _ in 0..shard_size.min(pairs - shard * shard_size) {
+                let (source, target) = sampler.sample_values(&mut rng);
+                tally.record(route_prevalidated(
+                    overlay,
+                    space.wrap(source),
+                    space.wrap(target),
+                    mask,
+                    hop_limit,
+                ));
+            }
+            merged.merge(&tally);
         }
-        fn population(&self) -> &dht_id::Population {
-            self.0.population()
-        }
-        fn neighbors(&self, node: dht_id::NodeId) -> &[dht_id::NodeId] {
-            self.0.neighbors(node)
-        }
-        fn next_hop(
-            &self,
-            current: dht_id::NodeId,
-            target: dht_id::NodeId,
-            alive: &FailureMask,
-        ) -> Option<dht_id::NodeId> {
-            self.0.next_hop(current, target, alive)
-        }
-        // kernel() deliberately left at the default None.
+        Some(merged)
     }
 
-    /// The kernel arm now routes every shard through the lockstep batch, so
-    /// this is the engine-level batched-vs-scalar equality contract: same
-    /// pairs, same RNG streams, bit-identical tallies (including the
+    /// The engine routes every shard through the lockstep batch, so this is
+    /// the engine-level batched-vs-scalar equality contract: same pairs,
+    /// same RNG streams, bit-identical tallies (including the
     /// order-sensitive floating-point hop statistics).
     #[test]
     fn kernel_path_tallies_identically_to_the_scalar_path() {
@@ -569,7 +517,7 @@ mod tests {
             let mask = FailureMask::sample(overlay.key_space(), 0.3, &mut rng);
             let engine = TrialEngine::new(3);
             let with_kernel = engine.run_trial(overlay.as_ref(), &mask, 8_000, 13);
-            let scalar = engine.run_trial(&ScalarOnly(overlay.as_ref()), &mask, 8_000, 13);
+            let scalar = scalar_reference(&engine, overlay.as_ref(), &mask, 8_000, 13);
             assert_eq!(
                 with_kernel,
                 scalar,
@@ -625,6 +573,37 @@ mod tests {
                 "threads = {threads}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overlay `line` exposes no routing kernel")]
+    fn an_overlay_without_a_kernel_is_rejected_by_name() {
+        /// A scalar-only overlay: no links and no kernel of either kind.
+        struct Line(dht_id::Population);
+
+        impl Overlay for Line {
+            fn geometry_name(&self) -> &'static str {
+                "line"
+            }
+            fn population(&self) -> &dht_id::Population {
+                &self.0
+            }
+            fn neighbors(&self, _node: dht_id::NodeId) -> &[dht_id::NodeId] {
+                &[]
+            }
+            fn next_hop(
+                &self,
+                _current: dht_id::NodeId,
+                _target: dht_id::NodeId,
+                _alive: &FailureMask,
+            ) -> Option<dht_id::NodeId> {
+                None
+            }
+        }
+
+        let space = KeySpace::new(4).unwrap();
+        let overlay = Line(dht_id::Population::full(space));
+        let _ = TrialEngine::new(1).run_trial(&overlay, &FailureMask::none(space), 10, 0);
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod report;
 pub mod rng;
 pub mod static_resilience;
 pub mod sweep;
-pub mod targeted;
 
 pub use campaign::{CampaignTally, StuckDepthHistogram};
 pub use churn::{ChurnConfig, ChurnExperiment, ChurnRound};
@@ -63,4 +62,3 @@ pub use report::{write_csv, SimulationRecord};
 pub use rng::SeedSequence;
 pub use static_resilience::{StaticResilienceExperiment, StaticResilienceResult};
 pub use sweep::{sweep_failure_grid, FailureSweepPoint};
-pub use targeted::TargetedFailure;
