@@ -3,7 +3,7 @@
 //! `q = 0.1`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dht_experiments::fig7::{fig7a, fig7b, Fig7Config};
+use dht_experiments::fig7::{fig7a, fig7b};
 use dht_rcm_core::{routability, Geometry, RoutingGeometry, SystemSize};
 use std::hint::black_box;
 
@@ -26,14 +26,17 @@ fn bench_single_point_at_2_100(c: &mut Criterion) {
 }
 
 fn bench_fig7a_full_panel(c: &mut Criterion) {
-    let config = Fig7Config::smoke();
+    // The smoke panels: N = 2^100 over q = 0–80% in 20% steps, and q = 0.1
+    // over N = 2^10 … 2^34, Symphony at (1, 1).
+    let grid = dht_mathkit::percent_grid(80, 20);
+    let size_bits = [10, 16, 22, 28, 34];
     let mut group = c.benchmark_group("fig7_panels");
     group.sample_size(10);
     group.bench_function("fig7a_panel_smoke_grid", |b| {
-        b.iter(|| fig7a(black_box(&config)).expect("panel evaluates"))
+        b.iter(|| fig7a(100, black_box(&grid), 1, 1).expect("panel evaluates"))
     });
     group.bench_function("fig7b_panel_smoke_grid", |b| {
-        b.iter(|| fig7b(black_box(&config)).expect("panel evaluates"))
+        b.iter(|| fig7b(0.1, black_box(&size_bits), 1, 1).expect("panel evaluates"))
     });
     group.finish();
 }

@@ -54,108 +54,37 @@ pub struct FailureCampaignPoint {
     pub patterns_measured: u32,
 }
 
-/// The geometry × plan × failed-fraction grid a [`run_grid`] call sweeps.
-///
-/// The plans are *templates*: their structural parameters (segments, prefix
-/// length, rounds, propagation) are taken as-is, while their fraction knob
-/// is re-targeted to each value of `failed_fractions` via
-/// [`FailurePlan::with_fraction`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FailureCampaignConfig {
-    /// Identifier-space bits (full population).
-    pub bits: u32,
-    /// Geometries to sweep.
-    pub geometries: Vec<String>,
-    /// Plan templates to sweep (fractions overridden by the grid).
-    pub plans: Vec<FailurePlan>,
-    /// Target failed fractions to sweep each plan across.
-    pub failed_fractions: Vec<f64>,
-    /// Source/destination pairs routed per failure pattern.
-    pub pairs: u64,
-    /// Independent failure patterns per grid point.
-    pub patterns: u32,
-    /// Worker-thread budget (results are thread-count invariant).
-    pub threads: usize,
-    /// Master seed; each grid point derives its own child streams.
-    pub seed: u64,
-}
-
-impl FailureCampaignConfig {
-    /// The CI-sized configuration: ring and XOR at `N = 2^8`, all five
-    /// plan shapes, two failed fractions.
-    #[must_use]
-    pub fn smoke() -> Self {
-        FailureCampaignConfig {
-            bits: 8,
-            geometries: vec!["ring".to_owned(), "xor".to_owned()],
-            plans: default_plan_templates(),
-            failed_fractions: vec![0.2, 0.4],
-            pairs: 1_500,
-            patterns: 2,
-            threads: 2,
-            seed: 2006,
+/// Checks every knob of a campaign before a sweep.
+fn validate(
+    geometries: &[String],
+    plans: &[FailurePlan],
+    failed_fractions: &[f64],
+    pairs: u64,
+    patterns: u32,
+) -> Result<(), SpecError> {
+    let missing = [
+        (geometries.is_empty(), "at least one geometry"),
+        (plans.is_empty(), "at least one plan"),
+        (failed_fractions.is_empty(), "at least one failed fraction"),
+        (pairs == 0, "a positive pair budget"),
+        (patterns == 0, "at least one pattern"),
+    ];
+    if let Some((_, needed)) = missing.iter().find(|(missing, _)| *missing) {
+        return Err(SpecError::Invalid(format!(
+            "failure campaign needs {needed}"
+        )));
+    }
+    for plan in plans {
+        plan.validate()?;
+    }
+    for &fraction in failed_fractions {
+        if !fraction.is_finite() || !(0.0..=1.0).contains(&fraction) {
+            return Err(SpecError::Invalid(format!(
+                "failed fraction must be in [0, 1], got {fraction}"
+            )));
         }
     }
-
-    /// The paper-scale configuration: all five geometries at `N = 2^12`,
-    /// a five-point failed-fraction axis, Fig. 6's pair budget.
-    #[must_use]
-    pub fn paper_scale() -> Self {
-        FailureCampaignConfig {
-            bits: 12,
-            geometries: GEOMETRIES.iter().map(|&g| g.to_owned()).collect(),
-            plans: default_plan_templates(),
-            failed_fractions: vec![0.1, 0.2, 0.3, 0.4, 0.5],
-            pairs: 20_000,
-            patterns: 3,
-            threads: 8,
-            seed: 2006,
-        }
-    }
-
-    /// Checks every knob before a sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Invalid`] naming the offending parameter.
-    pub fn validate(&self) -> Result<(), SpecError> {
-        if self.geometries.is_empty() {
-            return Err(SpecError::Invalid(
-                "failure campaign needs at least one geometry".to_owned(),
-            ));
-        }
-        if self.plans.is_empty() {
-            return Err(SpecError::Invalid(
-                "failure campaign needs at least one plan".to_owned(),
-            ));
-        }
-        for plan in &self.plans {
-            plan.validate()?;
-        }
-        if self.failed_fractions.is_empty() {
-            return Err(SpecError::Invalid(
-                "failure campaign needs at least one failed fraction".to_owned(),
-            ));
-        }
-        for &fraction in &self.failed_fractions {
-            if !fraction.is_finite() || !(0.0..=1.0).contains(&fraction) {
-                return Err(SpecError::Invalid(format!(
-                    "failed fraction must be in [0, 1], got {fraction}"
-                )));
-            }
-        }
-        if self.pairs == 0 {
-            return Err(SpecError::Invalid(
-                "failure campaign needs a positive pair budget".to_owned(),
-            ));
-        }
-        if self.patterns == 0 {
-            return Err(SpecError::Invalid(
-                "failure campaign needs at least one pattern".to_owned(),
-            ));
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// The five plan templates swept by the default configurations — one of
@@ -185,8 +114,8 @@ pub fn default_plan_templates() -> Vec<FailurePlan> {
 }
 
 /// Runs one grid point: `plan` re-targeted at `fraction`, lowered
-/// `config.patterns` times over `overlay`, each pattern routed and its
-/// alive graph decomposed into components.
+/// `patterns` times over `overlay`, each pattern routing `pairs` pairs and
+/// its alive graph decomposed into components.
 ///
 /// Pattern `t` lowers its mask from child `2t` and routes its pairs from
 /// child `2t + 1` of a [`SeedSequence`] rooted at `seed`, so mask and
@@ -194,40 +123,41 @@ pub fn default_plan_templates() -> Vec<FailurePlan> {
 ///
 /// # Panics
 ///
-/// Panics if the re-targeted plan is invalid (pre-validate via
-/// [`FailureCampaignConfig::validate`]) or `overlay` does not match
-/// `config.bits`.
+/// Panics if the re-targeted plan is invalid (`run_grid` validates its
+/// plans first).
 #[must_use]
 pub fn run_point(
-    config: &FailureCampaignConfig,
     overlay: &dyn Overlay,
     plan: &FailurePlan,
     fraction: f64,
+    pairs: u64,
+    patterns: u32,
     seed: u64,
+    threads: usize,
 ) -> FailureCampaignPoint {
     let plan = plan.with_fraction(fraction);
-    let engine = TrialEngine::new(config.threads);
+    let engine = TrialEngine::new(threads);
     let seeds = SeedSequence::new(seed);
     let mut merged = CampaignTally::default();
     let mut patterns_measured = 0u32;
     let mut realized_sum = 0.0;
     let mut giant_sum = 0.0;
-    for pattern in 0..u64::from(config.patterns) {
+    for pattern in 0..u64::from(patterns) {
         let mask = plan.lower(overlay, seeds.child(2 * pattern));
         realized_sum += mask.failed_count() as f64 / mask.population_size().max(1) as f64;
         giant_sum += connected_components(overlay, &mask).giant_component_fraction();
         if let Some(tally) =
-            engine.run_campaign_trial(overlay, &mask, config.pairs, seeds.child(2 * pattern + 1))
+            engine.run_campaign_trial(overlay, &mask, pairs, seeds.child(2 * pattern + 1))
         {
             merged.merge(&tally);
             patterns_measured += 1;
         }
     }
-    let patterns = f64::from(config.patterns);
+    let patterns = f64::from(patterns);
     let attempted = merged.trial.attempted;
     FailureCampaignPoint {
         geometry: overlay.geometry_name().to_owned(),
-        bits: config.bits,
+        bits: overlay.key_space().bits(),
         plan: plan.name().to_owned(),
         target_fraction: fraction,
         realized_failed_fraction: realized_sum / patterns,
@@ -246,40 +176,59 @@ pub fn run_point(
     }
 }
 
-/// The five geometries the paper-scale campaign sweeps.
-pub const GEOMETRIES: [&str; 5] = ["ring", "xor", "tree", "hypercube", "symphony"];
-
-/// Sweeps the full geometry × plan × failed-fraction grid.
+/// Sweeps the geometry × plan × failed-fraction grid over full `2^bits`
+/// populations: every plan *template* keeps its structural parameters
+/// (segments, prefix length, rounds, propagation) while its fraction knob
+/// is re-targeted to each of `failed_fractions` via
+/// [`FailurePlan::with_fraction`]; every point measures `patterns` failure
+/// patterns of `pairs` pairs each.
 ///
-/// Each geometry's overlay is built once from `config.seed` (child 0, the
+/// Each geometry's overlay is built once from `seed` (child 0, the
 /// repository-wide convention — see [`build_full_overlay`]), so every plan
 /// and fraction attacks the *same* overlay instance and differences are
 /// attributable to the fault structure alone. Grid point `k` (in sweep
 /// order) is seeded with child `k + 1` of a [`SeedSequence`] rooted at
-/// `config.seed`; child 0 stays reserved for overlay construction.
+/// `seed`; child 0 stays reserved for overlay construction. Results are
+/// invariant under the `threads` budget.
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] for invalid configurations or unknown geometries.
-pub fn run_grid(config: &FailureCampaignConfig) -> Result<Vec<FailureCampaignPoint>, SpecError> {
-    config.validate()?;
-    let seeds = SeedSequence::new(config.seed);
+/// Returns [`SpecError`] for invalid parameters or unknown geometries.
+#[allow(clippy::too_many_arguments)]
+pub fn run_grid(
+    bits: u32,
+    geometries: &[String],
+    plans: &[FailurePlan],
+    failed_fractions: &[f64],
+    pairs: u64,
+    patterns: u32,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<FailureCampaignPoint>, SpecError> {
+    validate(geometries, plans, failed_fractions, pairs, patterns)?;
+    let seeds = SeedSequence::new(seed);
     let mut points = Vec::new();
-    let mut point_index = 0u64;
-    for geometry in &config.geometries {
-        let overlay = build_full_overlay(geometry, config.bits, config.seed)?;
-        for plan in &config.plans {
-            for &fraction in &config.failed_fractions {
-                let seed = seeds.child(point_index + 1);
-                points.push(run_point(config, overlay.as_ref(), plan, fraction, seed));
-                point_index += 1;
+    for geometry in geometries {
+        let overlay = build_full_overlay(geometry, bits, seed)?;
+        for plan in plans {
+            for &fraction in failed_fractions {
+                let point_seed = seeds.child(points.len() as u64 + 1);
+                points.push(run_point(
+                    overlay.as_ref(),
+                    plan,
+                    fraction,
+                    pairs,
+                    patterns,
+                    point_seed,
+                    threads,
+                ));
             }
         }
     }
     Ok(points)
 }
 
-/// Renders grid points as the fixed-width table the binary prints.
+/// Renders grid points as the fixed-width table `scenario run` prints.
 #[must_use]
 pub fn render_failure_campaign_table(points: &[FailureCampaignPoint]) -> String {
     use std::fmt::Write as _;
@@ -323,29 +272,42 @@ pub fn render_failure_campaign_table(points: &[FailureCampaignPoint]) -> String 
 mod tests {
     use super::*;
 
-    /// The acceptance-criterion scale: `N = 2^10`, one matched failed
-    /// fraction, structured plans against the uniform baseline.
-    fn ordering_config() -> FailureCampaignConfig {
-        FailureCampaignConfig {
-            bits: 10,
-            geometries: vec!["ring".to_owned(), "xor".to_owned()],
-            plans: vec![
-                FailurePlan::Uniform { fraction: 0.0 },
-                FailurePlan::SegmentCorrelated {
-                    fraction: 0.0,
-                    segments: 16,
-                },
-                FailurePlan::AdaptiveAdversary {
-                    fraction: 0.0,
-                    rounds: 4,
-                },
-            ],
-            failed_fractions: vec![0.35],
-            pairs: 6_000,
-            patterns: 3,
-            threads: 2,
-            seed: 2006,
-        }
+    // The smoke campaign of `Family::FailureCampaign.default_spec(true)`:
+    // ring and XOR at `N = 2^8`, two failed fractions, two patterns.
+    const SMOKE_BITS: u32 = 8;
+    const SMOKE_FRACTIONS: [f64; 2] = [0.2, 0.4];
+    const SMOKE_PAIRS: u64 = 1_500;
+
+    fn ring_and_xor() -> Vec<String> {
+        vec!["ring".to_owned(), "xor".to_owned()]
+    }
+
+    fn smoke_grid(
+        geometries: &[String],
+        plans: &[FailurePlan],
+        failed_fractions: &[f64],
+        threads: usize,
+    ) -> Result<Vec<FailureCampaignPoint>, SpecError> {
+        run_grid(
+            SMOKE_BITS,
+            geometries,
+            plans,
+            failed_fractions,
+            SMOKE_PAIRS,
+            2,
+            2006,
+            threads,
+        )
+    }
+
+    fn smoke(threads: usize) -> Vec<FailureCampaignPoint> {
+        smoke_grid(
+            &ring_and_xor(),
+            &default_plan_templates(),
+            &SMOKE_FRACTIONS,
+            threads,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -371,8 +333,20 @@ mod tests {
         // The test pins that contrast — correlated failure is what ring
         // geometries fear and XOR geometries shrug off — instead of
         // papering over it.
-        let config = ordering_config();
-        let points = run_grid(&config).unwrap();
+        // The acceptance-criterion scale: `N = 2^10`, one matched failed
+        // fraction, structured plans against the uniform baseline.
+        let plans = [
+            FailurePlan::Uniform { fraction: 0.0 },
+            FailurePlan::SegmentCorrelated {
+                fraction: 0.0,
+                segments: 16,
+            },
+            FailurePlan::AdaptiveAdversary {
+                fraction: 0.0,
+                rounds: 4,
+            },
+        ];
+        let points = run_grid(10, &ring_and_xor(), &plans, &[0.35], 6_000, 3, 2006, 2).unwrap();
         let delivered = |geometry: &str, plan: &str| {
             points
                 .iter()
@@ -411,24 +385,18 @@ mod tests {
 
     #[test]
     fn campaign_grids_are_invariant_under_thread_count() {
-        let mut config = FailureCampaignConfig::smoke();
-        config.threads = 1;
-        let reference = run_grid(&config).unwrap();
+        let reference = smoke(1);
         for threads in [2, 8] {
-            config.threads = threads;
-            assert_eq!(reference, run_grid(&config).unwrap(), "threads = {threads}");
+            assert_eq!(reference, smoke(threads), "threads = {threads}");
         }
     }
 
     #[test]
     fn smoke_grid_covers_every_plan_and_reports_sane_metrics() {
-        let config = FailureCampaignConfig::smoke();
-        let points = run_grid(&config).unwrap();
-        assert_eq!(
-            points.len(),
-            config.geometries.len() * config.plans.len() * config.failed_fractions.len()
-        );
-        for plan in &config.plans {
+        let points = smoke(2);
+        let plans = default_plan_templates();
+        assert_eq!(points.len(), 2 * plans.len() * SMOKE_FRACTIONS.len());
+        for plan in &plans {
             assert!(points.iter().any(|p| p.plan == plan.name()));
         }
         for point in &points {
@@ -442,14 +410,14 @@ mod tests {
             assert!((0.0..=1.0).contains(&point.realized_failed_fraction));
             assert!((0.0..=1.0).contains(&point.giant_component_fraction));
             assert!(
-                point.attempted >= u64::from(point.patterns_measured) * config.pairs,
+                point.attempted >= u64::from(point.patterns_measured) * SMOKE_PAIRS,
                 "{}: pair budget not honoured",
                 point.plan
             );
             // Budgeted plans realize `round(q·n)/n` exactly; uniform within
             // sampling noise; cascades exceed their seeding target.
             if point.plan == "segment_correlated" || point.plan == "adaptive_adversary" {
-                let n = f64::from(1u32 << config.bits);
+                let n = f64::from(1u32 << SMOKE_BITS);
                 assert!(
                     (point.realized_failed_fraction - point.target_fraction).abs()
                         <= 0.5 / n + 1e-12,
@@ -470,9 +438,8 @@ mod tests {
 
     #[test]
     fn uniform_delivery_degrades_with_the_failed_fraction() {
-        let config = FailureCampaignConfig::smoke();
-        let points = run_grid(&config).unwrap();
-        for geometry in &config.geometries {
+        let points = smoke(2);
+        for geometry in &ring_and_xor() {
             let uniform: Vec<&FailureCampaignPoint> = points
                 .iter()
                 .filter(|p| &p.geometry == geometry && p.plan == "uniform")
@@ -487,14 +454,10 @@ mod tests {
 
     #[test]
     fn invalid_configurations_are_rejected() {
-        let mut config = FailureCampaignConfig::smoke();
-        config.failed_fractions = vec![1.5];
-        assert!(run_grid(&config).is_err());
-        let mut config = FailureCampaignConfig::smoke();
-        config.plans.clear();
-        assert!(run_grid(&config).is_err());
-        let mut config = FailureCampaignConfig::smoke();
-        config.geometries = vec!["torus".to_owned()];
-        assert!(run_grid(&config).is_err());
+        let plans = default_plan_templates();
+        assert!(smoke_grid(&ring_and_xor(), &plans, &[1.5], 2).is_err());
+        assert!(smoke_grid(&ring_and_xor(), &[], &SMOKE_FRACTIONS, 2).is_err());
+        let torus = ["torus".to_owned()];
+        assert!(smoke_grid(&torus, &plans, &SMOKE_FRACTIONS, 2).is_err());
     }
 }

@@ -8,210 +8,138 @@
 //! the executable overlays of `dht-overlay` under the identical
 //! static-resilience model.
 
+use crate::spec::SpecError;
 use dht_overlay::{
-    CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay, Overlay, OverlayError, PlaxtonOverlay,
+    CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay, Overlay, PlaxtonOverlay,
 };
 use dht_rcm_core::{routability, Geometry, RcmError, RoutingGeometry, SystemSize};
-use dht_sim::{SimError, SimulationRecord, StaticResilienceConfig, StaticResilienceExperiment};
+use dht_sim::{SimulationRecord, StaticResilienceConfig, StaticResilienceExperiment};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
-/// Configuration of the Fig. 6 reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig6Config {
-    /// Identifier length used for the analytical curves (the paper uses 16).
-    pub analytical_bits: u32,
-    /// Identifier length used for the simulated overlays. The paper's
-    /// `2^16` is the default for the binaries; tests and benches use smaller
-    /// sizes for speed.
-    pub simulation_bits: u32,
-    /// Source/destination pairs sampled per grid point.
-    pub pairs: u64,
-    /// Master seed for overlay construction, failure patterns and sampling.
-    pub seed: u64,
-    /// Failure-probability grid (fractions in `[0, 1)`).
-    pub grid: Vec<f64>,
-    /// Worker threads per measurement.
-    pub threads: usize,
-}
-
-impl Fig6Config {
-    /// The paper-scale configuration: analytical and simulated at `2^16`,
-    /// failure probabilities 0–90% in 5% steps.
-    #[must_use]
-    pub fn paper_scale() -> Self {
-        Fig6Config {
-            analytical_bits: 16,
-            simulation_bits: 16,
-            pairs: 20_000,
-            seed: 2006,
-            grid: dht_mathkit::percent_grid(90, 5),
-            threads: 4,
-        }
-    }
-
-    /// A reduced configuration for tests and benches (seconds, not minutes).
-    #[must_use]
-    pub fn smoke() -> Self {
-        Fig6Config {
-            analytical_bits: 16,
-            simulation_bits: 10,
-            pairs: 2_000,
-            seed: 2006,
-            grid: dht_mathkit::percent_grid(80, 20),
-            threads: 1,
-        }
-    }
-}
-
-/// Errors from the Fig. 6 harness.
-#[derive(Debug)]
-pub enum Fig6Error {
-    /// Analytical evaluation failed.
-    Rcm(RcmError),
-    /// Overlay construction failed.
-    Overlay(OverlayError),
-    /// Simulation failed.
-    Sim(SimError),
-}
-
-impl std::fmt::Display for Fig6Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Fig6Error::Rcm(err) => write!(f, "analytical evaluation failed: {err}"),
-            Fig6Error::Overlay(err) => write!(f, "overlay construction failed: {err}"),
-            Fig6Error::Sim(err) => write!(f, "simulation failed: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for Fig6Error {}
-
-impl From<RcmError> for Fig6Error {
-    fn from(err: RcmError) -> Self {
-        Fig6Error::Rcm(err)
-    }
-}
-impl From<OverlayError> for Fig6Error {
-    fn from(err: OverlayError) -> Self {
-        Fig6Error::Overlay(err)
-    }
-}
-impl From<SimError> for Fig6Error {
-    fn from(err: SimError) -> Self {
-        Fig6Error::Sim(err)
-    }
-}
-
-/// Runs Fig. 6(a): tree, hypercube and XOR, analysis plus simulation.
+/// Runs Fig. 6(a): tree, hypercube and XOR, analysis at `2^analytical_bits`
+/// plus simulation on overlays of `2^simulation_bits` nodes, `pairs`
+/// source/destination pairs per point of `grid`. `seed` drives overlay
+/// construction, failure patterns and sampling.
 ///
 /// # Errors
 ///
-/// Returns [`Fig6Error`] if any component fails; degenerate analytical points
+/// Returns [`SpecError`] if any component fails; degenerate analytical points
 /// (too few expected survivors) are skipped like the paper's plot simply ends.
-pub fn fig6a(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let tree_overlay = PlaxtonOverlay::build(config.simulation_bits, &mut rng)?;
-    let cube_overlay = CanOverlay::build(config.simulation_bits)?;
-    let xor_overlay = KademliaOverlay::build(config.simulation_bits, &mut rng)?;
-
-    let mut records = Vec::new();
-    collect_geometry(
+pub fn fig6a(
+    analytical_bits: u32,
+    simulation_bits: u32,
+    pairs: u64,
+    grid: &[f64],
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<SimulationRecord>, SpecError> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let tree = PlaxtonOverlay::build(simulation_bits, &mut rng)?;
+    let cube = CanOverlay::build(simulation_bits)?;
+    let xor = KademliaOverlay::build(simulation_bits, &mut rng)?;
+    failed_path_records(
         "fig6a",
-        config,
-        &Geometry::tree(),
-        &tree_overlay,
-        &mut records,
-    )?;
-    collect_geometry(
-        "fig6a",
-        config,
-        &Geometry::hypercube(),
-        &cube_overlay,
-        &mut records,
-    )?;
-    collect_geometry(
-        "fig6a",
-        config,
-        &Geometry::xor(),
-        &xor_overlay,
-        &mut records,
-    )?;
-    Ok(records)
+        &[
+            (Geometry::tree(), &tree),
+            (Geometry::hypercube(), &cube),
+            (Geometry::xor(), &xor),
+        ],
+        analytical_bits,
+        pairs,
+        grid,
+        seed,
+        threads,
+    )
 }
 
-/// Runs Fig. 6(b): ring (Chord) routing, analysis plus simulation.
+/// Runs Fig. 6(b): ring (Chord) routing, analysis plus simulation, with the
+/// arguments of [`fig6a`].
 ///
 /// # Errors
 ///
 /// See [`fig6a`].
-pub fn fig6b(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
+pub fn fig6b(
+    analytical_bits: u32,
+    simulation_bits: u32,
+    pairs: u64,
+    grid: &[f64],
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<SimulationRecord>, SpecError> {
     // Classic (deterministic-finger) Chord, as simulated by Gummadi et al.;
     // the paper's analysis uses the randomised variant, whose extra finger
     // placement noise is exactly what the lower-bound model abstracts away.
-    let ring_overlay = ChordOverlay::build(config.simulation_bits, ChordVariant::Deterministic)?;
-    let mut records = Vec::new();
-    collect_geometry(
+    let ring = ChordOverlay::build(simulation_bits, ChordVariant::Deterministic)?;
+    failed_path_records(
         "fig6b",
-        config,
-        &Geometry::ring(),
-        &ring_overlay,
-        &mut records,
-    )?;
-    Ok(records)
+        &[(Geometry::ring(), &ring)],
+        analytical_bits,
+        pairs,
+        grid,
+        seed,
+        threads,
+    )
 }
 
-/// Evaluates one geometry across the whole grid, both analytically and by
-/// simulation on the matching overlay.
-fn collect_geometry<O>(
+/// Evaluates each geometry across the whole grid, both analytically and by
+/// simulation on its matching overlay. Grid point `k` simulates from seed
+/// `seed + 101·k`.
+fn failed_path_records(
     experiment: &str,
-    config: &Fig6Config,
-    geometry: &Geometry,
-    overlay: &O,
-    records: &mut Vec<SimulationRecord>,
-) -> Result<(), Fig6Error>
-where
-    O: Overlay + Sync + ?Sized,
-{
-    let analytical_size = SystemSize::power_of_two(config.analytical_bits)?;
-    for (index, &q) in config.grid.iter().enumerate() {
-        let analytical = match routability(geometry, analytical_size, q) {
-            Ok(report) => Some(report.failed_path_percent),
-            Err(RcmError::DegenerateSystem { .. }) => None,
-            Err(other) => return Err(other.into()),
-        };
-        let sim_config = StaticResilienceConfig::new(q)?
-            .with_pairs(config.pairs)
-            .with_seed(config.seed.wrapping_add(index as u64 * 101))
-            .with_threads(config.threads);
-        let simulated = StaticResilienceExperiment::new(sim_config).run(overlay);
-        let mut record = SimulationRecord {
-            experiment: experiment.to_owned(),
-            geometry: geometry.name().to_owned(),
-            bits: config.analytical_bits,
-            failure_probability: q,
-            analytical_failed_percent: analytical,
-            simulated_failed_percent: None,
-            simulated_confidence_half_width: None,
-        };
-        if simulated.pairs_attempted > 0 {
-            record = record.with_simulation(&simulated);
+    panels: &[(Geometry, &dyn Overlay)],
+    analytical_bits: u32,
+    pairs: u64,
+    grid: &[f64],
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<SimulationRecord>, SpecError> {
+    let analytical_size = SystemSize::power_of_two(analytical_bits)?;
+    let mut records = Vec::with_capacity(panels.len() * grid.len());
+    for (geometry, overlay) in panels {
+        for (index, &q) in grid.iter().enumerate() {
+            let analytical = match routability(geometry, analytical_size, q) {
+                Ok(report) => Some(report.failed_path_percent),
+                Err(RcmError::DegenerateSystem { .. }) => None,
+                Err(other) => return Err(other.into()),
+            };
+            let sim_config = StaticResilienceConfig::new(q)?
+                .with_pairs(pairs)
+                .with_seed(seed.wrapping_add(index as u64 * 101))
+                .with_threads(threads);
+            let simulated = StaticResilienceExperiment::new(sim_config).run(*overlay);
+            let mut record = SimulationRecord {
+                experiment: experiment.to_owned(),
+                geometry: geometry.name().to_owned(),
+                bits: analytical_bits,
+                failure_probability: q,
+                analytical_failed_percent: analytical,
+                simulated_failed_percent: None,
+                simulated_confidence_half_width: None,
+            };
+            if simulated.pairs_attempted > 0 {
+                record = record.with_simulation(&simulated);
+            }
+            records.push(record);
         }
-        records.push(record);
     }
-    Ok(())
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The smoke scale of `Family::Fig6a.default_spec(true)`.
+    fn smoke_grid() -> Vec<f64> {
+        dht_mathkit::percent_grid(80, 20)
+    }
+
     #[test]
     fn fig6a_has_one_record_per_geometry_and_grid_point() {
-        let config = Fig6Config::smoke();
-        let records = fig6a(&config).unwrap();
-        assert_eq!(records.len(), 3 * config.grid.len());
+        let grid = smoke_grid();
+        let records = fig6a(16, 10, 2_000, &grid, 2006, 1).unwrap();
+        assert_eq!(records.len(), 3 * grid.len());
         assert!(records.iter().all(|r| r.experiment == "fig6a"));
     }
 
@@ -220,9 +148,9 @@ mod tests {
         // At every failure probability the tree loses more paths than XOR,
         // which loses at least as many as the hypercube — both analytically
         // and in simulation.
-        let config = Fig6Config::smoke();
-        let records = fig6a(&config).unwrap();
-        for &q in &config.grid {
+        let grid = smoke_grid();
+        let records = fig6a(16, 10, 2_000, &grid, 2006, 1).unwrap();
+        for &q in &grid {
             if q == 0.0 {
                 continue;
             }
@@ -256,12 +184,7 @@ mod tests {
         // The headline claim of Fig. 6(a): the analytical curves fit the
         // simulation. At the smoke scale we allow a few percentage points of
         // finite-size and sampling error.
-        let mut config = Fig6Config::smoke();
-        config.simulation_bits = 12;
-        config.analytical_bits = 12;
-        config.grid = vec![0.1, 0.3, 0.5];
-        config.pairs = 5_000;
-        let records = fig6a(&config).unwrap();
+        let records = fig6a(12, 12, 5_000, &[0.1, 0.3, 0.5], 2006, 1).unwrap();
         for record in &records {
             let (Some(analytic), Some(simulated)) = (
                 record.analytical_failed_percent,
@@ -283,12 +206,7 @@ mod tests {
     fn fig6b_analytical_upper_bounds_the_simulation() {
         // §4.3.3 / Fig. 6(b): the ring analysis over-estimates failed paths
         // because suboptimal progress is ignored.
-        let mut config = Fig6Config::smoke();
-        config.simulation_bits = 12;
-        config.analytical_bits = 12;
-        config.grid = vec![0.1, 0.2, 0.3, 0.5];
-        config.pairs = 5_000;
-        let records = fig6b(&config).unwrap();
+        let records = fig6b(12, 12, 5_000, &[0.1, 0.2, 0.3, 0.5], 2006, 1).unwrap();
         for record in &records {
             let (Some(analytic), Some(simulated)) = (
                 record.analytical_failed_percent,

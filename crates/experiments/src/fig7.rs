@@ -10,78 +10,40 @@ use dht_rcm_core::{routability, Geometry, RcmError, RoutingGeometry, SystemSize}
 use dht_sim::SimulationRecord;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the Fig. 7 reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig7Config {
-    /// Identifier length for the asymptotic panel (the paper uses 100).
-    pub asymptotic_bits: u32,
-    /// Failure-probability grid for Fig. 7(a).
-    pub grid: Vec<f64>,
-    /// Failure probability for Fig. 7(b) (the paper uses 0.1).
-    pub fixed_failure_probability: f64,
-    /// Identifier lengths for the Fig. 7(b) size sweep.
-    pub size_bits: Vec<u32>,
-    /// Symphony parameters (the paper uses `k_n = k_s = 1`).
-    pub symphony_near_neighbors: u32,
-    /// Symphony shortcut count.
-    pub symphony_shortcuts: u32,
-}
-
-impl Fig7Config {
-    /// The paper-scale configuration: `N = 2^100` for panel (a) and
-    /// `N = 2^10 … 2^34` (roughly `10^3 … 10^10`) for panel (b).
-    #[must_use]
-    pub fn paper_scale() -> Self {
-        Fig7Config {
-            asymptotic_bits: 100,
-            grid: dht_mathkit::percent_grid(90, 5),
-            fixed_failure_probability: 0.1,
-            size_bits: (10..=34).step_by(2).collect(),
-            symphony_near_neighbors: 1,
-            symphony_shortcuts: 1,
-        }
-    }
-
-    /// A reduced configuration for tests and benches.
-    #[must_use]
-    pub fn smoke() -> Self {
-        Fig7Config {
-            asymptotic_bits: 100,
-            grid: dht_mathkit::percent_grid(80, 20),
-            fixed_failure_probability: 0.1,
-            size_bits: vec![10, 16, 22, 28, 34],
-            symphony_near_neighbors: 1,
-            symphony_shortcuts: 1,
-        }
-    }
-
-    fn geometries(&self) -> Result<Vec<Geometry>, RcmError> {
-        Ok(vec![
-            Geometry::tree(),
-            Geometry::hypercube(),
-            Geometry::xor(),
-            Geometry::ring(),
-            Geometry::symphony(self.symphony_near_neighbors, self.symphony_shortcuts)?,
-        ])
-    }
+/// The five geometries of Fig. 7, Symphony with `k_n` near neighbours and
+/// `k_s` shortcuts (the paper uses `k_n = k_s = 1`).
+fn geometries(near_neighbors: u32, shortcuts: u32) -> Result<Vec<Geometry>, RcmError> {
+    Ok(vec![
+        Geometry::tree(),
+        Geometry::hypercube(),
+        Geometry::xor(),
+        Geometry::ring(),
+        Geometry::symphony(near_neighbors, shortcuts)?,
+    ])
 }
 
 /// Runs Fig. 7(a): failed-path percentage vs failure probability at the
-/// asymptotic size. Grid points where the system degenerates are skipped.
+/// asymptotic size `2^asymptotic_bits` (the paper uses `2^100`). Grid points
+/// where the system degenerates are skipped.
 ///
 /// # Errors
 ///
 /// Returns [`RcmError`] for invalid configuration parameters.
-pub fn fig7a(config: &Fig7Config) -> Result<Vec<SimulationRecord>, RcmError> {
-    let size = SystemSize::power_of_two(config.asymptotic_bits)?;
+pub fn fig7a(
+    asymptotic_bits: u32,
+    grid: &[f64],
+    symphony_near_neighbors: u32,
+    symphony_shortcuts: u32,
+) -> Result<Vec<SimulationRecord>, RcmError> {
+    let size = SystemSize::power_of_two(asymptotic_bits)?;
     let mut records = Vec::new();
-    for geometry in config.geometries()? {
-        for &q in &config.grid {
+    for geometry in geometries(symphony_near_neighbors, symphony_shortcuts)? {
+        for &q in grid {
             match routability(&geometry, size, q) {
                 Ok(report) => records.push(SimulationRecord::analytical(
                     "fig7a",
                     geometry.name(),
-                    config.asymptotic_bits,
+                    asymptotic_bits,
                     q,
                     report.failed_path_percent,
                 )),
@@ -104,17 +66,21 @@ pub struct Fig7bPoint {
     pub routability_percent: f64,
 }
 
-/// Runs Fig. 7(b): routability vs system size at a fixed failure
-/// probability.
+/// Runs Fig. 7(b): routability vs system size `2^bits` for each of
+/// `size_bits` at the fixed failure probability `q` (the paper uses 0.1).
 ///
 /// # Errors
 ///
 /// Returns [`RcmError`] for invalid configuration parameters.
-pub fn fig7b(config: &Fig7Config) -> Result<Vec<Fig7bPoint>, RcmError> {
-    let q = config.fixed_failure_probability;
+pub fn fig7b(
+    q: f64,
+    size_bits: &[u32],
+    symphony_near_neighbors: u32,
+    symphony_shortcuts: u32,
+) -> Result<Vec<Fig7bPoint>, RcmError> {
     let mut points = Vec::new();
-    for geometry in config.geometries()? {
-        for &bits in &config.size_bits {
+    for geometry in geometries(symphony_near_neighbors, symphony_shortcuts)? {
+        for &bits in size_bits {
             let size = SystemSize::power_of_two(bits)?;
             match routability(&geometry, size, q) {
                 Ok(report) => points.push(Fig7bPoint {
@@ -134,10 +100,18 @@ pub fn fig7b(config: &Fig7Config) -> Result<Vec<Fig7bPoint>, RcmError> {
 mod tests {
     use super::*;
 
+    /// The smoke panels of `Family::Fig7a.default_spec(true)`.
+    fn smoke_7a() -> Vec<SimulationRecord> {
+        fig7a(100, &dht_mathkit::percent_grid(80, 20), 1, 1).unwrap()
+    }
+
+    fn smoke_7b() -> Vec<Fig7bPoint> {
+        fig7b(0.1, &[10, 16, 22, 28, 34], 1, 1).unwrap()
+    }
+
     #[test]
     fn fig7a_separates_scalable_from_unscalable_geometries() {
-        let config = Fig7Config::smoke();
-        let records = fig7a(&config).unwrap();
+        let records = smoke_7a();
         // At q = 20% and N = 2^100, tree and Symphony have lost essentially
         // every path while the scalable three keep most of them.
         let failed = |name: &str| {
@@ -159,8 +133,7 @@ mod tests {
         // The paper notes the tree and Symphony curves at N = 2^100 are close
         // to a step function: essentially zero failed paths at q = 0 and
         // essentially all paths failed for any q > 0.
-        let config = Fig7Config::smoke();
-        let records = fig7a(&config).unwrap();
+        let records = smoke_7a();
         for name in ["tree", "symphony"] {
             let at_zero = records
                 .iter()
@@ -173,8 +146,7 @@ mod tests {
 
     #[test]
     fn fig7b_shows_decay_only_for_unscalable_geometries() {
-        let config = Fig7Config::smoke();
-        let points = fig7b(&config).unwrap();
+        let points = smoke_7b();
         let series = |name: &str| -> Vec<f64> {
             points
                 .iter()
@@ -204,10 +176,11 @@ mod tests {
 
     #[test]
     fn fig7_record_counts_match_configuration() {
-        let config = Fig7Config::smoke();
-        let a = fig7a(&config).unwrap();
-        assert_eq!(a.len(), 5 * config.grid.len());
-        let b = fig7b(&config).unwrap();
-        assert_eq!(b.len(), 5 * config.size_bits.len());
+        assert_eq!(
+            smoke_7a().len(),
+            5 * 5,
+            "five geometries x five grid points"
+        );
+        assert_eq!(smoke_7b().len(), 5 * 5, "five geometries x five sizes");
     }
 }

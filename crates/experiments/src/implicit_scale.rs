@@ -24,52 +24,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of one implicit-scale sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImplicitScaleConfig {
-    /// Geometry name (`ring`, `xor`, `tree`, `hypercube`, `symphony`).
-    pub geometry: String,
-    /// Identifier lengths to sweep (full populations, `N = 2^bits`).
-    pub bits_list: Vec<u32>,
-    /// Node failure probability applied at every size.
-    pub failure_probability: f64,
-    /// Survivor pairs routed per size.
-    pub pairs: u64,
-    /// Root seed.
-    pub seed: u64,
-    /// Worker-thread budget.
-    pub threads: usize,
-}
-
-impl ImplicitScaleConfig {
-    /// The CI-friendly configuration: sizes a debug build routes in seconds.
-    #[must_use]
-    pub fn smoke() -> Self {
-        ImplicitScaleConfig {
-            geometry: "ring".to_owned(),
-            bits_list: vec![14, 16],
-            failure_probability: 0.1,
-            pairs: 2_000,
-            seed: 2006,
-            threads: 4,
-        }
-    }
-
-    /// The headline configuration: `2^26`–`2^30`, all beyond the
-    /// materialized ceiling.
-    #[must_use]
-    pub fn paper_scale() -> Self {
-        ImplicitScaleConfig {
-            geometry: "ring".to_owned(),
-            bits_list: vec![26, 28, 30],
-            failure_probability: 0.1,
-            pairs: 100_000,
-            seed: 2006,
-            threads: 8,
-        }
-    }
-}
-
 /// One measured size of an implicit-scale sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ImplicitScalePoint {
@@ -134,40 +88,44 @@ pub fn build_implicit_overlay(
     })
 }
 
-/// Runs the sweep: one implicit overlay and one measured trial per size.
+/// Runs the sweep: one implicit `geometry` overlay per size `2^bits` of
+/// `bits_list`, each failed with probability `failure_probability` and
+/// measured over `pairs` survivor pairs from the root `seed`.
 ///
 /// # Errors
 ///
 /// Returns [`OverlayError`] on construction failures or when a sampled
 /// failure pattern leaves fewer than two survivors.
-pub fn run(config: &ImplicitScaleConfig) -> Result<Vec<ImplicitScalePoint>, OverlayError> {
-    let seeds = SeedSequence::new(config.seed);
+pub fn run(
+    geometry: &str,
+    bits_list: &[u32],
+    failure_probability: f64,
+    pairs: u64,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<ImplicitScalePoint>, OverlayError> {
+    let seeds = SeedSequence::new(seed);
     let stream_seed = seeds.child(0);
     let measurement = SeedSequence::new(seeds.child(1));
-    let engine = TrialEngine::new(config.threads);
-    let mut points = Vec::with_capacity(config.bits_list.len());
-    for (index, &bits) in config.bits_list.iter().enumerate() {
-        let overlay = build_implicit_overlay(&config.geometry, bits, stream_seed)?;
+    let engine = TrialEngine::new(threads);
+    let mut points = Vec::with_capacity(bits_list.len());
+    for (index, &bits) in bits_list.iter().enumerate() {
+        let overlay = build_implicit_overlay(geometry, bits, stream_seed)?;
         let mut mask_rng = ChaCha8Rng::seed_from_u64(measurement.child(2 * index as u64));
-        let mask = FailureMask::sample(
-            overlay.key_space(),
-            config.failure_probability,
-            &mut mask_rng,
-        );
+        let mask = FailureMask::sample(overlay.key_space(), failure_probability, &mut mask_rng);
         let pair_seed = measurement.child(2 * index as u64 + 1);
         let tally = engine
-            .run_trial(overlay.as_ref(), &mask, config.pairs, pair_seed)
+            .run_trial(overlay.as_ref(), &mask, pairs, pair_seed)
             .ok_or_else(|| OverlayError::InvalidParameter {
                 message: format!(
-                    "failure probability {} leaves fewer than two survivors at 2^{bits}",
-                    config.failure_probability
+                    "failure probability {failure_probability} leaves fewer than two survivors at 2^{bits}"
                 ),
             })?;
         points.push(ImplicitScalePoint {
-            geometry: config.geometry.clone(),
+            geometry: geometry.to_owned(),
             bits,
             node_count: overlay.node_count(),
-            failure_probability: config.failure_probability,
+            failure_probability,
             pairs: tally.attempted,
             routability_percent: 100.0 * tally.routability(),
             mean_hops: tally.hop_stats.mean(),
@@ -180,7 +138,7 @@ pub fn run(config: &ImplicitScaleConfig) -> Result<Vec<ImplicitScalePoint>, Over
     Ok(points)
 }
 
-/// Fixed-width presentation of a sweep (what the binary prints).
+/// Fixed-width presentation of a sweep (what `scenario run` prints).
 #[must_use]
 pub fn render_implicit_scale_table(points: &[ImplicitScalePoint]) -> String {
     use std::fmt::Write as _;
@@ -246,12 +204,8 @@ mod tests {
 
     #[test]
     fn smoke_sweep_routes_and_accounts_memory() {
-        let config = ImplicitScaleConfig {
-            bits_list: vec![10, 12],
-            pairs: 500,
-            ..ImplicitScaleConfig::smoke()
-        };
-        let points = run(&config).unwrap();
+        // The smoke spec's ring at q = 0.1, at smaller sizes and budget.
+        let points = run("ring", &[10, 12], 0.1, 500, 2006, 4).unwrap();
         assert_eq!(points.len(), 2);
         for point in &points {
             assert_eq!(point.pairs, 500);
@@ -267,13 +221,8 @@ mod tests {
 
     #[test]
     fn sweep_is_thread_count_invariant() {
-        let mut config = ImplicitScaleConfig::smoke();
-        config.bits_list = vec![10];
-        config.pairs = 1_000;
-        config.threads = 1;
-        let one = run(&config).unwrap();
-        config.threads = 8;
-        assert_eq!(one, run(&config).unwrap());
+        let one = run("ring", &[10], 0.1, 1_000, 2006, 1).unwrap();
+        assert_eq!(one, run("ring", &[10], 0.1, 1_000, 2006, 8).unwrap());
     }
 
     #[test]

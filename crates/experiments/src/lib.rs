@@ -3,9 +3,9 @@
 //!
 //! Each module corresponds to one artifact of the paper's evaluation and
 //! returns plain data (vectors of [`dht_sim::SimulationRecord`] or small
-//! result structs) so the same code drives the command-line binaries in
-//! `src/bin/`, the Criterion benches in `dht-bench`, and the integration
-//! tests.
+//! result structs) so the same code drives `scenario run` (the
+//! `dht-scenario` binary), the Criterion benches in `dht-bench`, and the
+//! integration tests.
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
@@ -22,16 +22,19 @@
 //! | [`sparse_population`] | beyond the paper: resilience at `n < 2^d` occupancy |
 //! | [`implicit_scale`] | beyond the paper: static resilience at `2^26`–`2^30` via implicit tables |
 //!
-//! Every harness takes an explicit seed and sizes, so results are
-//! reproducible and the binaries can run a fast "smoke" configuration in CI
-//! and the full paper-scale configuration when regenerating EXPERIMENTS.md.
+//! Every harness takes its family's parameters as plain arguments — plus an
+//! explicit seed and thread budget where it samples — so results are
+//! reproducible and the same harness runs the fast "smoke" configuration in
+//! CI and the full paper-scale configuration when regenerating
+//! EXPERIMENTS.md.
 //!
 //! The [`spec`] module is the declarative front door over all of the above:
 //! a serializable [`spec::ScenarioSpec`] describes any experiment (family,
-//! parameters, root seed, thread budget), [`spec::run_spec`] executes it into
-//! a schema-versioned [`spec::ScenarioReport`], and every binary in
-//! `src/bin/` is a one-line [`spec::cli_main`] call accepting `--spec <file>`
-//! uniformly. Reports hit disk through [`output::ReportWriter`].
+//! parameters, root seed, thread budget) — each [`spec::ExperimentSpec`]
+//! variant is the only description of its family's parameters — and
+//! [`spec::run_spec`] executes it into a schema-versioned
+//! [`spec::ScenarioReport`]. Reports hit disk through
+//! [`output::ReportWriter`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +55,7 @@ pub mod sparse_population;
 pub mod spec;
 pub mod symphony_ablation;
 
-pub use output::{default_output_dir, render_records_table, ReportMode, ReportWriter};
+pub use output::{render_records_table, ReportMode, ReportWriter};
 pub use spec::{
     run_spec, Backend, ExecutionSpec, ExperimentSpec, Family, ScenarioReport, ScenarioSpec,
     SpecError, SpecOutcome, REPORT_SCHEMA, SPEC_SCHEMA,

@@ -69,64 +69,6 @@ pub struct LiveChurnPoint {
     pub repairs: u64,
 }
 
-/// The session-time × lookup-rate grid a [`run_grid`] call sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LiveChurnGridConfig {
-    /// Identifier-space bits (full population).
-    pub bits: u32,
-    /// Mean session times `E[L]` to sweep.
-    pub session_times: Vec<f64>,
-    /// Poisson lookup rates to sweep.
-    pub lookup_rates: Vec<f64>,
-    /// Mean offline time `E[D]` (exponential downtime).
-    pub mean_downtime: f64,
-    /// Simulated horizon per replica.
-    pub duration: f64,
-    /// Measurement-window start.
-    pub warmup: f64,
-    /// Independent replicas per point.
-    pub replicas: u32,
-    /// Worker-thread budget (replicas are the unit of parallelism).
-    pub threads: usize,
-    /// Master seed; each grid point derives its own.
-    pub seed: u64,
-}
-
-impl LiveChurnGridConfig {
-    /// The CI-sized configuration: one point per axis, a small ring.
-    #[must_use]
-    pub fn smoke() -> Self {
-        LiveChurnGridConfig {
-            bits: 6,
-            session_times: vec![2.0],
-            lookup_rates: vec![150.0],
-            mean_downtime: 0.5,
-            duration: 12.0,
-            warmup: 4.0,
-            replicas: 2,
-            threads: 2,
-            seed: 29,
-        }
-    }
-
-    /// The paper-scale configuration: `N = 2^10`, three churn intensities
-    /// crossed with two traffic rates, longer horizon.
-    #[must_use]
-    pub fn paper_scale() -> Self {
-        LiveChurnGridConfig {
-            bits: 10,
-            session_times: vec![1.0, 2.0, 4.0],
-            lookup_rates: vec![100.0, 400.0],
-            mean_downtime: 0.5,
-            duration: 30.0,
-            warmup: 10.0,
-            replicas: 4,
-            threads: 8,
-            seed: 29,
-        }
-    }
-}
-
 /// The static routability `r(N, q)` predicted by the geometry's routing
 /// Markov chain: `E[S] = Σ_h n(h)·p_chain(h, q)` over the per-distance
 /// absorption probabilities, normalised by the expected survivor peers
@@ -199,35 +141,22 @@ where
     Ok(Some((expected_reachable / (survivors - 1.0)).min(1.0)))
 }
 
-/// Runs one grid point for one geometry.
+/// Runs one grid point: `geometry` over a full `2^bits` population under
+/// the churn process, traffic, mode and seed of `config`.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidConfiguration`] if the grid parameters are
-/// rejected by [`LiveChurnConfig`] or describe an unsupported key space.
+/// Returns [`SimError::InvalidConfiguration`] for an unknown geometry or an
+/// unsupported key space.
 pub fn run_point(
-    grid: &LiveChurnGridConfig,
     geometry: &str,
-    mean_session_time: f64,
-    lookup_rate: f64,
-    repair: bool,
-    seed: u64,
+    bits: u32,
+    config: &LiveChurnConfig,
 ) -> Result<LiveChurnPoint, SimError> {
-    let space = KeySpace::new(grid.bits).map_err(|err| SimError::InvalidConfiguration {
+    let space = KeySpace::new(bits).map_err(|err| SimError::InvalidConfiguration {
         message: format!("invalid key space: {err}"),
     })?;
-    let config = LiveChurnConfig::new(
-        LifetimeDistribution::exponential(mean_session_time)?,
-        LifetimeDistribution::exponential(grid.mean_downtime)?,
-        grid.duration,
-        lookup_rate,
-    )?
-    .with_warmup(grid.warmup)
-    .with_repair(repair)
-    .with_replicas(grid.replicas)
-    .with_threads(grid.threads)
-    .with_seed(seed);
-    let experiment = LiveChurnExperiment::new(config);
+    let experiment = LiveChurnExperiment::new(*config);
     let tally = match geometry {
         "ring" => run_strategy(
             &experiment,
@@ -245,10 +174,10 @@ pub fn run_point(
         }
     };
     let q_star = config.stationary_failure_fraction();
-    let predicted = if repair {
+    let predicted = if config.repair() {
         None
     } else {
-        chain_predicted_routability(geometry, grid.bits, q_star).map_err(|err| {
+        chain_predicted_routability(geometry, bits, q_star).map_err(|err| {
             SimError::InvalidConfiguration {
                 message: format!("chain prediction failed: {err}"),
             }
@@ -256,11 +185,11 @@ pub fn run_point(
     };
     Ok(LiveChurnPoint {
         geometry: geometry.to_owned(),
-        bits: grid.bits,
-        mean_session_time,
-        mean_downtime: grid.mean_downtime,
-        lookup_rate,
-        repair,
+        bits,
+        mean_session_time: config.lifetime().mean(),
+        mean_downtime: config.downtime().mean(),
+        lookup_rate: config.lookup_rate(),
+        repair: config.repair(),
         stationary_failure_fraction: q_star,
         observed_dead_fraction: tally.dead_fraction(),
         predicted_routability: predicted,
@@ -286,37 +215,53 @@ fn run_strategy<S: GeometryStrategy + Clone>(
 /// The five geometries swept by [`run_grid`].
 pub const GEOMETRIES: [&str; 5] = ["ring", "xor", "tree", "hypercube", "symphony"];
 
-/// Sweeps the full grid in both frozen and repair mode: for every session
-/// time × lookup rate × geometry, one frozen point (with its chain
-/// prediction) and one repaired point.
+/// Sweeps the session-time × lookup-rate grid over a full `2^bits`
+/// population in both frozen and repair mode: for every session time ×
+/// lookup rate × geometry, one frozen point (with its chain prediction) and
+/// one repaired point. Sessions and downtimes are exponential (mean
+/// `mean_downtime` offline); each point simulates `duration` time units,
+/// measures after `warmup` and averages `replicas` replicas.
 ///
 /// Grid point `k` (in sweep order) is seeded with child `k` of a
-/// [`dht_sim::SeedSequence`] rooted at `grid.seed` — the repository-wide
+/// [`dht_sim::SeedSequence`] rooted at `seed` — the repository-wide
 /// convention shared with [`dht_sim::sweep_failure_grid`], so per-point
 /// streams are well-mixed and never correlate across adjacent points or
 /// nearby root seeds.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] as in [`run_point`].
-pub fn run_grid(grid: &LiveChurnGridConfig) -> Result<Vec<LiveChurnPoint>, SimError> {
-    let seeds = dht_sim::SeedSequence::new(grid.seed);
+/// Returns [`SimError`] for parameters [`LiveChurnConfig`] rejects and as
+/// in [`run_point`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_grid(
+    bits: u32,
+    session_times: &[f64],
+    lookup_rates: &[f64],
+    mean_downtime: f64,
+    duration: f64,
+    warmup: f64,
+    replicas: u32,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<LiveChurnPoint>, SimError> {
+    let seeds = dht_sim::SeedSequence::new(seed);
     let mut points = Vec::new();
-    let mut point_index = 0u64;
-    for &session_time in &grid.session_times {
-        for &lookup_rate in &grid.lookup_rates {
+    for &session_time in session_times {
+        for &lookup_rate in lookup_rates {
+            let config = LiveChurnConfig::new(
+                LifetimeDistribution::exponential(session_time)?,
+                LifetimeDistribution::exponential(mean_downtime)?,
+                duration,
+                lookup_rate,
+            )?
+            .with_warmup(warmup)
+            .with_replicas(replicas)
+            .with_threads(threads);
             for geometry in GEOMETRIES {
                 for repair in [false, true] {
-                    let seed = seeds.child(point_index);
-                    points.push(run_point(
-                        grid,
-                        geometry,
-                        session_time,
-                        lookup_rate,
-                        repair,
-                        seed,
-                    )?);
-                    point_index += 1;
+                    let point_seed = seeds.child(points.len() as u64);
+                    let config = config.with_repair(repair).with_seed(point_seed);
+                    points.push(run_point(geometry, bits, &config)?);
                 }
             }
         }
@@ -324,7 +269,7 @@ pub fn run_grid(grid: &LiveChurnGridConfig) -> Result<Vec<LiveChurnPoint>, SimEr
     Ok(points)
 }
 
-/// Renders grid points as the fixed-width table the binary prints.
+/// Renders grid points as the fixed-width table `scenario run` prints.
 #[must_use]
 pub fn render_live_churn_table(points: &[LiveChurnPoint]) -> String {
     use std::fmt::Write as _;
@@ -368,20 +313,32 @@ pub fn render_live_churn_table(points: &[LiveChurnPoint]) -> String {
 mod tests {
     use super::*;
 
-    /// The steady-state validation scale: `N = 2^8`, `q* = 0.2`, enough
-    /// traffic in the window for ±1% sampling error.
-    fn validation_grid() -> LiveChurnGridConfig {
-        LiveChurnGridConfig {
-            bits: 8,
-            session_times: vec![2.0],
-            lookup_rates: vec![600.0],
-            mean_downtime: 0.5,
-            duration: 26.0,
-            warmup: 10.0,
-            replicas: 2,
-            threads: 2,
-            seed: 17,
-        }
+    /// A point of the steady-state validation scale: `q* = 0.2` (`E[L] = 2`,
+    /// `E[D] = 0.5`), enough traffic in the window for ±1% sampling error.
+    fn validation_config(repair: bool) -> LiveChurnConfig {
+        churn_config(2.0, 600.0, 26.0, 10.0, repair, 17)
+    }
+
+    fn churn_config(
+        session_time: f64,
+        lookup_rate: f64,
+        duration: f64,
+        warmup: f64,
+        repair: bool,
+        seed: u64,
+    ) -> LiveChurnConfig {
+        LiveChurnConfig::new(
+            LifetimeDistribution::exponential(session_time).unwrap(),
+            LifetimeDistribution::exponential(0.5).unwrap(),
+            duration,
+            lookup_rate,
+        )
+        .unwrap()
+        .with_warmup(warmup)
+        .with_repair(repair)
+        .with_replicas(2)
+        .with_threads(2)
+        .with_seed(seed)
     }
 
     #[test]
@@ -389,9 +346,8 @@ mod tests {
         // Satellite acceptance: the frozen-table live-churn delivery ratio
         // for the ring and XOR geometries must sit within tolerance of the
         // Markov-chain routability at q* = E[D]/(E[L]+E[D]) = 0.2.
-        let grid = validation_grid();
         for geometry in ["ring", "xor"] {
-            let point = run_point(&grid, geometry, 2.0, 600.0, false, grid.seed).unwrap();
+            let point = run_point(geometry, 8, &validation_config(false)).unwrap();
             assert!(point.attempted > 5_000, "{geometry}: too few lookups");
             let predicted = point
                 .predicted_routability
@@ -414,8 +370,7 @@ mod tests {
 
     #[test]
     fn repair_mode_restores_near_perfect_delivery() {
-        let grid = validation_grid();
-        let point = run_point(&grid, "ring", 2.0, 600.0, true, grid.seed).unwrap();
+        let point = run_point("ring", 8, &validation_config(true)).unwrap();
         assert!(point.repairs > 0, "repair mode must rewrite tables");
         assert!(
             point.delivery_ratio >= 0.999,
@@ -427,12 +382,9 @@ mod tests {
 
     #[test]
     fn smoke_grid_covers_every_geometry_in_both_modes() {
-        let grid = LiveChurnGridConfig::smoke();
-        let points = run_grid(&grid).unwrap();
-        assert_eq!(
-            points.len(),
-            grid.session_times.len() * grid.lookup_rates.len() * GEOMETRIES.len() * 2
-        );
+        // The smoke grid of `Family::LiveChurn.default_spec(true)`.
+        let points = run_grid(6, &[2.0], &[150.0], 0.5, 12.0, 4.0, 2, 29, 2).unwrap();
+        assert_eq!(points.len(), GEOMETRIES.len() * 2, "one point per axis");
         for geometry in GEOMETRIES {
             assert!(points.iter().any(|p| p.geometry == geometry && p.repair));
             assert!(points.iter().any(|p| p.geometry == geometry && !p.repair));
@@ -491,7 +443,7 @@ mod tests {
 
     #[test]
     fn unknown_geometry_is_rejected() {
-        let grid = LiveChurnGridConfig::smoke();
-        assert!(run_point(&grid, "torus", 2.0, 50.0, false, 1).is_err());
+        let config = churn_config(2.0, 50.0, 12.0, 4.0, false, 1);
+        assert!(run_point("torus", 6, &config).is_err());
     }
 }

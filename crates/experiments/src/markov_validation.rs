@@ -6,9 +6,10 @@
 //! numerically, and reports the worst absolute deviation of the closed-form
 //! `p(h, q)` from the chain's absorption probability over a grid of `(h, q)`.
 
+use crate::spec::SpecError;
 use dht_markov::chains::{hypercube_chain, ring_chain, symphony_chain, tree_chain, xor_chain};
 use dht_markov::ChainError;
-use dht_rcm_core::{success_probability, Geometry, RcmError, RoutingGeometry};
+use dht_rcm_core::{success_probability, Geometry, RoutingGeometry};
 use serde::{Deserialize, Serialize};
 
 /// Validation summary for one geometry.
@@ -26,45 +27,14 @@ pub struct ValidationRow {
     pub mean_absolute_error: f64,
 }
 
-/// Errors from the validation harness.
-#[derive(Debug)]
-pub enum ValidationError {
-    /// Chain construction or solving failed.
-    Chain(ChainError),
-    /// Closed-form evaluation failed.
-    Rcm(RcmError),
-}
-
-impl std::fmt::Display for ValidationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ValidationError::Chain(err) => write!(f, "Markov chain evaluation failed: {err}"),
-            ValidationError::Rcm(err) => write!(f, "closed-form evaluation failed: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for ValidationError {}
-
-impl From<ChainError> for ValidationError {
-    fn from(err: ChainError) -> Self {
-        ValidationError::Chain(err)
-    }
-}
-impl From<RcmError> for ValidationError {
-    fn from(err: RcmError) -> Self {
-        ValidationError::Rcm(err)
-    }
-}
-
 /// Runs the validation over `h = 1..=max_distance` and the given failure
 /// probabilities.
 ///
 /// # Errors
 ///
-/// Returns [`ValidationError`] if a chain cannot be built or a closed form
-/// cannot be evaluated.
-pub fn run(max_distance: u32, grid: &[f64]) -> Result<Vec<ValidationRow>, ValidationError> {
+/// Returns [`SpecError`] if a chain cannot be built or a closed form cannot
+/// be evaluated.
+pub fn run(max_distance: u32, grid: &[f64]) -> Result<Vec<ValidationRow>, SpecError> {
     /// Evaluates a chain's success probability at distance `h`, failure `q`.
     type ChainSuccess = Box<dyn Fn(u32, f64) -> Result<f64, ChainError>>;
     // (geometry, d used for closed forms, chain builder)

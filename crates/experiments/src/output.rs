@@ -1,8 +1,8 @@
-//! Result rendering and persistence shared by the experiment binaries.
+//! Result rendering and persistence shared by every front end.
 //!
-//! All report emission goes through one [`ReportWriter`]: every binary and
-//! the batch runner write [`ScenarioReport`] envelopes (and, for the Fig. 6/7
-//! record families, companion CSV) to a consistent `results/` layout, in
+//! All report emission goes through one [`ReportWriter`]: the batch runner
+//! behind `scenario run` writes [`ScenarioReport`] envelopes (and, for the
+//! Fig. 6/7 record families, companion CSV) to one output directory, in
 //! pretty or compact JSON.
 
 use crate::spec::ScenarioReport;
@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Renders records as a fixed-width text table (what the binaries print).
+/// Renders records as a fixed-width text table (what `scenario run` prints).
 #[must_use]
 pub fn render_records_table(records: &[SimulationRecord]) -> String {
     let mut out = String::new();
@@ -44,7 +44,7 @@ fn format_option(value: Option<f64>) -> String {
 /// How a [`ReportWriter`] serializes JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
-    /// Human-oriented, indented JSON (the binaries' default).
+    /// Human-oriented, indented JSON (`scenario run --pretty`).
     #[default]
     Pretty,
     /// Single-line JSON (the batch runner and server cache format).
@@ -148,14 +148,6 @@ pub fn sanitize_stem(name: &str) -> String {
     }
 }
 
-/// The default output directory used by the experiment binaries
-/// (`results/` at the workspace root, or the current directory's `results/`
-/// when run elsewhere).
-#[must_use]
-pub fn default_output_dir() -> PathBuf {
-    PathBuf::from("results")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,10 +202,5 @@ mod tests {
         assert_eq!(sanitize_stem("../evil name"), ".._evil_name");
         assert_eq!(sanitize_stem(""), "report");
         assert_eq!(sanitize_stem(".."), "report");
-    }
-
-    #[test]
-    fn default_output_dir_is_relative_results() {
-        assert_eq!(default_output_dir(), PathBuf::from("results"));
     }
 }

@@ -5,7 +5,8 @@
 //! gap to simulation is negligible below `q ≈ 20%` and grows with `q`. This
 //! harness measures that gap directly.
 
-use crate::fig6::{fig6b, Fig6Config, Fig6Error};
+use crate::fig6::fig6b;
+use crate::spec::SpecError;
 use serde::{Deserialize, Serialize};
 
 /// The bound gap at one failure probability.
@@ -22,13 +23,20 @@ pub struct BoundGapPoint {
     pub slack: f64,
 }
 
-/// Measures the bound gap over the configured grid.
+/// Measures the bound gap over `grid`, with the arguments of [`fig6b`].
 ///
 /// # Errors
 ///
 /// See [`fig6b`].
-pub fn run(config: &Fig6Config) -> Result<Vec<BoundGapPoint>, Fig6Error> {
-    let records = fig6b(config)?;
+pub fn run(
+    analytical_bits: u32,
+    simulation_bits: u32,
+    pairs: u64,
+    grid: &[f64],
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<BoundGapPoint>, SpecError> {
+    let records = fig6b(analytical_bits, simulation_bits, pairs, grid, seed, threads)?;
     Ok(records
         .into_iter()
         .filter_map(|record| {
@@ -48,18 +56,13 @@ pub fn run(config: &Fig6Config) -> Result<Vec<BoundGapPoint>, Fig6Error> {
 mod tests {
     use super::*;
 
-    fn test_config() -> Fig6Config {
-        let mut config = Fig6Config::smoke();
-        config.simulation_bits = 12;
-        config.analytical_bits = 12;
-        config.grid = vec![0.1, 0.3, 0.5, 0.7];
-        config.pairs = 4_000;
-        config
+    fn test_points() -> Vec<BoundGapPoint> {
+        run(12, 12, 4_000, &[0.1, 0.3, 0.5, 0.7], 2006, 1).unwrap()
     }
 
     #[test]
     fn the_bound_holds_everywhere() {
-        let points = run(&test_config()).unwrap();
+        let points = test_points();
         assert_eq!(points.len(), 4);
         for point in &points {
             assert!(
@@ -75,7 +78,7 @@ mod tests {
     fn the_bound_is_tight_at_low_failure_probability() {
         // Fig. 6(b): "very close to simulation ... for failure probability
         // less than 20%".
-        let points = run(&test_config()).unwrap();
+        let points = test_points();
         let low_q = points
             .iter()
             .find(|p| (p.failure_probability - 0.1).abs() < 1e-9)
@@ -89,7 +92,7 @@ mod tests {
 
     #[test]
     fn the_gap_grows_with_failure_probability() {
-        let points = run(&test_config()).unwrap();
+        let points = test_points();
         let slack_at = |q: f64| {
             points
                 .iter()

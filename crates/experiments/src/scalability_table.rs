@@ -61,7 +61,7 @@ pub fn run(failure_probabilities: &[f64]) -> Result<Vec<ScalabilityRow>, RcmErro
     Ok(rows)
 }
 
-/// Renders the table as text (what the binary prints).
+/// Renders the table as text (what `scenario run` prints).
 #[must_use]
 pub fn render(rows: &[ScalabilityRow]) -> String {
     use std::fmt::Write as _;

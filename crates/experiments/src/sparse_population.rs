@@ -19,64 +19,13 @@
 //!   simply absent), so its sparse routability collapses even at `q = 0` —
 //!   occupancy is a failure mode of its own for that geometry.
 
+use crate::spec::SpecError;
 use dht_id::{IdError, Population};
-use dht_overlay::{CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay, Overlay, OverlayError};
-use dht_sim::{sweep_failure_grid, SimError, StaticResilienceConfig};
+use dht_overlay::{CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay, Overlay};
+use dht_sim::{sweep_failure_grid, StaticResilienceConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-/// Configuration of the sparse-population resilience experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SparsePopulationConfig {
-    /// Identifier length `d` of the space.
-    pub bits: u32,
-    /// Number of occupied identifiers (`n <= 2^d`).
-    pub occupied: u64,
-    /// Also measure the fully populated overlay as a baseline.
-    pub include_full_baseline: bool,
-    /// Source/destination pairs sampled per grid point.
-    pub pairs: u64,
-    /// Master seed for population sampling, overlay construction, failure
-    /// patterns and pair sampling.
-    pub seed: u64,
-    /// Failure-probability grid (fractions in `[0, 1)`).
-    pub grid: Vec<f64>,
-    /// Worker threads per measurement (grid points already run concurrently).
-    pub threads: usize,
-}
-
-impl SparsePopulationConfig {
-    /// The paper-scale configuration of the ROADMAP item: a `2^20` identifier
-    /// space with `2^18` occupied nodes (25% occupancy), failure
-    /// probabilities 0–50% in 10% steps.
-    #[must_use]
-    pub fn paper_scale() -> Self {
-        SparsePopulationConfig {
-            bits: 20,
-            occupied: 1 << 18,
-            include_full_baseline: false,
-            pairs: 20_000,
-            seed: 2006,
-            grid: dht_mathkit::percent_grid(50, 10),
-            threads: 4,
-        }
-    }
-
-    /// A reduced configuration for tests and CI (milliseconds, not minutes).
-    #[must_use]
-    pub fn smoke() -> Self {
-        SparsePopulationConfig {
-            bits: 10,
-            occupied: 1 << 8,
-            include_full_baseline: true,
-            pairs: 1_500,
-            seed: 2006,
-            grid: vec![0.0, 0.2, 0.4],
-            threads: 1,
-        }
-    }
-}
 
 /// One measured point of the sparse-population experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,72 +48,39 @@ pub struct SparsePopulationRecord {
     pub mean_hops: f64,
 }
 
-/// Errors from the sparse-population harness.
-#[derive(Debug)]
-pub enum SparsePopulationError {
-    /// Sampling or validating the population failed.
-    Id(IdError),
-    /// Overlay construction failed.
-    Overlay(OverlayError),
-    /// Simulation failed.
-    Sim(SimError),
-}
-
-impl std::fmt::Display for SparsePopulationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SparsePopulationError::Id(err) => write!(f, "population sampling failed: {err}"),
-            SparsePopulationError::Overlay(err) => {
-                write!(f, "overlay construction failed: {err}")
-            }
-            SparsePopulationError::Sim(err) => write!(f, "simulation failed: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for SparsePopulationError {}
-
-impl From<IdError> for SparsePopulationError {
-    fn from(err: IdError) -> Self {
-        SparsePopulationError::Id(err)
-    }
-}
-impl From<OverlayError> for SparsePopulationError {
-    fn from(err: OverlayError) -> Self {
-        SparsePopulationError::Overlay(err)
-    }
-}
-impl From<SimError> for SparsePopulationError {
-    fn from(err: SimError) -> Self {
-        SparsePopulationError::Sim(err)
-    }
-}
-
-/// Runs the experiment: ring, XOR and hypercube overlays over the sparse
-/// population (plus, optionally, the full baseline), swept across the failure
-/// grid.
+/// Runs the experiment: ring, XOR and hypercube overlays over `occupied`
+/// identifiers sampled from a `2^bits` space (plus, with
+/// `include_full_baseline`, the fully populated space), swept across the
+/// failure `grid` with `pairs` pairs per point. `seed` drives population
+/// sampling, overlay construction, failure patterns and pair sampling.
 ///
 /// # Errors
 ///
-/// Returns [`SparsePopulationError`] if the population cannot be sampled, an
-/// overlay cannot be built, or a grid value is invalid.
+/// Returns [`SpecError`] if the population cannot be sampled, an overlay
+/// cannot be built, or a grid value is invalid.
 pub fn sparse_population_resilience(
-    config: &SparsePopulationConfig,
-) -> Result<Vec<SparsePopulationRecord>, SparsePopulationError> {
-    let space = dht_id::KeySpace::new(config.bits).map_err(SparsePopulationError::Id)?;
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let sparse = Population::sample_uniform(space, config.occupied, &mut rng)?;
+    bits: u32,
+    occupied: u64,
+    include_full_baseline: bool,
+    pairs: u64,
+    grid: &[f64],
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<SparsePopulationRecord>, SpecError> {
+    let sampling = |err: IdError| SpecError::Invalid(format!("population sampling failed: {err}"));
+    let space = dht_id::KeySpace::new(bits).map_err(sampling)?;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let sparse = Population::sample_uniform(space, occupied, &mut rng).map_err(sampling)?;
 
     let mut populations = vec![sparse];
-    if config.include_full_baseline {
+    if include_full_baseline {
         populations.push(Population::full(space));
     }
 
-    let base_config = StaticResilienceConfig::new(0.0)
-        .map_err(SparsePopulationError::Sim)?
-        .with_pairs(config.pairs)
-        .with_seed(config.seed)
-        .with_threads(config.threads);
+    let base_config = StaticResilienceConfig::new(0.0)?
+        .with_pairs(pairs)
+        .with_seed(seed)
+        .with_threads(threads);
 
     let mut records = Vec::new();
     for population in populations {
@@ -175,11 +91,11 @@ pub fn sparse_population_resilience(
             // stream for the geometries that do.
             &mut rng,
         )?;
-        measure(&ring, &base_config, &config.grid, &mut records)?;
+        measure(&ring, &base_config, grid, &mut records)?;
         let xor = KademliaOverlay::build_over(population.clone(), &mut rng)?;
-        measure(&xor, &base_config, &config.grid, &mut records)?;
+        measure(&xor, &base_config, grid, &mut records)?;
         let hypercube = CanOverlay::build_over(population)?;
-        measure(&hypercube, &base_config, &config.grid, &mut records)?;
+        measure(&hypercube, &base_config, grid, &mut records)?;
     }
     Ok(records)
 }
@@ -189,7 +105,7 @@ fn measure<O>(
     base_config: &StaticResilienceConfig,
     grid: &[f64],
     records: &mut Vec<SparsePopulationRecord>,
-) -> Result<(), SparsePopulationError>
+) -> Result<(), SpecError>
 where
     O: Overlay + Sync,
 {
@@ -237,12 +153,19 @@ pub fn render_sparse_table(records: &[SparsePopulationRecord]) -> String {
 mod tests {
     use super::*;
 
+    const SMOKE_GRID: [f64; 3] = [0.0, 0.2, 0.4];
+
+    /// The smoke run of `Family::SparsePopulation.default_spec(true)`: 2^8
+    /// of 2^10 identifiers plus the full baseline.
+    fn smoke() -> Vec<SparsePopulationRecord> {
+        sparse_population_resilience(10, 1 << 8, true, 1_500, &SMOKE_GRID, 2006, 1).unwrap()
+    }
+
     #[test]
     fn smoke_run_covers_both_occupancies_and_all_grid_points() {
-        let config = SparsePopulationConfig::smoke();
-        let records = sparse_population_resilience(&config).unwrap();
+        let records = smoke();
         // 3 geometries × 2 populations × grid.
-        assert_eq!(records.len(), 3 * 2 * config.grid.len());
+        assert_eq!(records.len(), 3 * 2 * SMOKE_GRID.len());
         assert!(records.iter().any(|r| r.occupied == 256));
         assert!(records.iter().any(|r| r.occupied == 1024));
         let table = render_sparse_table(&records);
@@ -251,8 +174,7 @@ mod tests {
 
     #[test]
     fn intact_sparse_ring_and_xor_stay_fully_routable() {
-        let config = SparsePopulationConfig::smoke();
-        let records = sparse_population_resilience(&config).unwrap();
+        let records = smoke();
         for record in records
             .iter()
             .filter(|r| r.failure_probability == 0.0 && r.occupied == 256)
@@ -275,8 +197,7 @@ mod tests {
 
     #[test]
     fn sparse_ring_routability_degrades_with_failure_like_the_full_ring() {
-        let config = SparsePopulationConfig::smoke();
-        let records = sparse_population_resilience(&config).unwrap();
+        let records = smoke();
         let ring_sparse: Vec<&SparsePopulationRecord> = records
             .iter()
             .filter(|r| r.geometry == "ring" && r.occupied == 256)
@@ -301,27 +222,18 @@ mod tests {
     fn paper_scale_experiment_runs_end_to_end_at_2_20_space_2_18_nodes() {
         // The acceptance-scale run, reduced to the ring geometry's grid end
         // points and a light pair budget so it stays test-suite friendly.
-        let config = SparsePopulationConfig {
-            bits: 20,
-            occupied: 1 << 18,
-            include_full_baseline: false,
-            pairs: 300,
-            seed: 7,
-            grid: vec![0.0, 0.3],
-            threads: 2,
-        };
-        let space = dht_id::KeySpace::new(config.bits).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let population = Population::sample_uniform(space, config.occupied, &mut rng).unwrap();
+        let space = dht_id::KeySpace::new(20).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let population = Population::sample_uniform(space, 1 << 18, &mut rng).unwrap();
         assert_eq!(population.node_count(), 1 << 18);
         let overlay =
             ChordOverlay::build_over(population, ChordVariant::Deterministic, &mut rng).unwrap();
         let base = StaticResilienceConfig::new(0.0)
             .unwrap()
-            .with_pairs(config.pairs)
-            .with_seed(config.seed)
-            .with_threads(config.threads);
-        let points = sweep_failure_grid(&overlay, &base, &config.grid).unwrap();
+            .with_pairs(300)
+            .with_seed(7)
+            .with_threads(2);
+        let points = sweep_failure_grid(&overlay, &base, &[0.0, 0.3]).unwrap();
         assert_eq!(points[0].result.occupied_nodes, 1 << 18);
         assert_eq!(points[0].result.routability, 1.0);
         assert!(points[1].result.routability > 0.5);

@@ -1,10 +1,9 @@
 //! The declarative scenario front door: [`ScenarioSpec`].
 //!
-//! Every experiment of this crate used to be reachable only through its own
-//! binary with its own argument conventions. A `ScenarioSpec` replaces that
-//! with one fully-serializable description — experiment family and
-//! parameters, root seed, thread budget — that can live in a JSON file,
-//! travel over a socket, and be hashed into a stable content key:
+//! A `ScenarioSpec` is the one description of an experiment run —
+//! experiment family and parameters, root seed, thread budget — and it can
+//! live in a JSON file, travel over a socket, and be hashed into a stable
+//! content key:
 //!
 //! * [`ScenarioSpec::from_json`] / [`ScenarioSpec::to_json_pretty`] move
 //!   specs in and out of files (schema-versioned: [`SPEC_SCHEMA`]).
@@ -13,12 +12,13 @@
 //!   `execution` block (thread budgets do not change results; every
 //!   measurement engine in this workspace is thread-count invariant).
 //! * [`run_spec`] executes any spec and returns a schema-versioned
-//!   [`ScenarioReport`] plus the human-readable table the old binaries
-//!   printed.
-//! * [`cli_main`] is the shared binary front end: every experiment binary
-//!   is now `cli_main(Family::X)` and accepts `--spec <file>`, `--smoke`,
-//!   `--out <dir>`, `--compact` and `--threads <n>` uniformly (plus each
-//!   binary's old positional arguments as a deprecated fallback).
+//!   [`ScenarioReport`] plus the headline and table `scenario run` prints.
+//! * [`Family::default_spec`] writes each family's smoke and paper-scale
+//!   parameters (what `scenario init [--paper]` emits).
+//!
+//! Each [`ExperimentSpec`] variant is the only description of its family's
+//! parameters: [`run_spec`] hands its fields, the seed and the thread budget
+//! straight to the family's harness.
 //!
 //! ## Seed derivation convention
 //!
@@ -28,25 +28,21 @@
 //! [`crate::live_churn::run_grid`]), and the static-resilience family uses
 //! child 0 for overlay construction and child 1 as the measurement root.
 
-use crate::failure_campaigns::{render_failure_campaign_table, FailureCampaignConfig};
+use crate::failure_campaigns::{default_plan_templates, render_failure_campaign_table};
 use crate::fig3;
-use crate::fig6::{fig6a, fig6b, Fig6Config, Fig6Error};
-use crate::fig7::{fig7a, fig7b, Fig7Config, Fig7bPoint};
-use crate::implicit_scale::{render_implicit_scale_table, ImplicitScaleConfig};
-use crate::live_churn::{
-    chain_predicted_routability_with, render_live_churn_table, LiveChurnGridConfig,
-};
-use crate::markov_validation::{self, ValidationError, ValidationRow};
-use crate::output::{default_output_dir, render_records_table, ReportMode, ReportWriter};
+use crate::fig6::{fig6a, fig6b};
+use crate::fig7::{fig7a, fig7b, Fig7bPoint};
+use crate::implicit_scale::render_implicit_scale_table;
+use crate::live_churn::{chain_predicted_routability_with, render_live_churn_table, GEOMETRIES};
+use crate::markov_validation::{self, ValidationRow};
+use crate::output::render_records_table;
 use crate::percolation_contrast::{self, ContrastRow};
 use crate::ring_bound_gap::{self, BoundGapPoint};
 use crate::scalability_table;
-use crate::sparse_population::{
-    render_sparse_table, sparse_population_resilience, SparsePopulationConfig,
-    SparsePopulationError,
-};
+use crate::sparse_population::{render_sparse_table, sparse_population_resilience};
 use crate::symphony_ablation::{self, AblationCell};
 use dht_markov::{ChainError, ChainFamily};
+use dht_mathkit::percent_grid;
 use dht_overlay::{
     CanOverlay, ChordOverlay, ChordVariant, FailurePlan, KademliaOverlay, Overlay, OverlayError,
     PlaxtonOverlay, SymphonyOverlay,
@@ -60,7 +56,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use std::path::PathBuf;
 
 /// Schema identifier written into (and required from) every spec file.
 pub const SPEC_SCHEMA: &str = "dht-scenario/v1";
@@ -335,7 +330,7 @@ pub enum ExperimentSpec {
     },
 }
 
-/// The experiment families, used to key binaries and reports.
+/// The experiment families, used to key specs and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[allow(missing_docs)]
 pub enum Family {
@@ -398,13 +393,7 @@ impl Family {
         }
     }
 
-    /// Parses a family from its [`Family::name`] string.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        FAMILIES.into_iter().find(|family| family.name() == name)
-    }
-
-    /// The output file stem the family's binary historically used.
+    /// The name of the family's default spec, and so its report file stem.
     #[must_use]
     pub fn output_stem(self) -> &'static str {
         match self {
@@ -418,163 +407,235 @@ impl Family {
     }
 
     /// The canonical spec of this family: the paper-scale configuration, or
-    /// the reduced smoke configuration the binaries run with `--smoke`.
+    /// the reduced smoke configuration (seconds, not minutes) that
+    /// `scenario init` writes and CI runs.
     #[must_use]
     pub fn default_spec(self, smoke: bool) -> ScenarioSpec {
-        let experiment = match self {
-            Family::Fig3 => ExperimentSpec::Fig3 {
-                failure_probability: 0.3,
-                trials: if smoke { 20_000 } else { 200_000 },
-            },
+        // (root seed, execution thread budget, experiment); families without
+        // a thread budget get no execution block.
+        let (seed, threads, experiment) = match self {
+            Family::Fig3 => (
+                2006,
+                None,
+                ExperimentSpec::Fig3 {
+                    failure_probability: 0.3,
+                    trials: if smoke { 20_000 } else { 200_000 },
+                },
+            ),
             Family::Fig6a | Family::Fig6b | Family::RingBoundGap => {
-                let config = if smoke {
-                    Fig6Config::smoke()
+                // Paper scale: analytical and simulated at 2^16, failure
+                // probabilities 0–90% in 5% steps. Smoke: simulated at 2^10.
+                let analytical_bits = 16;
+                let simulation_bits = if smoke { 10 } else { 16 };
+                let pairs = if smoke { 2_000 } else { 20_000 };
+                let grid = if smoke {
+                    percent_grid(80, 20)
                 } else {
-                    Fig6Config::paper_scale()
+                    percent_grid(90, 5)
                 };
-                let fields = |config: Fig6Config| {
-                    (
-                        config.analytical_bits,
-                        config.simulation_bits,
-                        config.pairs,
-                        config.grid,
-                    )
-                };
-                let (analytical_bits, simulation_bits, pairs, grid) = fields(config.clone());
-                let seeded = ScenarioSpec {
-                    schema: SPEC_SCHEMA.to_owned(),
-                    name: self.output_stem().to_owned(),
-                    seed: config.seed,
-                    experiment: match self {
-                        Family::Fig6a => ExperimentSpec::Fig6a {
-                            analytical_bits,
-                            simulation_bits,
-                            pairs,
-                            grid,
-                        },
-                        Family::Fig6b => ExperimentSpec::Fig6b {
-                            analytical_bits,
-                            simulation_bits,
-                            pairs,
-                            grid,
-                        },
-                        _ => ExperimentSpec::RingBoundGap {
-                            analytical_bits,
-                            simulation_bits,
-                            pairs,
-                            grid,
-                        },
+                let experiment = match self {
+                    Family::Fig6a => ExperimentSpec::Fig6a {
+                        analytical_bits,
+                        simulation_bits,
+                        pairs,
+                        grid,
                     },
-                    execution: Some(ExecutionSpec {
-                        threads: config.threads,
-                        backend: Backend::Materialized,
-                    }),
+                    Family::Fig6b => ExperimentSpec::Fig6b {
+                        analytical_bits,
+                        simulation_bits,
+                        pairs,
+                        grid,
+                    },
+                    _ => ExperimentSpec::RingBoundGap {
+                        analytical_bits,
+                        simulation_bits,
+                        pairs,
+                        grid,
+                    },
                 };
-                return seeded;
+                (2006, Some(if smoke { 1 } else { 4 }), experiment)
             }
             Family::Fig7a | Family::Fig7b => {
-                let config = if smoke {
-                    Fig7Config::smoke()
+                // N = 2^100 for panel (a); panel (b) sweeps N = 2^10 … 2^34
+                // (roughly 10^3 … 10^10) at the paper's q = 0.1, with
+                // Symphony at the paper's k_n = k_s = 1. Purely analytical:
+                // no randomness, no thread budget.
+                let asymptotic_bits = 100;
+                let grid = if smoke {
+                    percent_grid(80, 20)
                 } else {
-                    Fig7Config::paper_scale()
+                    percent_grid(90, 5)
                 };
-                let mut spec: ScenarioSpec = config.into();
-                if self == Family::Fig7b {
-                    if let ExperimentSpec::Fig7a {
+                let fixed_failure_probability = 0.1;
+                let size_bits = if smoke {
+                    vec![10, 16, 22, 28, 34]
+                } else {
+                    (10..=34).step_by(2).collect()
+                };
+                let (symphony_near_neighbors, symphony_shortcuts) = (1, 1);
+                let experiment = if self == Family::Fig7a {
+                    ExperimentSpec::Fig7a {
                         asymptotic_bits,
                         grid,
                         fixed_failure_probability,
                         size_bits,
                         symphony_near_neighbors,
                         symphony_shortcuts,
-                    } = spec.experiment
-                    {
-                        spec.experiment = ExperimentSpec::Fig7b {
-                            asymptotic_bits,
-                            grid,
-                            fixed_failure_probability,
-                            size_bits,
-                            symphony_near_neighbors,
-                            symphony_shortcuts,
-                        };
                     }
-                }
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
-            Family::ScalabilityTable => ExperimentSpec::ScalabilityTable {
-                failure_probabilities: vec![0.05, 0.1, 0.3, 0.5],
-            },
-            Family::MarkovValidation => ExperimentSpec::MarkovValidation {
-                max_distance: if smoke { 8 } else { 16 },
-                grid: vec![0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9],
-            },
-            Family::PercolationContrast => ExperimentSpec::PercolationContrast {
-                bits: if smoke { 9 } else { 12 },
-                failure_probability: 0.3,
-                roots: if smoke { 10 } else { 32 },
-            },
-            Family::SymphonyAblation => ExperimentSpec::SymphonyAblation {
-                bits_list: if smoke {
-                    vec![12, 16]
                 } else {
-                    vec![16, 20, 24]
+                    ExperimentSpec::Fig7b {
+                        asymptotic_bits,
+                        grid,
+                        fixed_failure_probability,
+                        size_bits,
+                        symphony_near_neighbors,
+                        symphony_shortcuts,
+                    }
+                };
+                (0, None, experiment)
+            }
+            Family::ScalabilityTable => (
+                2006,
+                None,
+                ExperimentSpec::ScalabilityTable {
+                    failure_probabilities: vec![0.05, 0.1, 0.3, 0.5],
                 },
-                failure_probability: 0.2,
-                max_connections: if smoke { 4 } else { 8 },
-            },
-            Family::SparsePopulation => {
-                let config = if smoke {
-                    SparsePopulationConfig::smoke()
-                } else {
-                    SparsePopulationConfig::paper_scale()
-                };
-                let mut spec: ScenarioSpec = config.into();
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
-            Family::LiveChurn => {
-                let config = if smoke {
-                    LiveChurnGridConfig::smoke()
-                } else {
-                    LiveChurnGridConfig::paper_scale()
-                };
-                let mut spec: ScenarioSpec = config.into();
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
-            Family::FailureCampaign => {
-                let config = if smoke {
-                    FailureCampaignConfig::smoke()
-                } else {
-                    FailureCampaignConfig::paper_scale()
-                };
-                let mut spec: ScenarioSpec = config.into();
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
-            Family::StaticResilience => ExperimentSpec::StaticResilience {
-                geometry: "ring".to_owned(),
-                bits: if smoke { 10 } else { 16 },
-                grid: dht_mathkit::percent_grid(
-                    if smoke { 80 } else { 90 },
-                    if smoke { 20 } else { 5 },
-                ),
-                pairs: if smoke { 2_000 } else { 20_000 },
-                trials: 1,
-            },
-            Family::ImplicitScale => {
-                let config = if smoke {
-                    ImplicitScaleConfig::smoke()
-                } else {
-                    ImplicitScaleConfig::paper_scale()
-                };
-                let mut spec: ScenarioSpec = config.into();
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
+            ),
+            Family::MarkovValidation => (
+                2006,
+                None,
+                ExperimentSpec::MarkovValidation {
+                    max_distance: if smoke { 8 } else { 16 },
+                    grid: vec![0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9],
+                },
+            ),
+            Family::PercolationContrast => (
+                2006,
+                None,
+                ExperimentSpec::PercolationContrast {
+                    bits: if smoke { 9 } else { 12 },
+                    failure_probability: 0.3,
+                    roots: if smoke { 10 } else { 32 },
+                },
+            ),
+            Family::SymphonyAblation => (
+                2006,
+                None,
+                ExperimentSpec::SymphonyAblation {
+                    bits_list: if smoke {
+                        vec![12, 16]
+                    } else {
+                        vec![16, 20, 24]
+                    },
+                    failure_probability: 0.2,
+                    max_connections: if smoke { 4 } else { 8 },
+                },
+            ),
+            // Paper scale: a 2^20 space, 2^18 occupied: 25% occupancy,
+            // failure probabilities 0–50% in 10% steps. Smoke: 2^8 of 2^10
+            // plus the full baseline (milliseconds, not minutes).
+            Family::SparsePopulation => (
+                2006,
+                Some(if smoke { 1 } else { 4 }),
+                ExperimentSpec::SparsePopulation {
+                    bits: if smoke { 10 } else { 20 },
+                    occupied: if smoke { 1 << 8 } else { 1 << 18 },
+                    include_full_baseline: smoke,
+                    pairs: if smoke { 1_500 } else { 20_000 },
+                    grid: if smoke {
+                        vec![0.0, 0.2, 0.4]
+                    } else {
+                        percent_grid(50, 10)
+                    },
+                },
+            ),
+            // Paper scale: N = 2^10, three churn intensities crossed with two
+            // traffic rates over a longer horizon. Smoke: one point per axis
+            // on a small ring.
+            Family::LiveChurn => (
+                29,
+                Some(if smoke { 2 } else { 8 }),
+                ExperimentSpec::LiveChurn {
+                    bits: if smoke { 6 } else { 10 },
+                    session_times: if smoke {
+                        vec![2.0]
+                    } else {
+                        vec![1.0, 2.0, 4.0]
+                    },
+                    lookup_rates: if smoke {
+                        vec![150.0]
+                    } else {
+                        vec![100.0, 400.0]
+                    },
+                    mean_downtime: 0.5,
+                    duration: if smoke { 12.0 } else { 30.0 },
+                    warmup: if smoke { 4.0 } else { 10.0 },
+                    replicas: if smoke { 2 } else { 4 },
+                },
+            ),
+            // Paper scale: all five geometries at N = 2^12, a five-point
+            // failed-fraction axis, Fig. 6's pair budget. Smoke: ring and
+            // XOR at N = 2^8, two fractions. Both sweep every plan shape.
+            Family::FailureCampaign => (
+                2006,
+                Some(if smoke { 2 } else { 8 }),
+                ExperimentSpec::FailureCampaign {
+                    bits: if smoke { 8 } else { 12 },
+                    geometries: if smoke {
+                        &GEOMETRIES[..2]
+                    } else {
+                        &GEOMETRIES[..]
+                    }
+                    .iter()
+                    .map(|&geometry| geometry.to_owned())
+                    .collect(),
+                    plans: default_plan_templates(),
+                    failed_fractions: if smoke {
+                        vec![0.2, 0.4]
+                    } else {
+                        vec![0.1, 0.2, 0.3, 0.4, 0.5]
+                    },
+                    pairs: if smoke { 1_500 } else { 20_000 },
+                    patterns: if smoke { 2 } else { 3 },
+                },
+            ),
+            Family::StaticResilience => (
+                2006,
+                None,
+                ExperimentSpec::StaticResilience {
+                    geometry: "ring".to_owned(),
+                    bits: if smoke { 10 } else { 16 },
+                    grid: percent_grid(if smoke { 80 } else { 90 }, if smoke { 20 } else { 5 }),
+                    pairs: if smoke { 2_000 } else { 20_000 },
+                    trials: 1,
+                },
+            ),
+            // Paper scale: 2^26–2^30, all beyond the materialized ceiling.
+            // Smoke: sizes a debug build routes in seconds.
+            Family::ImplicitScale => (
+                2006,
+                Some(if smoke { 4 } else { 8 }),
+                ExperimentSpec::ImplicitScale {
+                    geometry: "ring".to_owned(),
+                    bits_list: if smoke {
+                        vec![14, 16]
+                    } else {
+                        vec![26, 28, 30]
+                    },
+                    failure_probability: 0.1,
+                    pairs: if smoke { 2_000 } else { 100_000 },
+                },
+            ),
         };
-        ScenarioSpec::new(self.output_stem(), 2006, experiment)
+        let backend = if self == Family::ImplicitScale {
+            Backend::Implicit
+        } else {
+            Backend::Materialized
+        };
+        ScenarioSpec {
+            execution: threads.map(|threads| ExecutionSpec { threads, backend }),
+            ..ScenarioSpec::new(self.output_stem(), seed, experiment)
+        }
     }
 }
 
@@ -769,360 +830,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Conversions between the legacy per-experiment configs and ScenarioSpec.
-// ---------------------------------------------------------------------------
-
-impl From<Fig6Config> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields. The
-    /// canonical family for a bare `Fig6Config` is Fig. 6(a).
-    fn from(config: Fig6Config) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::Fig6a.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::Fig6a {
-                analytical_bits: config.analytical_bits,
-                simulation_bits: config.simulation_bits,
-                pairs: config.pairs,
-                grid: config.grid,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Materialized,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for Fig6Config {
-    type Error = SpecError;
-
-    /// Accepts any Fig. 6-shaped family (Fig6a, Fig6b, RingBoundGap).
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::Fig6a {
-                analytical_bits,
-                simulation_bits,
-                pairs,
-                grid,
-            }
-            | ExperimentSpec::Fig6b {
-                analytical_bits,
-                simulation_bits,
-                pairs,
-                grid,
-            }
-            | ExperimentSpec::RingBoundGap {
-                analytical_bits,
-                simulation_bits,
-                pairs,
-                grid,
-            } => Ok(Fig6Config {
-                analytical_bits: *analytical_bits,
-                simulation_bits: *simulation_bits,
-                pairs: *pairs,
-                seed: spec.seed,
-                grid: grid.clone(),
-                threads: spec.threads(),
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a fig6-family spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<Fig7Config> for ScenarioSpec {
-    /// Lossless: `Fig7Config` carries no seed or thread budget, so the spec
-    /// gets seed 0 and no execution block. The canonical family is Fig. 7(a).
-    fn from(config: Fig7Config) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::Fig7a.output_stem().to_owned(),
-            seed: 0,
-            experiment: ExperimentSpec::Fig7a {
-                asymptotic_bits: config.asymptotic_bits,
-                grid: config.grid,
-                fixed_failure_probability: config.fixed_failure_probability,
-                size_bits: config.size_bits,
-                symphony_near_neighbors: config.symphony_near_neighbors,
-                symphony_shortcuts: config.symphony_shortcuts,
-            },
-            execution: None,
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for Fig7Config {
-    type Error = SpecError;
-
-    /// Accepts either Fig. 7 panel (both carry the full configuration).
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::Fig7a {
-                asymptotic_bits,
-                grid,
-                fixed_failure_probability,
-                size_bits,
-                symphony_near_neighbors,
-                symphony_shortcuts,
-            }
-            | ExperimentSpec::Fig7b {
-                asymptotic_bits,
-                grid,
-                fixed_failure_probability,
-                size_bits,
-                symphony_near_neighbors,
-                symphony_shortcuts,
-            } => Ok(Fig7Config {
-                asymptotic_bits: *asymptotic_bits,
-                grid: grid.clone(),
-                fixed_failure_probability: *fixed_failure_probability,
-                size_bits: size_bits.clone(),
-                symphony_near_neighbors: *symphony_near_neighbors,
-                symphony_shortcuts: *symphony_shortcuts,
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a fig7-family spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<SparsePopulationConfig> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields.
-    fn from(config: SparsePopulationConfig) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::SparsePopulation.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::SparsePopulation {
-                bits: config.bits,
-                occupied: config.occupied,
-                include_full_baseline: config.include_full_baseline,
-                pairs: config.pairs,
-                grid: config.grid,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Materialized,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for SparsePopulationConfig {
-    type Error = SpecError;
-
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::SparsePopulation {
-                bits,
-                occupied,
-                include_full_baseline,
-                pairs,
-                grid,
-            } => Ok(SparsePopulationConfig {
-                bits: *bits,
-                occupied: *occupied,
-                include_full_baseline: *include_full_baseline,
-                pairs: *pairs,
-                seed: spec.seed,
-                grid: grid.clone(),
-                threads: spec.threads(),
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a sparse_population spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<LiveChurnGridConfig> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields.
-    fn from(config: LiveChurnGridConfig) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::LiveChurn.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::LiveChurn {
-                bits: config.bits,
-                session_times: config.session_times,
-                lookup_rates: config.lookup_rates,
-                mean_downtime: config.mean_downtime,
-                duration: config.duration,
-                warmup: config.warmup,
-                replicas: config.replicas,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Materialized,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for LiveChurnGridConfig {
-    type Error = SpecError;
-
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::LiveChurn {
-                bits,
-                session_times,
-                lookup_rates,
-                mean_downtime,
-                duration,
-                warmup,
-                replicas,
-            } => Ok(LiveChurnGridConfig {
-                bits: *bits,
-                session_times: session_times.clone(),
-                lookup_rates: lookup_rates.clone(),
-                mean_downtime: *mean_downtime,
-                duration: *duration,
-                warmup: *warmup,
-                replicas: *replicas,
-                threads: spec.threads(),
-                seed: spec.seed,
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a live_churn spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<FailureCampaignConfig> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields.
-    fn from(config: FailureCampaignConfig) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::FailureCampaign.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::FailureCampaign {
-                bits: config.bits,
-                geometries: config.geometries,
-                plans: config.plans,
-                failed_fractions: config.failed_fractions,
-                pairs: config.pairs,
-                patterns: config.patterns,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Materialized,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for FailureCampaignConfig {
-    type Error = SpecError;
-
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::FailureCampaign {
-                bits,
-                geometries,
-                plans,
-                failed_fractions,
-                pairs,
-                patterns,
-            } => Ok(FailureCampaignConfig {
-                bits: *bits,
-                geometries: geometries.clone(),
-                plans: plans.clone(),
-                failed_fractions: failed_fractions.clone(),
-                pairs: *pairs,
-                patterns: *patterns,
-                threads: spec.threads(),
-                seed: spec.seed,
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a failure_campaigns spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<ImplicitScaleConfig> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields; the
-    /// execution block records the implicit backend the family always uses.
-    fn from(config: ImplicitScaleConfig) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::ImplicitScale.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::ImplicitScale {
-                geometry: config.geometry,
-                bits_list: config.bits_list,
-                failure_probability: config.failure_probability,
-                pairs: config.pairs,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Implicit,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for ImplicitScaleConfig {
-    type Error = SpecError;
-
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::ImplicitScale {
-                geometry,
-                bits_list,
-                failure_probability,
-                pairs,
-            } => Ok(ImplicitScaleConfig {
-                geometry: geometry.clone(),
-                bits_list: bits_list.clone(),
-                failure_probability: *failure_probability,
-                pairs: *pairs,
-                seed: spec.seed,
-                threads: spec.threads(),
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected an implicit_scale spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for StaticResilienceConfig {
-    type Error = SpecError;
-
-    /// The sweep *base* configuration of a static-resilience spec: `q = 0`
-    /// (the grid is swept separately), with the measurement-root seed
-    /// (`SeedSequence` child 1 of the spec seed — child 0 seeds overlay
-    /// construction, matching [`run_spec`]).
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::StaticResilience { pairs, trials, .. } => {
-                Ok(StaticResilienceConfig::new(0.0)?
-                    .with_pairs(*pairs)
-                    .with_trials(*trials)
-                    .with_seed(SeedSequence::new(spec.seed).child(1))
-                    .with_threads(spec.threads()))
-            }
-            other => Err(SpecError::Invalid(format!(
-                "expected a static_resilience spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------------
 
@@ -1143,12 +850,6 @@ pub enum SpecError {
     Sim(SimError),
     /// A Markov chain could not be built or solved.
     Chain(ChainError),
-    /// The Fig. 6 harness failed.
-    Fig6(Fig6Error),
-    /// The sparse-population harness failed.
-    Sparse(SparsePopulationError),
-    /// The Markov-validation harness failed.
-    Validation(ValidationError),
 }
 
 impl fmt::Display for SpecError {
@@ -1161,9 +862,6 @@ impl fmt::Display for SpecError {
             SpecError::Overlay(err) => write!(f, "overlay construction failed: {err}"),
             SpecError::Sim(err) => write!(f, "simulation failed: {err}"),
             SpecError::Chain(err) => write!(f, "chain evaluation failed: {err}"),
-            SpecError::Fig6(err) => write!(f, "{err}"),
-            SpecError::Sparse(err) => write!(f, "{err}"),
-            SpecError::Validation(err) => write!(f, "{err}"),
         }
     }
 }
@@ -1188,21 +886,6 @@ impl From<SimError> for SpecError {
 impl From<ChainError> for SpecError {
     fn from(err: ChainError) -> Self {
         SpecError::Chain(err)
-    }
-}
-impl From<Fig6Error> for SpecError {
-    fn from(err: Fig6Error) -> Self {
-        SpecError::Fig6(err)
-    }
-}
-impl From<SparsePopulationError> for SpecError {
-    fn from(err: SparsePopulationError) -> Self {
-        SpecError::Sparse(err)
-    }
-}
-impl From<ValidationError> for SpecError {
-    fn from(err: ValidationError) -> Self {
-        SpecError::Validation(err)
     }
 }
 impl From<std::io::Error> for SpecError {
@@ -1233,16 +916,16 @@ pub struct ScenarioReport {
 }
 
 /// Everything one spec run yields: the report envelope plus the
-/// presentation the binaries print.
+/// presentation `scenario run` prints.
 #[derive(Debug, Clone)]
 pub struct SpecOutcome {
     /// The serializable report.
     pub report: ScenarioReport,
-    /// One-line summary (what the binaries print first).
+    /// One-line summary (printed above the table).
     pub headline: String,
     /// Fixed-width result table.
     pub table: String,
-    /// Records for families whose binaries also emit CSV.
+    /// Records for the families whose reports come with a CSV.
     pub csv_records: Option<Vec<SimulationRecord>>,
 }
 
@@ -1271,42 +954,81 @@ pub fn run_spec(
             let table = render_fig3_table(&result);
             (result.to_value(), headline, table, None)
         }
-        ExperimentSpec::Fig6a { .. } => {
-            let config = Fig6Config::try_from(spec)?.with_threads_override(threads);
-            let records = fig6a(&config)?;
+        ExperimentSpec::Fig6a {
+            analytical_bits,
+            simulation_bits,
+            pairs,
+            grid,
+        } => {
+            let records = fig6a(
+                *analytical_bits,
+                *simulation_bits,
+                *pairs,
+                grid,
+                spec.seed,
+                threads,
+            )?;
             let headline = format!(
-                "Fig. 6(a): percent of failed paths, N = 2^{} (simulation at 2^{})",
-                config.analytical_bits, config.simulation_bits
+                "Fig. 6(a): percent of failed paths, N = 2^{analytical_bits} (simulation at 2^{simulation_bits})"
             );
             let table = render_records_table(&records);
             (records.to_value(), headline, table, Some(records))
         }
-        ExperimentSpec::Fig6b { .. } => {
-            let config = Fig6Config::try_from(spec)?.with_threads_override(threads);
-            let records = fig6b(&config)?;
+        ExperimentSpec::Fig6b {
+            analytical_bits,
+            simulation_bits,
+            pairs,
+            grid,
+        } => {
+            let records = fig6b(
+                *analytical_bits,
+                *simulation_bits,
+                *pairs,
+                grid,
+                spec.seed,
+                threads,
+            )?;
             let headline = format!(
-                "Fig. 6(b): percent of failed paths for ring routing, N = 2^{}",
-                config.analytical_bits
+                "Fig. 6(b): percent of failed paths for ring routing, N = 2^{analytical_bits}"
             );
             let table = render_records_table(&records);
             (records.to_value(), headline, table, Some(records))
         }
-        ExperimentSpec::Fig7a { .. } => {
-            let config = Fig7Config::try_from(spec)?;
-            let records = fig7a(&config)?;
+        // Each Fig. 7 panel ignores the other panel's fields.
+        ExperimentSpec::Fig7a {
+            asymptotic_bits,
+            grid,
+            symphony_near_neighbors,
+            symphony_shortcuts,
+            ..
+        } => {
+            let records = fig7a(
+                *asymptotic_bits,
+                grid,
+                *symphony_near_neighbors,
+                *symphony_shortcuts,
+            )?;
             let headline = format!(
-                "Fig. 7(a): percent of failed paths in the asymptotic limit (N = 2^{})",
-                config.asymptotic_bits
+                "Fig. 7(a): percent of failed paths in the asymptotic limit (N = 2^{asymptotic_bits})"
             );
             let table = render_records_table(&records);
             (records.to_value(), headline, table, Some(records))
         }
-        ExperimentSpec::Fig7b { .. } => {
-            let config = Fig7Config::try_from(spec)?;
-            let points = fig7b(&config)?;
+        ExperimentSpec::Fig7b {
+            fixed_failure_probability,
+            size_bits,
+            symphony_near_neighbors,
+            symphony_shortcuts,
+            ..
+        } => {
+            let points = fig7b(
+                *fixed_failure_probability,
+                size_bits,
+                *symphony_near_neighbors,
+                *symphony_shortcuts,
+            )?;
             let headline = format!(
-                "Fig. 7(b): routability (%) vs system size at q = {}",
-                config.fixed_failure_probability
+                "Fig. 7(b): routability (%) vs system size at q = {fixed_failure_probability}"
             );
             let table = render_fig7b_table(&points);
             (points.to_value(), headline, table, None)
@@ -1349,65 +1071,122 @@ pub fn run_spec(
             let table = render_ablation_table(&cells, bits_list, *max_connections);
             (cells.to_value(), headline, table, None)
         }
-        ExperimentSpec::RingBoundGap { .. } => {
-            let config = Fig6Config::try_from(spec)?.with_threads_override(threads);
-            let points = ring_bound_gap::run(&config)?;
+        ExperimentSpec::RingBoundGap {
+            analytical_bits,
+            simulation_bits,
+            pairs,
+            grid,
+        } => {
+            let points = ring_bound_gap::run(
+                *analytical_bits,
+                *simulation_bits,
+                *pairs,
+                grid,
+                spec.seed,
+                threads,
+            )?;
             let headline =
                 "Chord bound slack (analytical failed % minus simulated failed %)".to_owned();
             let table = render_bound_gap_table(&points);
             (points.to_value(), headline, table, None)
         }
-        ExperimentSpec::SparsePopulation { .. } => {
-            let mut config = SparsePopulationConfig::try_from(spec)?;
-            config.threads = threads;
-            let records = sparse_population_resilience(&config)?;
+        ExperimentSpec::SparsePopulation {
+            bits,
+            occupied,
+            include_full_baseline,
+            pairs,
+            grid,
+        } => {
+            let records = sparse_population_resilience(
+                *bits,
+                *occupied,
+                *include_full_baseline,
+                *pairs,
+                grid,
+                spec.seed,
+                threads,
+            )?;
             let headline = format!(
-                "Sparse-population static resilience: 2^{} identifier space, {} occupied nodes ({:.0}% occupancy)",
-                config.bits,
-                config.occupied,
-                100.0 * config.occupied as f64 / (1u64 << config.bits) as f64,
+                "Sparse-population static resilience: 2^{bits} identifier space, {occupied} occupied nodes ({:.0}% occupancy)",
+                100.0 * *occupied as f64 / (1u64 << bits) as f64,
             );
             let table = render_sparse_table(&records);
             (records.to_value(), headline, table, None)
         }
-        ExperimentSpec::LiveChurn { .. } => {
-            let mut grid = LiveChurnGridConfig::try_from(spec)?;
-            grid.threads = threads;
-            let points = crate::live_churn::run_grid(&grid)?;
+        ExperimentSpec::LiveChurn {
+            bits,
+            session_times,
+            lookup_rates,
+            mean_downtime,
+            duration,
+            warmup,
+            replicas,
+        } => {
+            let points = crate::live_churn::run_grid(
+                *bits,
+                session_times,
+                lookup_rates,
+                *mean_downtime,
+                *duration,
+                *warmup,
+                *replicas,
+                spec.seed,
+                threads,
+            )?;
             let headline = format!(
-                "Live churn: N = 2^{}, downtime E[D] = {}, horizon {} (warmup {}), {} replicas",
-                grid.bits, grid.mean_downtime, grid.duration, grid.warmup, grid.replicas
+                "Live churn: N = 2^{bits}, downtime E[D] = {mean_downtime}, horizon {duration} (warmup {warmup}), {replicas} replicas"
             );
             let table = render_live_churn_table(&points);
             (points.to_value(), headline, table, None)
         }
-        ExperimentSpec::FailureCampaign { .. } => {
-            let mut config = FailureCampaignConfig::try_from(spec)?;
-            config.threads = threads;
-            let points = crate::failure_campaigns::run_grid(&config)?;
+        ExperimentSpec::FailureCampaign {
+            bits,
+            geometries,
+            plans,
+            failed_fractions,
+            pairs,
+            patterns,
+        } => {
+            let points = crate::failure_campaigns::run_grid(
+                *bits,
+                geometries,
+                plans,
+                failed_fractions,
+                *pairs,
+                *patterns,
+                spec.seed,
+                threads,
+            )?;
             let headline = format!(
-                "Failure campaigns: N = 2^{}, {} geometries x {} plans x {} fractions",
-                config.bits,
-                config.geometries.len(),
-                config.plans.len(),
-                config.failed_fractions.len()
+                "Failure campaigns: N = 2^{bits}, {} geometries x {} plans x {} fractions",
+                geometries.len(),
+                plans.len(),
+                failed_fractions.len()
             );
             let table = render_failure_campaign_table(&points);
             (points.to_value(), headline, table, None)
         }
-        ExperimentSpec::ImplicitScale { .. } => {
-            let mut config = ImplicitScaleConfig::try_from(spec)?;
-            config.threads = threads;
-            let points = crate::implicit_scale::run(&config)?;
-            let sizes = config
-                .bits_list
+        ExperimentSpec::ImplicitScale {
+            geometry,
+            bits_list,
+            failure_probability,
+            pairs,
+        } => {
+            let points = crate::implicit_scale::run(
+                geometry,
+                bits_list,
+                *failure_probability,
+                *pairs,
+                spec.seed,
+                threads,
+            )?;
+            let sizes = bits_list
                 .iter()
                 .map(|bits| format!("2^{bits}"))
                 .collect::<Vec<_>>()
                 .join(", ");
             let headline = format!(
-                "Implicit-table static resilience: {} at q = {}, sizes {sizes}",
-                config.geometry, config.failure_probability
+                "Implicit-table static resilience: {geometry} at q = {failure_probability}, sizes {sizes}"
             );
             let table = render_implicit_scale_table(&points);
             (points.to_value(), headline, table, None)
@@ -1458,15 +1237,6 @@ pub fn run_spec(
         table,
         csv_records,
     })
-}
-
-impl Fig6Config {
-    /// Replaces the thread budget (spec execution override).
-    #[must_use]
-    fn with_threads_override(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1616,7 +1386,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Table renderers (moved out of the per-family binaries)
+// Table renderers
 // ---------------------------------------------------------------------------
 
 fn render_fig3_table(result: &fig3::Fig3Result) -> String {
@@ -1796,158 +1566,6 @@ fn render_resilience_table(report: &StaticResilienceReport) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// The shared binary front end
-// ---------------------------------------------------------------------------
-
-/// Runs one experiment binary: parses the uniform CLI, executes the spec
-/// and writes the report. Every `src/bin/` target is a one-line call here.
-///
-/// # Errors
-///
-/// Returns any parse, I/O or harness error (binaries bubble it to `main`).
-pub fn cli_main(family: Family) -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    run_cli(family, &args)
-}
-
-/// [`cli_main`] with explicit arguments (testable).
-///
-/// # Errors
-///
-/// See [`cli_main`].
-pub fn run_cli(family: Family, args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut spec_path: Option<PathBuf> = None;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut compact = false;
-    let mut threads: Option<usize> = None;
-    let mut positionals: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--spec" => {
-                spec_path = Some(PathBuf::from(
-                    iter.next().ok_or("--spec needs a file path")?,
-                ));
-            }
-            "--out" => {
-                out_dir = Some(PathBuf::from(iter.next().ok_or("--out needs a directory")?));
-            }
-            "--threads" => {
-                threads = Some(iter.next().ok_or("--threads needs a count")?.parse()?);
-            }
-            "--smoke" => smoke = true,
-            "--compact" => compact = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: {} [--spec FILE] [--smoke] [--out DIR] [--compact] [--threads N]",
-                    family.name()
-                );
-                return Ok(());
-            }
-            other => positionals.push(other.to_owned()),
-        }
-    }
-
-    let mut spec = if let Some(path) = &spec_path {
-        let text = std::fs::read_to_string(path)?;
-        let spec = ScenarioSpec::from_json(&text)?;
-        if spec.family() != family {
-            return Err(format!(
-                "spec {} is a {} scenario, but this binary runs {}",
-                path.display(),
-                spec.family(),
-                family
-            )
-            .into());
-        }
-        spec
-    } else {
-        family.default_spec(smoke)
-    };
-
-    if !positionals.is_empty() {
-        eprintln!(
-            "warning: positional arguments are deprecated and will be removed; \
-             pass --spec <file> instead (see the README's spec schema reference)"
-        );
-        apply_legacy_positionals(&mut spec, family, &positionals)?;
-    }
-
-    let outcome = run_spec(&spec, threads)?;
-    println!("{}", outcome.headline);
-    print!("{}", outcome.table);
-
-    let writer =
-        ReportWriter::new(out_dir.unwrap_or_else(default_output_dir)).with_mode(if compact {
-            ReportMode::Compact
-        } else {
-            ReportMode::Pretty
-        });
-    let path = writer.write_report(&outcome.report)?;
-    println!("wrote {}", path.display());
-    if let Some(records) = &outcome.csv_records {
-        let csv_path = writer.write_csv(records, &outcome.report.name)?;
-        println!("wrote {}", csv_path.display());
-    }
-    Ok(())
-}
-
-/// Maps each binary's historical positional arguments onto the spec.
-fn apply_legacy_positionals(
-    spec: &mut ScenarioSpec,
-    family: Family,
-    positionals: &[String],
-) -> Result<(), Box<dyn std::error::Error>> {
-    match (family, &mut spec.experiment) {
-        (
-            Family::Fig3,
-            ExperimentSpec::Fig3 {
-                failure_probability,
-                ..
-            },
-        ) => {
-            if let Some(q) = positionals.first() {
-                *failure_probability = q.parse()?;
-            }
-        }
-        (
-            Family::PercolationContrast,
-            ExperimentSpec::PercolationContrast {
-                bits,
-                failure_probability,
-                ..
-            },
-        ) => {
-            if let Some(value) = positionals.first() {
-                *bits = value.parse()?;
-            }
-            if let Some(value) = positionals.get(1) {
-                *failure_probability = value.parse()?;
-            }
-        }
-        (
-            Family::SymphonyAblation,
-            ExperimentSpec::SymphonyAblation {
-                failure_probability,
-                ..
-            },
-        ) => {
-            if let Some(q) = positionals.first() {
-                *failure_probability = q.parse()?;
-            }
-        }
-        _ => {
-            return Err(format!(
-                "the {family} binary takes no positional arguments; use --spec <file>"
-            )
-            .into())
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1959,7 +1577,6 @@ mod tests {
                 let spec = family.default_spec(smoke);
                 spec.validate().unwrap();
                 assert_eq!(spec.family(), family, "{family}");
-                assert_eq!(Family::from_name(family.name()), Some(family));
             }
         }
     }
@@ -2029,73 +1646,6 @@ mod tests {
     }
 
     #[test]
-    fn fig6_config_round_trips_losslessly() {
-        for config in [Fig6Config::smoke(), Fig6Config::paper_scale()] {
-            let spec: ScenarioSpec = config.clone().into();
-            let back = Fig6Config::try_from(&spec).unwrap();
-            assert_eq!(back, config);
-        }
-        // Fig6b/RingBoundGap specs convert to the same config shape.
-        let spec = Family::RingBoundGap.default_spec(true);
-        assert_eq!(Fig6Config::try_from(&spec).unwrap(), Fig6Config::smoke());
-    }
-
-    #[test]
-    fn fig7_config_round_trips_losslessly() {
-        for config in [Fig7Config::smoke(), Fig7Config::paper_scale()] {
-            let spec: ScenarioSpec = config.clone().into();
-            assert_eq!(Fig7Config::try_from(&spec).unwrap(), config);
-        }
-        let spec = Family::Fig7b.default_spec(true);
-        assert_eq!(Fig7Config::try_from(&spec).unwrap(), Fig7Config::smoke());
-    }
-
-    #[test]
-    fn sparse_and_live_churn_configs_round_trip_losslessly() {
-        for config in [
-            SparsePopulationConfig::smoke(),
-            SparsePopulationConfig::paper_scale(),
-        ] {
-            let spec: ScenarioSpec = config.clone().into();
-            assert_eq!(SparsePopulationConfig::try_from(&spec).unwrap(), config);
-        }
-        for config in [
-            LiveChurnGridConfig::smoke(),
-            LiveChurnGridConfig::paper_scale(),
-        ] {
-            let spec: ScenarioSpec = config.clone().into();
-            assert_eq!(LiveChurnGridConfig::try_from(&spec).unwrap(), config);
-        }
-        for config in [
-            FailureCampaignConfig::smoke(),
-            FailureCampaignConfig::paper_scale(),
-        ] {
-            let spec: ScenarioSpec = config.clone().into();
-            assert_eq!(FailureCampaignConfig::try_from(&spec).unwrap(), config);
-        }
-    }
-
-    #[test]
-    fn mismatched_conversions_are_rejected() {
-        let spec = Family::Fig3.default_spec(true);
-        assert!(Fig6Config::try_from(&spec).is_err());
-        assert!(Fig7Config::try_from(&spec).is_err());
-        assert!(SparsePopulationConfig::try_from(&spec).is_err());
-        assert!(LiveChurnGridConfig::try_from(&spec).is_err());
-        assert!(FailureCampaignConfig::try_from(&spec).is_err());
-        assert!(StaticResilienceConfig::try_from(&spec).is_err());
-    }
-
-    #[test]
-    fn static_resilience_base_config_uses_the_measurement_child_seed() {
-        let spec = ScenarioSpec::static_resilience("ring", 8, 0.2, 500, 1, 77);
-        let base = StaticResilienceConfig::try_from(&spec).unwrap();
-        assert_eq!(base.seed(), SeedSequence::new(77).child(1));
-        assert_eq!(base.pairs(), 500);
-        assert_eq!(base.failure_probability(), 0.0);
-    }
-
-    #[test]
     fn run_spec_scalability_table_produces_a_report_envelope() {
         let spec = Family::ScalabilityTable.default_spec(true);
         let outcome = run_spec(&spec, None).unwrap();
@@ -2157,21 +1707,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_positionals_apply_only_to_their_families() {
-        let mut spec = Family::Fig3.default_spec(true);
-        apply_legacy_positionals(&mut spec, Family::Fig3, &["0.45".to_owned()]).unwrap();
-        assert!(matches!(
-            spec.experiment,
-            ExperimentSpec::Fig3 {
-                failure_probability,
-                ..
-            } if (failure_probability - 0.45).abs() < 1e-12
-        ));
-        let mut fig6 = Family::Fig6a.default_spec(true);
-        assert!(apply_legacy_positionals(&mut fig6, Family::Fig6a, &["1".to_owned()]).is_err());
-    }
-
-    #[test]
     fn backend_serializes_lowercase_and_defaults_to_materialized() {
         let mut spec = Family::StaticResilience.default_spec(true);
         spec.execution = Some(ExecutionSpec {
@@ -2204,19 +1739,6 @@ mod tests {
     }
 
     #[test]
-    fn implicit_scale_config_round_trips_losslessly() {
-        for config in [
-            ImplicitScaleConfig::smoke(),
-            ImplicitScaleConfig::paper_scale(),
-        ] {
-            let spec: ScenarioSpec = config.clone().into();
-            assert_eq!(spec.backend(), Backend::Implicit);
-            assert_eq!(ImplicitScaleConfig::try_from(&spec).unwrap(), config);
-        }
-        assert!(ImplicitScaleConfig::try_from(&Family::Fig3.default_spec(true)).is_err());
-    }
-
-    #[test]
     fn static_resilience_backends_produce_byte_identical_reports() {
         // Geometries whose construction draws randomness (xor) and whose
         // tables are closed-form (ring) both agree across the backends —
@@ -2243,10 +1765,13 @@ mod tests {
 
     #[test]
     fn run_spec_implicit_scale_reports_memory_accounting() {
-        let mut config = ImplicitScaleConfig::smoke();
-        config.bits_list = vec![10];
-        config.pairs = 400;
-        let spec: ScenarioSpec = config.into();
+        let mut spec = Family::ImplicitScale.default_spec(true);
+        spec.experiment = ExperimentSpec::ImplicitScale {
+            geometry: "ring".to_owned(),
+            bits_list: vec![10],
+            failure_probability: 0.1,
+            pairs: 400,
+        };
         let outcome = run_spec(&spec, None).unwrap();
         assert_eq!(outcome.report.family, "implicit_scale");
         assert!(outcome.headline.contains("2^10"));

@@ -1,21 +1,29 @@
-//! The scenario front door: batch-run a directory of spec files, serve
-//! reports over stdin or TCP, or hash specs without running them.
+//! The scenario front door: batch-run a directory of spec files (or one
+//! spec file), serve reports over stdin or TCP, hash specs without running
+//! them, or write every family's default spec.
 //!
 //! ```text
-//! scenario run <spec-dir> [--out DIR] [--threads N] [--backend B] [--pretty]
+//! scenario run <spec-dir | spec-file> [--out DIR] [--threads N] [--backend B] [--pretty]
 //! scenario serve [--tcp ADDR] [--threads N]
 //! scenario hash <spec-file>...
 //! scenario init <dir> [--paper]
 //! ```
 //!
-//! `--backend materialized|implicit` overrides every spec's routing-table
-//! backend; reports are byte-identical either way.
+//! `run` prints each manifest row followed by its spec's headline and
+//! table. `--backend materialized|implicit` overrides every spec's
+//! routing-table backend; reports are byte-identical either way.
 
 use dht_experiments::output::ReportMode;
 use dht_experiments::spec::{Backend, ScenarioSpec, FAMILIES};
-use dht_scenario::{run_directory, BatchOptions, ReportServer};
+use dht_scenario::{run_batch, BatchOptions, ReportServer};
 use std::io::BufReader;
 use std::path::PathBuf;
+
+const USAGE: &str =
+    "usage: scenario run <spec-dir | spec-file> [--out DIR] [--threads N] [--backend B] [--pretty]
+       scenario serve [--tcp ADDR] [--threads N]
+       scenario hash <spec-file>...
+       scenario init <dir> [--paper]";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -24,20 +32,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some("serve") => serve(&args[1..]),
         Some("hash") => hash(&args[1..]),
         Some("init") => init(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: scenario run <spec-dir> [--out DIR] [--threads N] [--backend B] [--pretty]\n\
-                 \u{20}      scenario serve [--tcp ADDR] [--threads N]\n\
-                 \u{20}      scenario hash <spec-file>...\n\
-                 \u{20}      scenario init <dir> [--paper]"
-            );
-            Err("missing or unknown subcommand".into())
-        }
+        _ => Err(usage_error("missing or unknown subcommand".to_owned())),
     }
 }
 
+/// An argument error: prints the usage text and returns `message`.
+fn usage_error(message: String) -> Box<dyn std::error::Error> {
+    eprintln!("{USAGE}");
+    message.into()
+}
+
+/// Records the one positional path of a command; a flag-like argument or a
+/// second path is a usage error.
+fn set_path(
+    slot: &mut Option<PathBuf>,
+    command: &str,
+    arg: &str,
+) -> Result<(), Box<dyn std::error::Error>> {
+    if arg.starts_with('-') {
+        return Err(usage_error(format!("unknown {command} argument {arg:?}")));
+    }
+    if slot.replace(PathBuf::from(arg)).is_some() {
+        return Err(usage_error(format!(
+            "scenario {command} takes one path, got a second: {arg:?}"
+        )));
+    }
+    Ok(())
+}
+
 fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut spec_dir: Option<PathBuf> = None;
+    let mut spec_path: Option<PathBuf> = None;
     let mut options = BatchOptions::new("results/scenarios");
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -63,12 +87,12 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
             "--pretty" => options.mode = ReportMode::Pretty,
-            other => spec_dir = Some(PathBuf::from(other)),
+            other => set_path(&mut spec_path, "run", other)?,
         }
     }
-    let spec_dir = spec_dir.ok_or("scenario run needs a spec directory")?;
-    let manifest = run_directory(&spec_dir, &options)?;
-    for entry in &manifest {
+    let spec_path = spec_path
+        .ok_or_else(|| usage_error("scenario run needs a spec directory or file".into()))?;
+    let manifest = run_batch(&spec_path, &options, |entry, outcome| {
         match &entry.error {
             None => println!(
                 "{:<28} {:<22} {}  -> {}",
@@ -76,7 +100,10 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ),
             Some(error) => println!("{:<28} FAILED: {error}", entry.file),
         }
-    }
+        if let Some(outcome) = outcome {
+            println!("{}\n{}", outcome.headline, outcome.table);
+        }
+    })?;
     let failed = manifest
         .iter()
         .filter(|entry| entry.error.is_some())
@@ -84,7 +111,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "ran {} spec(s) from {} into {}",
         manifest.len() - failed,
-        spec_dir.display(),
+        spec_path.display(),
         options.output_dir.display()
     );
     if failed > 0 {
@@ -101,7 +128,7 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         match arg.as_str() {
             "--tcp" => tcp = Some(iter.next().ok_or("--tcp needs an address")?.clone()),
             "--threads" => threads = iter.next().ok_or("--threads needs a count")?.parse()?,
-            other => return Err(format!("unknown serve argument {other:?}").into()),
+            other => return Err(usage_error(format!("unknown serve argument {other:?}"))),
         }
     }
     let mut server = ReportServer::new(threads);
@@ -122,10 +149,10 @@ fn init(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     for arg in args {
         match arg.as_str() {
             "--paper" => paper = true,
-            other => dir = Some(PathBuf::from(other)),
+            other => set_path(&mut dir, "init", other)?,
         }
     }
-    let dir = dir.ok_or("scenario init needs a target directory")?;
+    let dir = dir.ok_or_else(|| usage_error("scenario init needs a target directory".into()))?;
     std::fs::create_dir_all(&dir)?;
     for family in FAMILIES {
         let spec = family.default_spec(!paper);

@@ -4,9 +4,10 @@
 //! The [`dht_experiments::spec`] module defines the spec language and can
 //! run one spec at a time; this crate adds the two serving shapes on top:
 //!
-//! * [`runner`] — execute a directory of spec files reproducibly: sorted
-//!   input order, schema-versioned report per spec, manifest of content
-//!   hashes. Byte-identical across runs and thread budgets.
+//! * [`runner`] — execute a directory of spec files (or one spec file)
+//!   reproducibly: sorted input order, schema-versioned report per spec,
+//!   manifest of content hashes. Byte-identical across runs and thread
+//!   budgets.
 //! * [`server`] — a persistent line-delimited-JSON service (stdin or TCP)
 //!   answering repeated "N, geometry, q → resilience + scalability report"
 //!   queries. Responses are memoized keyed by the spec's canonical content
@@ -27,5 +28,5 @@ pub mod server;
 
 pub use cache::{OverlayCache, ServerStats};
 pub use dht_experiments::spec::{ScenarioReport, ScenarioSpec};
-pub use runner::{run_directory, BatchEntry, BatchOptions};
+pub use runner::{run_batch, run_directory, BatchEntry, BatchOptions};
 pub use server::{Query, ReportServer, Request, RequestEnvelope};

@@ -1,7 +1,10 @@
-//! The batch runner: execute a directory of spec files reproducibly.
+//! The batch runner: execute a directory of spec files (or one spec file)
+//! reproducibly.
 
 use dht_experiments::output::{ReportMode, ReportWriter};
-use dht_experiments::spec::{run_spec, Backend, ExecutionSpec, ScenarioSpec, SpecError};
+use dht_experiments::spec::{
+    run_spec, Backend, ExecutionSpec, ScenarioSpec, SpecError, SpecOutcome,
+};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -95,59 +98,93 @@ pub fn run_directory(
     spec_dir: &Path,
     options: &BatchOptions,
 ) -> Result<Vec<BatchEntry>, SpecError> {
-    let mut spec_files: Vec<PathBuf> = std::fs::read_dir(spec_dir)
-        .map_err(|err| SpecError::Io(format!("reading {}: {err}", spec_dir.display())))?
-        .filter_map(|entry| entry.ok().map(|entry| entry.path()))
-        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    spec_files.sort();
+    run_batch(spec_dir, options, |_, _| {})
+}
+
+/// [`run_directory`] over a spec directory or a single spec file — a file
+/// is a one-spec batch with the same report bytes and manifest row it gets
+/// in its directory's batch. `on_entry` sees each manifest row as soon as
+/// its spec is done, with the run's outcome (`None` for a failed spec), so
+/// callers can present results as they arrive.
+///
+/// # Errors
+///
+/// As [`run_directory`].
+pub fn run_batch<F>(
+    path: &Path,
+    options: &BatchOptions,
+    mut on_entry: F,
+) -> Result<Vec<BatchEntry>, SpecError>
+where
+    F: FnMut(&BatchEntry, Option<&SpecOutcome>),
+{
+    let spec_files = if path.is_file() {
+        vec![path.to_path_buf()]
+    } else {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(path)
+            .map_err(|err| SpecError::Io(format!("reading {}: {err}", path.display())))?
+            .filter_map(|entry| entry.ok().map(|entry| entry.path()))
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .collect();
+        files.sort();
+        files
+    };
 
     let writer = ReportWriter::new(&options.output_dir).with_mode(options.mode);
     let mut manifest = Vec::with_capacity(spec_files.len());
     for path in &spec_files {
-        let file = path
-            .file_name()
-            .map(|name| name.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let text = std::fs::read_to_string(path)
-            .map_err(|err| SpecError::Io(format!("reading {}: {err}", path.display())))?;
-        let mut spec = match ScenarioSpec::from_json(&text) {
-            Ok(spec) => spec,
-            Err(err) => {
-                let err = SpecError::Invalid(format!("{}: {err}", path.display()));
-                manifest.push(BatchEntry::failed(file, None, &err));
-                continue;
-            }
-        };
-        if let Some(backend) = options.backend {
-            spec.execution = Some(ExecutionSpec {
-                threads: spec.threads(),
-                backend,
-            });
-        }
-        let outcome = match run_spec(&spec, options.threads) {
-            Ok(outcome) => outcome,
-            Err(err) => {
-                manifest.push(BatchEntry::failed(file, Some(&spec), &err));
-                continue;
-            }
-        };
-        let report_path = writer.write_report(&outcome.report)?;
-        if let Some(records) = &outcome.csv_records {
-            writer.write_csv(records, &outcome.report.name)?;
-        }
-        manifest.push(BatchEntry {
-            file,
-            name: outcome.report.name.clone(),
-            family: outcome.report.family.clone(),
-            spec_hash: outcome.report.spec_hash.clone(),
-            report: report_path
-                .file_name()
-                .map(|name| name.to_string_lossy().into_owned())
-                .unwrap_or_default(),
-            error: None,
-        });
+        let (entry, outcome) = run_file(path, options, &writer)?;
+        on_entry(&entry, outcome.as_ref());
+        manifest.push(entry);
     }
     writer.write_json(&manifest, "manifest")?;
     Ok(manifest)
+}
+
+/// Runs one spec file and writes its report: the per-file step every batch
+/// shares. Parse and run failures become the row's error.
+fn run_file(
+    path: &Path,
+    options: &BatchOptions,
+    writer: &ReportWriter,
+) -> Result<(BatchEntry, Option<SpecOutcome>), SpecError> {
+    let file = path
+        .file_name()
+        .map(|name| name.to_string_lossy().into_owned())
+        .unwrap_or_default();
+    let text = std::fs::read_to_string(path)
+        .map_err(|err| SpecError::Io(format!("reading {}: {err}", path.display())))?;
+    let mut spec = match ScenarioSpec::from_json(&text) {
+        Ok(spec) => spec,
+        Err(err) => {
+            let err = SpecError::Invalid(format!("{}: {err}", path.display()));
+            return Ok((BatchEntry::failed(file, None, &err), None));
+        }
+    };
+    if let Some(backend) = options.backend {
+        spec.execution = Some(ExecutionSpec {
+            threads: spec.threads(),
+            backend,
+        });
+    }
+    let outcome = match run_spec(&spec, options.threads) {
+        Ok(outcome) => outcome,
+        Err(err) => return Ok((BatchEntry::failed(file, Some(&spec), &err), None)),
+    };
+    let report_path = writer.write_report(&outcome.report)?;
+    if let Some(records) = &outcome.csv_records {
+        writer.write_csv(records, &outcome.report.name)?;
+    }
+    let entry = BatchEntry {
+        file,
+        name: outcome.report.name.clone(),
+        family: outcome.report.family.clone(),
+        spec_hash: outcome.report.spec_hash.clone(),
+        report: report_path
+            .file_name()
+            .map(|name| name.to_string_lossy().into_owned())
+            .unwrap_or_default(),
+        error: None,
+    };
+    Ok((entry, Some(outcome)))
 }

@@ -374,6 +374,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_get_an_error_envelope_and_the_server_survives() {
+        let mut server = ReportServer::new(1);
+        let response = server.handle_line(&"[".repeat(100_000));
+        assert!(response.starts_with("{\"id\":0,\"err\":"), "{response}");
+        assert!(response.contains("deeper than 128"), "{response}");
+        let stats = server.handle_line("{\"id\":2,\"request\":\"Stats\"}");
+        assert!(stats.starts_with("{\"id\":2,\"ok\":"), "{stats}");
+        assert_eq!(server.stats().errors, 1);
+    }
+
+    #[test]
     fn malformed_bodies_still_echo_the_request_id() {
         let mut server = ReportServer::new(1);
         let response = server.handle_line("{\"id\":41,\"request\":{\"NoSuchThing\":{}}}");

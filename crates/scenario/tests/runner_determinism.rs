@@ -125,3 +125,51 @@ fn failing_spec_files_are_collected_without_aborting_the_batch() {
 
     fs::remove_dir_all(&base).ok();
 }
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The committed `specs/` bundle, pinned across commits: every file a batch
+/// run writes (15 reports, 3 CSVs and the manifest) keeps its FNV-1a 64
+/// digest, so a change that moves any report byte fails here.
+#[test]
+fn committed_spec_bundle_matches_its_golden_digests() {
+    const GOLDEN: [(&str, u64); 19] = [
+        ("failure_campaigns.json", 0x14b1_332f_5a02_1ad8),
+        ("fig3_hypercube_example.json", 0x9a9d_7883_3d8c_2bc3),
+        ("fig6a_failed_paths.csv", 0xfdb9_aab8_a243_f80d),
+        ("fig6a_failed_paths.json", 0x039d_63c0_37c3_919f),
+        ("fig6b_ring.csv", 0x0ab1_07e9_a30b_bcfa),
+        ("fig6b_ring.json", 0x21aa_1e1c_bd68_39aa),
+        ("fig7a_asymptotic.csv", 0xbf59_f229_09ff_1d16),
+        ("fig7a_asymptotic.json", 0xb139_a96d_d0da_6c18),
+        ("fig7b_routability_vs_n.json", 0x4389_fd9d_ec2b_cd7e),
+        ("implicit_scale.json", 0xb94b_0206_0879_1669),
+        ("live_churn.json", 0x186f_fef8_ed78_2b27),
+        ("manifest.json", 0x2e38_e289_d239_c8ea),
+        ("markov_validation.json", 0xc78a_7f96_2d09_c960),
+        ("percolation_contrast.json", 0x7846_ca4b_454b_b265),
+        ("ring_bound_gap.json", 0x872a_1775_ac1c_7cc5),
+        ("scalability_table.json", 0xbcc3_05c2_4026_91a6),
+        ("sparse_population.json", 0x801a_4ce8_b93b_a885),
+        ("static_resilience.json", 0x8103_6669_69f2_b49a),
+        ("symphony_ablation.json", 0x6030_248f_5457_3f31),
+    ];
+    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let out = std::env::temp_dir().join(format!("dht-scenario-golden-{}", std::process::id()));
+    run_directory(&specs, &BatchOptions::new(&out)).unwrap();
+    let digests: BTreeMap<String, u64> = snapshot(&out)
+        .into_iter()
+        .map(|(file, bytes)| (file, fnv1a64(&bytes)))
+        .collect();
+    fs::remove_dir_all(&out).ok();
+    let golden: BTreeMap<String, u64> = GOLDEN
+        .iter()
+        .map(|&(file, digest)| (file.to_owned(), digest))
+        .collect();
+    assert_eq!(digests, golden);
+}

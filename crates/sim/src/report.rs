@@ -8,9 +8,9 @@ use std::io::Write;
 /// One row of an experiment report: an analytical prediction, a simulated
 /// measurement, or both, at one `(geometry, N, q)` point.
 ///
-/// The experiment binaries in `dht-experiments` emit these records as JSON
-/// and CSV so EXPERIMENTS.md and downstream plots can be regenerated without
-/// re-running anything.
+/// The Fig. 6/7 experiment families in `dht-experiments` emit these records
+/// as JSON reports and CSV (via `scenario run`) so EXPERIMENTS.md and
+/// downstream plots can be regenerated without re-running anything.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulationRecord {
     /// Experiment identifier (e.g. `"fig6a"`).

@@ -6,8 +6,8 @@ use dht_rcm::prelude::*;
 
 #[test]
 fn figure_7a_reproduces_the_scalable_unscalable_split() {
-    let config = fig7::Fig7Config::smoke();
-    let records = fig7::fig7a(&config).unwrap();
+    // The smoke panel: N = 2^100, q = 0–80% in 20% steps, Symphony (1, 1).
+    let records = fig7::fig7a(100, &dht_rcm::mathkit::percent_grid(80, 20), 1, 1).unwrap();
     // Pick the q = 40% column and check the two classes are separated by a
     // wide margin at N = 2^100.
     let failed = |name: &str| {
@@ -31,8 +31,8 @@ fn figure_7a_reproduces_the_scalable_unscalable_split() {
 
 #[test]
 fn figure_7b_crossover_shapes_match_the_paper() {
-    let config = fig7::Fig7Config::smoke();
-    let points = fig7::fig7b(&config).unwrap();
+    // The smoke sweep: q = 0.1 at N = 2^10 … 2^34, Symphony (1, 1).
+    let points = fig7::fig7b(0.1, &[10, 16, 22, 28, 34], 1, 1).unwrap();
     // Tree starts usable at small N and ends near zero at large N, while XOR
     // stays flat — the crossing of the two curves is the figure's message.
     let tree_small = points
