@@ -46,9 +46,10 @@ pub struct Fig3Result {
 ///
 /// # Errors
 ///
-/// Propagates [`OverlayError`] from overlay construction (cannot fail for
-/// `d = 3`).
+/// Returns [`OverlayError::InvalidParameter`] if `q` is outside `[0, 1]`;
+/// overlay construction cannot fail for `d = 3`.
 pub fn run(q: f64, trials: u64, seed: u64) -> Result<Fig3Result, OverlayError> {
+    crate::check_failure_probability(q)?;
     let geometry = HypercubeGeometry::new();
     let rows: Vec<Fig3Row> = (1..=3u32)
         .map(|h| Fig3Row {

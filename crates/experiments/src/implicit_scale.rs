@@ -94,8 +94,9 @@ pub fn build_implicit_overlay(
 ///
 /// # Errors
 ///
-/// Returns [`OverlayError`] on construction failures or when a sampled
-/// failure pattern leaves fewer than two survivors.
+/// Returns [`OverlayError`] if `failure_probability` is outside `[0, 1]`,
+/// on construction failures, or when a sampled failure pattern leaves fewer
+/// than two survivors.
 pub fn run(
     geometry: &str,
     bits_list: &[u32],
@@ -104,6 +105,7 @@ pub fn run(
     seed: u64,
     threads: usize,
 ) -> Result<Vec<ImplicitScalePoint>, OverlayError> {
+    crate::check_failure_probability(failure_probability)?;
     let seeds = SeedSequence::new(seed);
     let stream_seed = seeds.child(0);
     let measurement = SeedSequence::new(seeds.child(1));

@@ -60,3 +60,16 @@ pub use spec::{
     run_spec, Backend, ExecutionSpec, ExperimentSpec, Family, ScenarioReport, ScenarioSpec,
     SpecError, SpecOutcome, REPORT_SCHEMA, SPEC_SCHEMA,
 };
+
+/// Rejects a failure probability outside `[0, 1]` (NaN included) before a
+/// harness hands it to [`dht_overlay::FailureMask::sample`], which asserts
+/// the range.
+pub(crate) fn check_failure_probability(q: f64) -> Result<(), dht_overlay::OverlayError> {
+    if (0.0..=1.0).contains(&q) {
+        Ok(())
+    } else {
+        Err(dht_overlay::OverlayError::InvalidParameter {
+            message: format!("failure probability must be in [0, 1], got {q}"),
+        })
+    }
+}

@@ -27,7 +27,7 @@ use dht_overlay::chord::ChordStrategy;
 use dht_overlay::kademlia::KademliaStrategy;
 use dht_overlay::plaxton::PlaxtonStrategy;
 use dht_overlay::symphony::SymphonyStrategy;
-use dht_overlay::{ChordVariant, GeometryStrategy, LiveOverlay};
+use dht_overlay::{ChordVariant, GeometryStrategy, LiveOverlay, MAX_OVERLAY_BITS};
 use dht_rcm_core::RoutingGeometry;
 use dht_sim::{
     LifetimeDistribution, LiveChurnConfig, LiveChurnExperiment, LiveChurnTally, SimError,
@@ -147,12 +147,20 @@ where
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfiguration`] for an unknown geometry or an
-/// unsupported key space.
+/// unsupported key space: live overlays materialize their tables, so `bits`
+/// stops at [`MAX_OVERLAY_BITS`].
 pub fn run_point(
     geometry: &str,
     bits: u32,
     config: &LiveChurnConfig,
 ) -> Result<LiveChurnPoint, SimError> {
+    if bits > MAX_OVERLAY_BITS {
+        return Err(SimError::InvalidConfiguration {
+            message: format!(
+                "live churn materializes its tables: bits must be at most {MAX_OVERLAY_BITS}, got {bits}"
+            ),
+        });
+    }
     let space = KeySpace::new(bits).map_err(|err| SimError::InvalidConfiguration {
         message: format!("invalid key space: {err}"),
     })?;

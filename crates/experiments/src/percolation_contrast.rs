@@ -45,8 +45,16 @@ impl ContrastRow {
 ///
 /// # Errors
 ///
-/// Propagates [`OverlayError`] from overlay construction.
+/// Returns [`OverlayError::InvalidParameter`] if `q` is outside `[0, 1]` or
+/// `roots` is zero, and propagates [`OverlayError`] from overlay
+/// construction.
 pub fn run(bits: u32, q: f64, roots: u32, seed: u64) -> Result<Vec<ContrastRow>, OverlayError> {
+    crate::check_failure_probability(q)?;
+    if roots == 0 {
+        return Err(OverlayError::InvalidParameter {
+            message: "the contrast needs at least one root".to_owned(),
+        });
+    }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let overlays: Vec<(&'static str, Box<dyn Overlay>)> = vec![
         ("tree", Box::new(PlaxtonOverlay::build(bits, &mut rng)?)),

@@ -2,8 +2,8 @@
 
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy, NoRandomness};
-use crate::traits::{validate_bits, Overlay, OverlayError};
-use dht_id::{distance::hamming, KeySpace, NodeId, Population};
+use crate::traits::{validate_bits, OverlayError};
+use dht_id::{distance::hamming, NodeId, Population};
 use rand::Rng;
 
 /// The hypercube geometry as a [`GeometryStrategy`]: one link per dimension,
@@ -147,12 +147,9 @@ impl GeometryStrategy for CanStrategy {
 /// assert_eq!(outcome, RouteOutcome::Delivered { hops: 3 });
 /// # Ok::<(), dht_overlay::OverlayError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct CanOverlay {
-    inner: GeometryOverlay<CanStrategy>,
-}
+pub type CanOverlay = GeometryOverlay<CanStrategy>;
 
-impl CanOverlay {
+impl GeometryOverlay<CanStrategy> {
     /// Builds the fully populated `d`-dimensional binary hypercube.
     ///
     /// # Errors
@@ -171,41 +168,9 @@ impl CanOverlay {
     /// # Errors
     ///
     /// Returns [`OverlayError::UnsupportedBits`] or
-    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::build`].
+    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::over`].
     pub fn build_over(population: Population) -> Result<Self, OverlayError> {
-        Ok(CanOverlay {
-            inner: GeometryOverlay::build(population, CanStrategy, &mut NoRandomness)?,
-        })
-    }
-}
-
-impl Overlay for CanOverlay {
-    fn geometry_name(&self) -> &'static str {
-        self.inner.geometry_name()
-    }
-
-    fn key_space(&self) -> KeySpace {
-        self.inner.key_space()
-    }
-
-    fn population(&self) -> &Population {
-        self.inner.population()
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.inner.neighbors(node)
-    }
-
-    fn next_hop(&self, current: NodeId, target: NodeId, alive: &FailureMask) -> Option<NodeId> {
-        self.inner.next_hop(current, target, alive)
-    }
-
-    fn edge_count(&self) -> u64 {
-        self.inner.edge_count()
-    }
-
-    fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
-        self.inner.routing_kernel()
+        Self::over(population, CanStrategy, &mut NoRandomness)
     }
 }
 
@@ -213,6 +178,8 @@ impl Overlay for CanOverlay {
 mod tests {
     use super::*;
     use crate::router::{route, RouteOutcome};
+    use crate::traits::Overlay;
+    use dht_id::KeySpace;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -3,7 +3,7 @@
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy, NoRandomness};
 use crate::traits::{validate_bits, Overlay, OverlayError};
-use dht_id::{distance::ring_distance, KeySpace, NodeId, Population};
+use dht_id::{distance::ring_distance, NodeId, Population};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -218,12 +218,9 @@ pub(crate) fn ring_greedy_next_hop(
 /// assert_eq!(overlay.neighbors(space.wrap(0)).len(), 12);
 /// # Ok::<(), dht_overlay::OverlayError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct ChordOverlay {
-    inner: GeometryOverlay<ChordStrategy>,
-}
+pub type ChordOverlay = GeometryOverlay<ChordStrategy>;
 
-impl ChordOverlay {
+impl GeometryOverlay<ChordStrategy> {
     /// Builds a deterministic-finger overlay over the full population (no
     /// randomness needed).
     ///
@@ -265,21 +262,19 @@ impl ChordOverlay {
     /// # Errors
     ///
     /// Returns [`OverlayError::UnsupportedBits`] or
-    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::build`].
+    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::over`].
     pub fn build_over<R: Rng + ?Sized>(
         population: Population,
         variant: ChordVariant,
         rng: &mut R,
     ) -> Result<Self, OverlayError> {
-        Ok(ChordOverlay {
-            inner: GeometryOverlay::build(population, ChordStrategy::new(variant), rng)?,
-        })
+        Self::over(population, ChordStrategy::new(variant), rng)
     }
 
     /// Which finger-selection variant this overlay was built with.
     #[must_use]
     pub fn variant(&self) -> ChordVariant {
-        self.inner.strategy().variant()
+        self.strategy().variant()
     }
 
     /// The `i`-th finger (1-based, covering distance `[2^{i−1}, 2^i)`).
@@ -291,37 +286,7 @@ impl ChordOverlay {
     #[must_use]
     pub fn finger(&self, node: NodeId, finger: u32) -> NodeId {
         assert!(finger >= 1, "fingers are 1-based");
-        self.inner.neighbors(node)[(finger - 1) as usize]
-    }
-}
-
-impl Overlay for ChordOverlay {
-    fn geometry_name(&self) -> &'static str {
-        self.inner.geometry_name()
-    }
-
-    fn key_space(&self) -> KeySpace {
-        self.inner.key_space()
-    }
-
-    fn population(&self) -> &Population {
-        self.inner.population()
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.inner.neighbors(node)
-    }
-
-    fn next_hop(&self, current: NodeId, target: NodeId, alive: &FailureMask) -> Option<NodeId> {
-        self.inner.next_hop(current, target, alive)
-    }
-
-    fn edge_count(&self) -> u64 {
-        self.inner.edge_count()
-    }
-
-    fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
-        self.inner.routing_kernel()
+        self.neighbors(node)[(finger - 1) as usize]
     }
 }
 
@@ -329,6 +294,7 @@ impl Overlay for ChordOverlay {
 mod tests {
     use super::*;
     use crate::router::{route, RouteOutcome};
+    use dht_id::KeySpace;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -168,8 +168,10 @@ pub trait GeometryStrategy: Send + Sync {
 /// An executable overlay: a [`GeometryStrategy`] plus a [`Population`] plus
 /// one [`RoutingArena`] holding every routing table.
 ///
-/// The five public overlay types ([`crate::ChordOverlay`] etc.) are thin
-/// wrappers around this struct; use them unless you are adding a new
+/// This is the materialized backend's only overlay type. The five public
+/// overlay names ([`crate::ChordOverlay`] etc.) are aliases of it at their
+/// geometry's strategy, and each adds its own constructors (`build`,
+/// `build_over`) and table accessors; use them unless you are adding a new
 /// geometry.
 ///
 /// # Example
@@ -183,7 +185,7 @@ pub trait GeometryStrategy: Send + Sync {
 ///
 /// let space = dht_id::KeySpace::new(8)?;
 /// let mut rng = ChaCha8Rng::seed_from_u64(1);
-/// let overlay = GeometryOverlay::build(
+/// let overlay = GeometryOverlay::over(
 ///     Population::full(space),
 ///     ChordStrategy::new(ChordVariant::Randomized),
 ///     &mut rng,
@@ -216,7 +218,7 @@ impl<S: GeometryStrategy> GeometryOverlay<S> {
     /// [`crate::ImplicitOverlay`] instead), or
     /// [`OverlayError::InvalidParameter`] if fewer than two identifiers are
     /// occupied.
-    pub fn build<R: Rng + ?Sized>(
+    pub fn over<R: Rng + ?Sized>(
         population: Population,
         strategy: S,
         rng: &mut R,
@@ -249,32 +251,6 @@ impl<S: GeometryStrategy> GeometryOverlay<S> {
     #[must_use]
     pub fn arena(&self) -> &RoutingArena {
         &self.arena
-    }
-
-    /// The compiled rank-space routing kernel, or `None` when the strategy
-    /// exports no [`KernelRule`].
-    ///
-    /// Compilation is lazy (first call pays the O(edges) lowering) and
-    /// cached, so overlays that are only built or routed scalar never spend
-    /// the plan's memory. Thread-safe: concurrent first calls race on a
-    /// [`OnceLock`] and agree on one plan.
-    #[must_use]
-    pub fn routing_kernel(&self) -> Option<&RoutingKernel> {
-        let rule = self.strategy.kernel_rule()?;
-        Some(
-            self.kernel
-                .get_or_init(|| RoutingKernel::compile(rule, &self.population, &self.arena)),
-        )
-    }
-
-    /// Whether the lazy kernel has already been compiled for this overlay.
-    ///
-    /// Purely observational (never triggers compilation) — the serving
-    /// layer's caches use it to assert that reusing an overlay across
-    /// queries did not recompile the plan.
-    #[must_use]
-    pub fn kernel_compiled(&self) -> bool {
-        self.kernel.get().is_some()
     }
 }
 
@@ -310,7 +286,11 @@ impl<S: GeometryStrategy> Overlay for GeometryOverlay<S> {
     }
 
     fn kernel(&self) -> Option<&RoutingKernel> {
-        self.routing_kernel()
+        let rule = self.strategy.kernel_rule()?;
+        Some(
+            self.kernel
+                .get_or_init(|| RoutingKernel::compile(rule, &self.population, &self.arena)),
+        )
     }
 
     fn resident_bytes(&self) -> usize {
@@ -387,7 +367,7 @@ mod tests {
 
     #[test]
     fn full_population_overlay_uses_the_arena() {
-        let overlay = GeometryOverlay::build(
+        let overlay = GeometryOverlay::over(
             Population::full(space(4)),
             SuccessorStrategy,
             &mut NoRandomness,
@@ -406,7 +386,7 @@ mod tests {
         let s = space(6);
         let population = Population::sparse(s, [s.wrap(5), s.wrap(40), s.wrap(9)]).unwrap();
         let overlay =
-            GeometryOverlay::build(population, SuccessorStrategy, &mut NoRandomness).unwrap();
+            GeometryOverlay::over(population, SuccessorStrategy, &mut NoRandomness).unwrap();
         assert_eq!(overlay.node_count(), 3);
         assert_eq!(overlay.neighbors(s.wrap(5)), &[s.wrap(9)]);
         assert_eq!(overlay.neighbors(s.wrap(40)), &[s.wrap(5)]);
@@ -414,11 +394,35 @@ mod tests {
     }
 
     #[test]
+    fn resident_bytes_counts_the_compiled_plan_for_every_geometry() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let overlays: [Box<dyn Overlay>; 5] = [
+            Box::new(crate::CanOverlay::build(10).unwrap()),
+            Box::new(crate::ChordOverlay::build_randomized(10, &mut rng).unwrap()),
+            Box::new(crate::KademliaOverlay::build(10, &mut rng).unwrap()),
+            Box::new(crate::PlaxtonOverlay::build(10, &mut rng).unwrap()),
+            Box::new(crate::SymphonyOverlay::build(10, 1, 2, &mut rng).unwrap()),
+        ];
+        for overlay in &overlays {
+            let before = overlay.resident_bytes();
+            let plan = overlay.kernel().unwrap().plan_bytes();
+            assert!(plan > 0);
+            assert_eq!(
+                overlay.resident_bytes(),
+                before + plan,
+                "{}",
+                overlay.geometry_name()
+            );
+        }
+    }
+
+    #[test]
     fn too_small_populations_are_rejected() {
         let s = space(6);
         let one = Population::sparse(s, [s.wrap(1)]).unwrap();
         assert!(matches!(
-            GeometryOverlay::build(one, SuccessorStrategy, &mut NoRandomness),
+            GeometryOverlay::over(one, SuccessorStrategy, &mut NoRandomness),
             Err(OverlayError::InvalidParameter { .. })
         ));
     }

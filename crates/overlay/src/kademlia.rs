@@ -3,7 +3,7 @@
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy};
 use crate::traits::{validate_bits, Overlay, OverlayError};
-use dht_id::{distance::xor_distance, KeySpace, NodeId, Population};
+use dht_id::{distance::xor_distance, NodeId, Population};
 use rand::Rng;
 
 /// The XOR geometry as a [`GeometryStrategy`]: one contact per bucket,
@@ -250,12 +250,9 @@ impl GeometryStrategy for KademliaStrategy {
 /// assert_eq!(overlay.node_count(), 4096);
 /// # Ok::<(), dht_overlay::OverlayError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct KademliaOverlay {
-    inner: GeometryOverlay<KademliaStrategy>,
-}
+pub type KademliaOverlay = GeometryOverlay<KademliaStrategy>;
 
-impl KademliaOverlay {
+impl GeometryOverlay<KademliaStrategy> {
     /// Builds the fully populated XOR overlay with one random contact per
     /// bucket.
     ///
@@ -276,14 +273,12 @@ impl KademliaOverlay {
     /// # Errors
     ///
     /// Returns [`OverlayError::UnsupportedBits`] or
-    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::build`].
+    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::over`].
     pub fn build_over<R: Rng + ?Sized>(
         population: Population,
         rng: &mut R,
     ) -> Result<Self, OverlayError> {
-        Ok(KademliaOverlay {
-            inner: GeometryOverlay::build(population, KademliaStrategy, rng)?,
-        })
+        Self::over(population, KademliaStrategy, rng)
     }
 
     /// The contact stored in bucket `bucket` (0 = the bucket covering the far
@@ -296,37 +291,7 @@ impl KademliaOverlay {
     /// overlay.
     #[must_use]
     pub fn bucket_contact(&self, node: NodeId, bucket: u32) -> NodeId {
-        self.inner.neighbors(node)[bucket as usize]
-    }
-}
-
-impl Overlay for KademliaOverlay {
-    fn geometry_name(&self) -> &'static str {
-        self.inner.geometry_name()
-    }
-
-    fn key_space(&self) -> KeySpace {
-        self.inner.key_space()
-    }
-
-    fn population(&self) -> &Population {
-        self.inner.population()
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.inner.neighbors(node)
-    }
-
-    fn next_hop(&self, current: NodeId, target: NodeId, alive: &FailureMask) -> Option<NodeId> {
-        self.inner.next_hop(current, target, alive)
-    }
-
-    fn edge_count(&self) -> u64 {
-        self.inner.edge_count()
-    }
-
-    fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
-        self.inner.routing_kernel()
+        self.neighbors(node)[bucket as usize]
     }
 }
 
@@ -335,6 +300,7 @@ mod tests {
     use super::*;
     use crate::router::{route, RouteOutcome};
     use dht_id::prefix::common_prefix_len;
+    use dht_id::KeySpace;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

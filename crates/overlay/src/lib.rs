@@ -18,14 +18,17 @@
 //!
 //! # Architecture
 //!
-//! Each overlay is a thin wrapper over one [`GeometryOverlay`], which pairs a
+//! Each overlay is a type alias of [`GeometryOverlay`] at its geometry's
+//! strategy (`ChordOverlay = GeometryOverlay<ChordStrategy>`), which pairs a
 //! per-geometry [`generic::GeometryStrategy`] (table construction plus the
 //! greedy next-hop rule) with a [`dht_id::Population`] and stores every
 //! routing table in a single flat CSR [`RoutingArena`] — `neighbors()` is a
-//! slice into that arena and the edge count is O(1). Populations may be full
-//! (`N = 2^d`, the paper's model) or sparse (`n < 2^d` occupied
-//! identifiers), in which case fingers, bucket contacts and successors
-//! resolve against the occupied set, the way deployed DHTs do.
+//! slice into that arena and the edge count is O(1). The alias adds only
+//! its constructors and table accessors; the one [`Overlay`] impl is
+//! generic. Populations may be full (`N = 2^d`, the paper's model) or
+//! sparse (`n < 2^d` occupied identifiers), in which case fingers, bucket
+//! contacts and successors resolve against the occupied set, the way
+//! deployed DHTs do.
 //!
 //! For batch measurement, every geometry also lowers into a compiled
 //! rank-space [`RoutingKernel`] (see [`kernel`]): per-entry hop keys are

@@ -4,7 +4,7 @@ use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy};
 use crate::kademlia::build_prefix_table;
 use crate::traits::{validate_bits, Overlay, OverlayError};
-use dht_id::{prefix::highest_differing_bit, KeySpace, NodeId, Population};
+use dht_id::{prefix::highest_differing_bit, NodeId, Population};
 use rand::Rng;
 
 /// The tree geometry as a [`GeometryStrategy`]: prefix tables (structurally
@@ -122,12 +122,9 @@ impl GeometryStrategy for PlaxtonStrategy {
 /// assert_eq!(overlay.neighbors(overlay.key_space().wrap(0)).len(), 8);
 /// # Ok::<(), dht_overlay::OverlayError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct PlaxtonOverlay {
-    inner: GeometryOverlay<PlaxtonStrategy>,
-}
+pub type PlaxtonOverlay = GeometryOverlay<PlaxtonStrategy>;
 
-impl PlaxtonOverlay {
+impl GeometryOverlay<PlaxtonStrategy> {
     /// Builds the fully populated tree overlay, drawing the random suffix of
     /// every routing-table entry from `rng`.
     ///
@@ -148,14 +145,12 @@ impl PlaxtonOverlay {
     /// # Errors
     ///
     /// Returns [`OverlayError::UnsupportedBits`] or
-    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::build`].
+    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::over`].
     pub fn build_over<R: Rng + ?Sized>(
         population: Population,
         rng: &mut R,
     ) -> Result<Self, OverlayError> {
-        Ok(PlaxtonOverlay {
-            inner: GeometryOverlay::build(population, PlaxtonStrategy, rng)?,
-        })
+        Self::over(population, PlaxtonStrategy, rng)
     }
 
     /// The routing-table entry that corrects bit `level` (0 = most
@@ -169,37 +164,7 @@ impl PlaxtonOverlay {
     /// overlay.
     #[must_use]
     pub fn entry_for_level(&self, node: NodeId, level: u32) -> NodeId {
-        self.inner.neighbors(node)[level as usize]
-    }
-}
-
-impl Overlay for PlaxtonOverlay {
-    fn geometry_name(&self) -> &'static str {
-        self.inner.geometry_name()
-    }
-
-    fn key_space(&self) -> KeySpace {
-        self.inner.key_space()
-    }
-
-    fn population(&self) -> &Population {
-        self.inner.population()
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.inner.neighbors(node)
-    }
-
-    fn next_hop(&self, current: NodeId, target: NodeId, alive: &FailureMask) -> Option<NodeId> {
-        self.inner.next_hop(current, target, alive)
-    }
-
-    fn edge_count(&self) -> u64 {
-        self.inner.edge_count()
-    }
-
-    fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
-        self.inner.routing_kernel()
+        self.neighbors(node)[level as usize]
     }
 }
 
@@ -208,6 +173,7 @@ mod tests {
     use super::*;
     use crate::router::{route, RouteOutcome};
     use dht_id::prefix::common_prefix_len;
+    use dht_id::KeySpace;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -2,8 +2,8 @@
 
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy};
-use crate::traits::{validate_bits, Overlay, OverlayError};
-use dht_id::{KeySpace, NodeId, Population};
+use crate::traits::{validate_bits, OverlayError};
+use dht_id::{NodeId, Population};
 use rand::Rng;
 
 /// The small-world geometry as a [`GeometryStrategy`]: `k_n` clockwise
@@ -189,12 +189,9 @@ impl GeometryStrategy for SymphonyStrategy {
 /// assert_eq!(overlay.neighbors(overlay.key_space().wrap(0)).len(), 2);
 /// # Ok::<(), dht_overlay::OverlayError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct SymphonyOverlay {
-    inner: GeometryOverlay<SymphonyStrategy>,
-}
+pub type SymphonyOverlay = GeometryOverlay<SymphonyStrategy>;
 
-impl SymphonyOverlay {
+impl GeometryOverlay<SymphonyStrategy> {
     /// Builds the fully populated small-world overlay with `near_neighbors`
     /// clockwise successors and `shortcuts` harmonic shortcuts per node.
     ///
@@ -243,25 +240,23 @@ impl SymphonyOverlay {
                 ),
             });
         }
-        Ok(SymphonyOverlay {
-            inner: GeometryOverlay::build(
-                population,
-                SymphonyStrategy::new(near_neighbors, shortcuts),
-                rng,
-            )?,
-        })
+        Self::over(
+            population,
+            SymphonyStrategy::new(near_neighbors, shortcuts),
+            rng,
+        )
     }
 
     /// Number of near neighbours per node (`k_n`).
     #[must_use]
     pub fn near_neighbors(&self) -> u32 {
-        self.inner.strategy().near_neighbors()
+        self.strategy().near_neighbors()
     }
 
     /// Number of shortcuts per node (`k_s`).
     #[must_use]
     pub fn shortcuts(&self) -> u32 {
-        self.inner.strategy().shortcuts()
+        self.strategy().shortcuts()
     }
 }
 
@@ -280,41 +275,13 @@ fn harmonic_distance<R: Rng + ?Sized>(node_count: u64, id_population: u64, rng: 
     ((rank * scale).floor() as u64).clamp(1, id_population - 1)
 }
 
-impl Overlay for SymphonyOverlay {
-    fn geometry_name(&self) -> &'static str {
-        self.inner.geometry_name()
-    }
-
-    fn key_space(&self) -> KeySpace {
-        self.inner.key_space()
-    }
-
-    fn population(&self) -> &Population {
-        self.inner.population()
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.inner.neighbors(node)
-    }
-
-    fn next_hop(&self, current: NodeId, target: NodeId, alive: &FailureMask) -> Option<NodeId> {
-        self.inner.next_hop(current, target, alive)
-    }
-
-    fn edge_count(&self) -> u64 {
-        self.inner.edge_count()
-    }
-
-    fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
-        self.inner.routing_kernel()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::{route, RouteOutcome};
+    use crate::traits::Overlay;
     use dht_id::distance::ring_distance;
+    use dht_id::KeySpace;
     use dht_mathkit::RunningStats;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

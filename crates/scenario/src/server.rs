@@ -25,7 +25,7 @@ use dht_experiments::spec::{
 use dht_markov::ChainCache;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 
 /// The sugar form of the server's core question: "N (= 2^bits), geometry,
@@ -271,19 +271,35 @@ impl ReportServer {
     /// Serves line-delimited requests from `reader` to `writer` until EOF
     /// or an acknowledged [`Request::Shutdown`]. Empty lines are ignored.
     ///
+    /// A line longer than 1 MiB is answered with an `id: 0` error envelope
+    /// naming the cap; the rest of it is skipped unbuffered, and serving
+    /// continues with the next line.
+    ///
     /// # Errors
     ///
-    /// Returns the first I/O error from either side.
-    pub fn serve<R: BufRead, W: Write>(&mut self, reader: R, mut writer: W) -> io::Result<()> {
+    /// Returns the first I/O error from either side, including a line that
+    /// is not UTF-8.
+    pub fn serve<R: BufRead, W: Write>(&mut self, mut reader: R, mut writer: W) -> io::Result<()> {
         if self.shutdown {
             return Ok(());
         }
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response = self.handle_line(&line);
+        let mut line = Vec::new();
+        while read_bounded_line(&mut reader, &mut line)? > 0 {
+            let response = if line.len() > MAX_REQUEST_LINE_BYTES && !line.ends_with(b"\n") {
+                // Skip the rest of the line one bounded chunk at a time.
+                while read_bounded_line(&mut reader, &mut line)? > 0 && !line.ends_with(b"\n") {}
+                self.stats.requests += 1;
+                self.stats.errors += 1;
+                let message = format!("request line longer than {MAX_REQUEST_LINE_BYTES} bytes");
+                error_response(0, &message)
+            } else {
+                let text = std::str::from_utf8(&line)
+                    .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
+                if text.trim().is_empty() {
+                    continue;
+                }
+                self.handle_line(text.trim_end_matches('\n').trim_end_matches('\r'))
+            };
             writeln!(writer, "{response}")?;
             writer.flush()?;
             if self.shutdown {
@@ -334,6 +350,20 @@ impl ReportServer {
     }
 }
 
+/// Longest request line [`ReportServer::serve`] buffers, newline excluded.
+/// The largest committed spec is under 1 KiB, so 1 MiB only stops a client
+/// that never sends a newline from growing the server without bound.
+const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// Reads one line into `line` (cleared first), newline included, but stops
+/// after `MAX_REQUEST_LINE_BYTES + 1` bytes. Returns the bytes read; 0 at
+/// EOF.
+fn read_bounded_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> io::Result<usize> {
+    line.clear();
+    let cap = MAX_REQUEST_LINE_BYTES as u64 + 1;
+    reader.by_ref().take(cap).read_until(b'\n', line)
+}
+
 /// Pulls a non-negative integer `id` out of an otherwise unparsable request
 /// line, so the error envelope still correlates. `0` when the line is not a
 /// JSON object or carries no usable id.
@@ -382,6 +412,49 @@ mod tests {
         let stats = server.handle_line("{\"id\":2,\"request\":\"Stats\"}");
         assert!(stats.starts_with("{\"id\":2,\"ok\":"), "{stats}");
         assert_eq!(server.stats().errors, 1);
+    }
+
+    #[test]
+    fn over_long_lines_are_refused_and_skipped_without_ending_the_session() {
+        let mut server = ReportServer::new(1);
+        let input = format!(
+            "{}\n{{\"id\":2,\"request\":\"Stats\"}}\n",
+            "x".repeat(MAX_REQUEST_LINE_BYTES + 1)
+        );
+        let mut output = Vec::new();
+        server.serve(input.as_bytes(), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].starts_with("{\"id\":0,\"err\":"), "{}", lines[0]);
+        assert!(lines[0].contains(&MAX_REQUEST_LINE_BYTES.to_string()));
+        assert!(lines[1].starts_with("{\"id\":2,\"ok\":"), "{}", lines[1]);
+        assert_eq!(server.stats().errors, 1);
+    }
+
+    #[test]
+    fn out_of_range_parameters_get_an_error_envelope_and_the_server_survives() {
+        let experiments = [
+            r#"{"Fig3":{"failure_probability":1.5,"trials":10}}"#,
+            r#"{"PercolationContrast":{"bits":6,"failure_probability":-0.1,"roots":4}}"#,
+            r#"{"ImplicitScale":{"geometry":"ring","bits_list":[8],"failure_probability":1.5,"pairs":10}}"#,
+            r#"{"PercolationContrast":{"bits":6,"failure_probability":0.1,"roots":0}}"#,
+            r#"{"LiveChurn":{"bits":40,"session_times":[2.0],"lookup_rates":[10.0],"mean_downtime":0.5,"duration":2.0,"warmup":1.0,"replicas":1}}"#,
+        ];
+        let mut server = ReportServer::new(1);
+        for (id, experiment) in (1..).zip(experiments) {
+            let line = format!(
+                r#"{{"id":{id},"request":{{"Report":{{"spec":{{"schema":"dht-scenario/v1","name":"bad","seed":1,"experiment":{experiment},"execution":null}}}}}}}}"#
+            );
+            let response = server.handle_line(&line);
+            assert!(
+                response.starts_with(&format!("{{\"id\":{id},\"err\":")),
+                "{response}"
+            );
+        }
+        let stats = server.handle_line("{\"id\":9,\"request\":\"Stats\"}");
+        assert!(stats.starts_with("{\"id\":9,\"ok\":"), "{stats}");
+        assert_eq!(server.stats().errors, 5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The sharded, deterministic trial engine behind every measured curve.
 //!
-//! Static-resilience and churn measurements reduce to the same hot loop:
-//! sample a pair of surviving nodes, route greedily under a frozen
+//! Static-resilience measurements and failure campaigns reduce to the same
+//! hot loop: sample a pair of surviving nodes, route greedily under a frozen
 //! [`FailureMask`], tally the outcome — repeated millions of times. The seed
 //! implementation materialised a pair vector and an outcome vector per trial
 //! and split them across threads in chunks whose boundaries depended on the
@@ -148,9 +148,9 @@ impl ShardTally for TrialTally {
 /// for any thread count.
 ///
 /// See the [module docs](self) for the sharding scheme. The engine is shared
-/// by [`crate::StaticResilienceExperiment`], [`crate::ChurnExperiment`] and
-/// (transitively) [`crate::sweep_failure_grid`]; use it directly when driving
-/// a custom failure model:
+/// by [`crate::StaticResilienceExperiment`] and (transitively)
+/// [`crate::sweep_failure_grid`]; use it directly when driving a custom
+/// failure model:
 ///
 /// ```rust
 /// use dht_overlay::{CanOverlay, FailureMask, Overlay};

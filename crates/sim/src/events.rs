@@ -2,9 +2,8 @@
 //! sessions arrive and depart in continuous time while lookup traffic runs
 //! concurrently over the (optionally self-repairing) overlay.
 //!
-//! The paper's churn model is a sequence of *static snapshots* — the
-//! [`crate::churn`] module freezes the routing tables and only moves the
-//! failure mask between rounds. This module lifts that restriction: a
+//! The paper analyses one *static snapshot*: a frozen failure pattern over
+//! frozen routing tables. This module lets that pattern move in time: a
 //! calendar-queue scheduler drives per-node alternating-renewal sessions
 //! (up for a [`LifetimeDistribution`] draw, down for a downtime draw) and,
 //! in repair mode, every departure and return is *delta-patched* into the

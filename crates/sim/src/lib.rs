@@ -40,7 +40,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod campaign;
-pub mod churn;
 pub mod config;
 pub mod engine;
 pub mod events;
@@ -51,7 +50,6 @@ pub mod static_resilience;
 pub mod sweep;
 
 pub use campaign::{CampaignTally, StuckDepthHistogram};
-pub use churn::{ChurnConfig, ChurnExperiment, ChurnRound};
 pub use config::{SimError, StaticResilienceConfig};
 pub use engine::{TrialEngine, TrialTally, DEFAULT_PAIRS_PER_SHARD};
 pub use events::{

@@ -9,9 +9,7 @@
 
 use dht_id::{KeySpace, Population};
 use dht_overlay::{ChordOverlay, ChordVariant, FailureMask, KademliaOverlay, Overlay};
-use dht_sim::{
-    ChurnConfig, ChurnExperiment, StaticResilienceConfig, StaticResilienceExperiment, TrialEngine,
-};
+use dht_sim::{StaticResilienceConfig, StaticResilienceExperiment, TrialEngine};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -72,22 +70,5 @@ proptest! {
                 StaticResilienceExperiment::new(config.with_threads(threads)).run(&overlay);
             prop_assert_eq!(&single, &multi, "threads = {}", threads);
         }
-    }
-
-    #[test]
-    fn churn_timelines_are_thread_invariant(
-        seed in 0u64..1 << 20,
-        failure_rate in 0.0f64..0.4,
-        recovery_rate in 0.0f64..0.9,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let overlay = KademliaOverlay::build(8, &mut rng).unwrap();
-        let base = ChurnConfig::new(failure_rate, recovery_rate, 4)
-            .unwrap()
-            .with_pairs_per_round(1_500)
-            .with_seed(seed);
-        let single = ChurnExperiment::new(base.with_threads(1)).run(&overlay);
-        let multi = ChurnExperiment::new(base.with_threads(5)).run(&overlay);
-        prop_assert_eq!(single, multi);
     }
 }

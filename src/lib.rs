@@ -13,7 +13,7 @@
 //!   geometries with static-resilience routing and structured failure
 //!   plans (correlated, adaptive, cascading).
 //! * [`sim`] (`dht-sim`) — the measurement harness (failure patterns, pair
-//!   sampling, sweeps, snapshot churn, and the live-churn discrete-event
+//!   sampling, sweeps, failure campaigns, and the live-churn discrete-event
 //!   simulator).
 //! * [`markov`] (`dht-markov`) — the routing Markov chains the closed forms
 //!   are derived from.
@@ -81,9 +81,9 @@ pub mod prelude {
     pub use dht_rcm_core::prelude::*;
     pub use dht_scenario::{run_directory, BatchOptions, ReportServer};
     pub use dht_sim::{
-        sweep_failure_grid, CampaignTally, ChurnConfig, ChurnExperiment, LifetimeDistribution,
-        LiveChurnConfig, LiveChurnExperiment, LiveChurnTally, StaticResilienceConfig,
-        StaticResilienceExperiment, TrialEngine, TrialTally,
+        sweep_failure_grid, CampaignTally, LifetimeDistribution, LiveChurnConfig,
+        LiveChurnExperiment, LiveChurnTally, StaticResilienceConfig, StaticResilienceExperiment,
+        TrialEngine, TrialTally,
     };
 }
 
