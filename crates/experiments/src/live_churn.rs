@@ -20,7 +20,6 @@
 //!   delivery and measures what maintenance actually buys.
 
 use dht_id::{KeySpace, Population};
-use dht_markov::chains::{hypercube_chain, ring_chain, tree_chain, xor_chain};
 use dht_markov::{ChainError, ChainFamily};
 use dht_overlay::can::CanStrategy;
 use dht_overlay::chord::ChordStrategy;
@@ -86,15 +85,7 @@ pub fn chain_predicted_routability(
     bits: u32,
     q: f64,
 ) -> Result<Option<f64>, ChainError> {
-    chain_predicted_routability_with(geometry, bits, q, |family, h, hop_q| {
-        let chain = match family {
-            ChainFamily::Ring => ring_chain(h, hop_q)?,
-            ChainFamily::Xor => xor_chain(h, hop_q)?,
-            ChainFamily::Tree => tree_chain(h, hop_q)?,
-            ChainFamily::Hypercube => hypercube_chain(h, hop_q)?,
-        };
-        chain.success_probability()
-    })
+    chain_predicted_routability_with(geometry, bits, q, ChainFamily::solve)
 }
 
 /// [`chain_predicted_routability`] with the per-hop chain solve supplied by

@@ -1318,8 +1318,7 @@ fn analytic_geometry(name: &str) -> Result<Geometry, SpecError> {
 /// The direct (uncached) chain solve [`run_spec`] uses; the report server
 /// substitutes a [`dht_markov::ChainCache`]-backed closure instead.
 pub fn direct_chain_solve(family: ChainFamily, h: u32, q: f64) -> Result<f64, ChainError> {
-    let mut cacheless = dht_markov::ChainCache::new();
-    cacheless.success_probability(family, h, q)
+    family.solve(h, q)
 }
 
 /// Materializes a [`StaticResilienceReport`]: closed forms, chain

@@ -7,20 +7,15 @@
 //! by `(family, h, q)` — with `q` keyed by its exact bit pattern so distinct
 //! floats never collide — and exposes hit/solve counters so callers can
 //! assert that repeated queries trigger **no new solves**.
-//!
-//! The cache serialises through [`ChainCacheEntry`] rows (sorted, so the
-//! serialised form is deterministic), which lets a long-running server
-//! persist warm solves across restarts.
 
 use crate::chain::ChainError;
 use crate::chains::{hypercube_chain, ring_chain, tree_chain, xor_chain};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The four chain families with parameter-free models (Symphony's chain
 /// needs `(k_n, k_s)` and its own distance model, so it is not cacheable by
 /// `(family, h, q)` alone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChainFamily {
     /// Chord's ring chain (Fig. 8).
     Ring,
@@ -57,7 +52,14 @@ impl ChainFamily {
         }
     }
 
-    fn solve(self, h: u32, q: f64) -> Result<f64, ChainError> {
+    /// Builds and solves this family's chain for `h` hops at failure
+    /// probability `q`, uncached.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChainError`] if the chain cannot be built or solved (e.g.
+    /// `h = 0` or `q` outside `[0, 1]`).
+    pub fn solve(self, h: u32, q: f64) -> Result<f64, ChainError> {
         let chain = match self {
             ChainFamily::Ring => ring_chain(h, q)?,
             ChainFamily::Xor => xor_chain(h, q)?,
@@ -66,19 +68,6 @@ impl ChainFamily {
         };
         chain.success_probability()
     }
-}
-
-/// One persisted cache row: a solved `(family, h, q)` point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChainCacheEntry {
-    /// Chain family of the solve.
-    pub family: ChainFamily,
-    /// Hop distance `h`.
-    pub hops: u32,
-    /// Exact bit pattern of the failure probability `q`.
-    pub q_bits: u64,
-    /// The solved absorption-at-success probability.
-    pub success_probability: f64,
 }
 
 /// A memoizing solver for the parameter-free routing chains.
@@ -158,38 +147,6 @@ impl ChainCache {
     pub fn is_empty(&self) -> bool {
         self.solved.is_empty()
     }
-
-    /// The cache content as sorted, serialisable rows (deterministic order).
-    #[must_use]
-    pub fn to_entries(&self) -> Vec<ChainCacheEntry> {
-        let mut entries: Vec<ChainCacheEntry> = self
-            .solved
-            .iter()
-            .map(
-                |(&(family, hops, q_bits), &success_probability)| ChainCacheEntry {
-                    family,
-                    hops,
-                    q_bits,
-                    success_probability,
-                },
-            )
-            .collect();
-        entries.sort_by_key(|entry| (entry.family, entry.hops, entry.q_bits));
-        entries
-    }
-
-    /// Rebuilds a warm cache from persisted rows (counters start at zero).
-    #[must_use]
-    pub fn from_entries(entries: &[ChainCacheEntry]) -> Self {
-        let mut cache = ChainCache::new();
-        for entry in entries {
-            cache.solved.insert(
-                (entry.family, entry.hops, entry.q_bits),
-                entry.success_probability,
-            );
-        }
-        cache
-    }
 }
 
 #[cfg(test)]
@@ -238,47 +195,6 @@ mod tests {
         assert!(cache.success_probability(ChainFamily::Xor, 0, 0.5).is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.solves(), 0);
-    }
-
-    #[test]
-    fn entries_round_trip_through_serde_and_rewarm_the_cache() {
-        let mut cache = ChainCache::new();
-        for h in 1..=5 {
-            cache
-                .success_probability(ChainFamily::Hypercube, h, 0.4)
-                .unwrap();
-            cache
-                .success_probability(ChainFamily::Ring, h, 0.1)
-                .unwrap();
-        }
-        let entries = cache.to_entries();
-        assert_eq!(entries.len(), 10);
-        let json = serde_json::to_string(&entries).unwrap();
-        let back: Vec<ChainCacheEntry> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, entries);
-
-        let mut warm = ChainCache::from_entries(&back);
-        let p = warm
-            .success_probability(ChainFamily::Hypercube, 3, 0.4)
-            .unwrap();
-        assert_eq!(warm.solves(), 0, "warm cache answers without solving");
-        assert_eq!(warm.hits(), 1);
-        let direct = ChainFamily::Hypercube.solve(3, 0.4).unwrap();
-        assert_eq!(p.to_bits(), direct.to_bits());
-    }
-
-    #[test]
-    fn entry_order_is_deterministic() {
-        let mut a = ChainCache::new();
-        let mut b = ChainCache::new();
-        // Populate in different orders; the serialised rows must agree.
-        for h in [3u32, 1, 2] {
-            a.success_probability(ChainFamily::Tree, h, 0.25).unwrap();
-        }
-        for h in [2u32, 3, 1] {
-            b.success_probability(ChainFamily::Tree, h, 0.25).unwrap();
-        }
-        assert_eq!(a.to_entries(), b.to_entries());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod chain;
 pub mod chains;
 pub mod solver;
 
-pub use cache::{ChainCache, ChainCacheEntry, ChainFamily};
+pub use cache::{ChainCache, ChainFamily};
 pub use chain::{ChainBuilder, ChainError, MarkovChain, StateId};
 pub use chains::{
     hypercube_chain, ring_chain, symphony_chain, tree_chain, xor_chain, RoutingChain,

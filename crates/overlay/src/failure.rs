@@ -2,20 +2,10 @@
 
 use dht_id::{KeySpace, NodeId, Population};
 use rand::Rng;
-use serde::{get_field, Deserialize, Error, Serialize, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
+use serde::{Deserialize, Serialize};
 
 /// Number of identifier slots per bitset word.
 const WORD_BITS: u64 = 64;
-
-/// Draws a workspace-unique generation stamp (see [`FailureMask::generation`]).
-///
-/// Starts at 1 so 0 can never be a live stamp (callers may use it as a
-/// "nothing cached" sentinel).
-pub(crate) fn fresh_stamp() -> u64 {
-    static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
-    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A frozen set of failed nodes over the occupied identifiers of a space.
 ///
@@ -57,7 +47,7 @@ pub(crate) fn fresh_stamp() -> u64 {
 /// assert!((observed - 0.25).abs() < 0.1);
 /// # Ok::<(), dht_id::IdError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FailureMask {
     space: KeySpace,
     /// Bit `v % 64` of `alive[v / 64]` is set iff identifier `v` is an alive
@@ -66,59 +56,6 @@ pub struct FailureMask {
     alive: Vec<u64>,
     failed_count: u64,
     population_size: u64,
-    /// Generation stamp: workspace-unique at construction, re-drawn on every
-    /// content mutation, *copied* by `Clone`. Two masks share a stamp only
-    /// when one is an unmutated copy of the other — which is exactly the
-    /// "same content" guarantee memoizers key on (see
-    /// [`FailureMask::generation`]). Excluded from equality and serde: it
-    /// identifies an in-memory lineage, not the failure pattern.
-    stamp: u64,
-}
-
-/// Equality is over the failure pattern only — the generation stamp is an
-/// in-memory identity and two independently sampled masks with the same
-/// content must compare equal.
-impl PartialEq for FailureMask {
-    fn eq(&self, other: &Self) -> bool {
-        self.space == other.space
-            && self.failed_count == other.failed_count
-            && self.population_size == other.population_size
-            && self.alive == other.alive
-    }
-}
-
-impl Eq for FailureMask {}
-
-/// Serializes the failure pattern (the stamp is transient in-memory state; a
-/// persisted stamp could collide with a live lineage after reload).
-impl Serialize for FailureMask {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (String::from("space"), self.space.to_value()),
-            (String::from("alive"), self.alive.to_value()),
-            (String::from("failed_count"), self.failed_count.to_value()),
-            (
-                String::from("population_size"),
-                self.population_size.to_value(),
-            ),
-        ])
-    }
-}
-
-/// Deserialized masks get a fresh generation stamp.
-impl Deserialize for FailureMask {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| Error::custom("expected object for FailureMask"))?;
-        Ok(FailureMask {
-            space: Deserialize::from_value(get_field(entries, "space")?)?,
-            alive: Deserialize::from_value(get_field(entries, "alive")?)?,
-            failed_count: Deserialize::from_value(get_field(entries, "failed_count")?)?,
-            population_size: Deserialize::from_value(get_field(entries, "population_size")?)?,
-            stamp: fresh_stamp(),
-        })
-    }
 }
 
 impl FailureMask {
@@ -147,7 +84,6 @@ impl FailureMask {
             alive,
             failed_count: 0,
             population_size: population,
-            stamp: fresh_stamp(),
         }
     }
 
@@ -179,7 +115,6 @@ impl FailureMask {
             alive,
             failed_count: 0,
             population_size: population.node_count(),
-            stamp: fresh_stamp(),
         }
     }
 
@@ -217,7 +152,6 @@ impl FailureMask {
                 mask.failed_count += 1;
             }
         }
-        mask.stamp = fresh_stamp();
         mask
     }
 
@@ -242,7 +176,6 @@ impl FailureMask {
                 }
             }
         }
-        mask.stamp = fresh_stamp();
         mask
     }
 
@@ -452,7 +385,6 @@ impl FailureMask {
         if *slot & bit != 0 {
             *slot &= !bit;
             self.failed_count += 1;
-            self.stamp = fresh_stamp();
             true
         } else {
             false
@@ -486,26 +418,10 @@ impl FailureMask {
         if *slot & bit == 0 {
             *slot |= bit;
             self.failed_count -= 1;
-            self.stamp = fresh_stamp();
             true
         } else {
             false
         }
-    }
-
-    /// The mask's generation stamp: workspace-unique at construction,
-    /// re-drawn whenever the failure pattern mutates, copied by `Clone`.
-    ///
-    /// Two masks observed with the same stamp are guaranteed to hold the same
-    /// failure pattern, so derived state can be memoized by stamp alone — the
-    /// compiled routing kernel keys its rank-compressed mask lowering on it,
-    /// letting repeated trials over one mask reuse the O(n) lowering.
-    /// Deserialized masks always get a fresh stamp (a persisted one could
-    /// collide with a live lineage). The converse does not hold: equal
-    /// content under different stamps is common and merely misses the memo.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.stamp
     }
 }
 
@@ -712,39 +628,12 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_content_mutations_only() {
-        let s = space(6);
-        let mut a = FailureMask::none(s);
-        let b = FailureMask::none(s);
-        assert_eq!(a, b, "stamps are excluded from equality");
-        assert_ne!(a.generation(), b.generation(), "constructions are unique");
-
-        let twin = a.clone();
-        assert_eq!(a.generation(), twin.generation(), "clones share the stamp");
-
-        let before = a.generation();
-        assert!(a.kill(s.wrap(5)));
-        assert_ne!(a.generation(), before, "a flip re-stamps");
-        assert_eq!(twin.generation(), before, "the clone is untouched");
-
-        let after_kill = a.generation();
-        assert!(!a.kill(s.wrap(5)), "no-op kill");
-        assert_eq!(a.generation(), after_kill, "no-ops keep the stamp");
-        assert!(a.set_alive(s.wrap(5)));
-        assert_ne!(a.generation(), after_kill, "a revive re-stamps");
-    }
-
-    #[test]
-    fn deserialized_masks_get_a_fresh_generation() {
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mask = FailureMask::sample(space(7), 0.4, &mut rng);
-        let json = serde_json::to_string(&mask).unwrap();
-        let back: FailureMask = serde_json::from_str(&json).unwrap();
-        assert_eq!(mask, back, "content round-trips");
-        assert_ne!(
-            mask.generation(),
-            back.generation(),
-            "a persisted stamp must not resurrect into a live lineage"
+    fn mask_json_is_pinned() {
+        let s = space(4);
+        let mask = FailureMask::from_failed_nodes(s, [s.wrap(3)]);
+        assert_eq!(
+            serde_json::to_string(&mask).unwrap(),
+            r#"{"space":{"bits":4},"alive":[65527],"failed_count":1,"population_size":16}"#
         );
     }
 

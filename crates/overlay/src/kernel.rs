@@ -76,7 +76,7 @@ use crate::failure::FailureMask;
 use crate::router::RouteOutcome;
 use batch::prefetch_read;
 use dht_id::{KeySpace, NodeId, Population};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 pub use batch::{RouteBatch, DEFAULT_BATCH_WIDTH};
 pub use implicit::{ImplicitKernel, ImplicitOverlay, ImplicitRowCache};
@@ -128,11 +128,8 @@ pub enum KernelMask<'mask> {
     /// the mask's own bitset is already rank-indexed and is borrowed as-is.
     Full(&'mask FailureMask),
     /// Sparse population: a rank-compressed copy of the alive bits (bit `r`
-    /// set iff the rank-`r` occupied node survived), shared with the
-    /// kernel's per-generation lowering cache so repeated
-    /// [`RoutingKernel::compile_mask`] calls over an unmutated mask reuse
-    /// one lowering.
-    Compressed(Arc<Vec<u64>>),
+    /// set iff the rank-`r` occupied node survived).
+    Compressed(Vec<u64>),
 }
 
 impl KernelMask<'_> {
@@ -175,7 +172,7 @@ fn alive_bit(words: &[u64], rank: u32) -> bool {
 /// the overlay); drive it with [`RoutingKernel::route`] /
 /// [`RoutingKernel::route_values`] after lowering the failure mask once with
 /// [`RoutingKernel::compile_mask`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoutingKernel {
     rule: KernelRule,
     space: KeySpace,
@@ -192,36 +189,6 @@ pub struct RoutingKernel {
     stride: Option<u32>,
     /// The packed plan entries, tables back to back in rank order.
     entries: Vec<PlanEntry>,
-    /// rank → identifier value; empty for full populations (identity).
-    values: Vec<u32>,
-    /// Memoized sparse-mask lowering, keyed by [`FailureMask::generation`]:
-    /// repeated [`RoutingKernel::compile_mask`] calls over the same unmutated
-    /// mask (every trial of a static-resilience grid point) reuse one O(n)
-    /// rank compression. Never consulted for full populations (their
-    /// lowering borrows the mask bitset for free). Scratch state only —
-    /// ignored by [`RoutingKernel::plan_eq`] / [`RoutingKernel::plan_digest`]
-    /// and reset by `Clone`.
-    lowering: Mutex<Option<(u64, Arc<Vec<u64>>)>>,
-}
-
-/// Clones the routing plan; the lowering memo starts empty (it repopulates on
-/// the first `compile_mask`, and a fresh cache is cheaper than locking the
-/// source's).
-impl Clone for RoutingKernel {
-    fn clone(&self) -> Self {
-        RoutingKernel {
-            rule: self.rule,
-            space: self.space,
-            bits: self.bits,
-            full: self.full,
-            population: Arc::clone(&self.population),
-            offsets: self.offsets.clone(),
-            stride: self.stride,
-            entries: self.entries.clone(),
-            values: self.values.clone(),
-            lowering: Mutex::new(None),
-        }
-    }
 }
 
 /// One packed plan entry: the precomputed hop key and the neighbour's
@@ -291,14 +258,6 @@ impl RoutingKernel {
         let node_count = usize::try_from(population.node_count()).expect("overlay sizes fit usize");
         debug_assert_eq!(arena.node_count(), node_count);
 
-        let values: Vec<u32> = if full {
-            Vec::new()
-        } else {
-            population
-                .iter_nodes()
-                .map(|node| node.value() as u32)
-                .collect()
-        };
         let mut offsets = Vec::with_capacity(node_count + 1);
         let mut entries: Vec<PlanEntry> = Vec::with_capacity(arena.entry_count() as usize);
         offsets.push(0u32);
@@ -319,8 +278,6 @@ impl RoutingKernel {
             offsets,
             stride,
             entries,
-            values,
-            lowering: Mutex::new(None),
         }
     }
 
@@ -363,7 +320,6 @@ impl RoutingKernel {
             && self.offsets == other.offsets
             && self.stride == other.stride
             && self.entries == other.entries
-            && self.values == other.values
     }
 
     /// A 64-bit digest of the full plan (rule, layout, every packed entry),
@@ -383,9 +339,6 @@ impl RoutingKernel {
         }
         for entry in &self.entries {
             fold(u64::from(entry.key) << 32 | u64::from(entry.target));
-        }
-        for &value in &self.values {
-            fold(u64::from(value));
         }
         digest
     }
@@ -409,29 +362,22 @@ impl RoutingKernel {
         self.entries.len() as u64
     }
 
-    /// Bytes of the plan's own storage (offsets, packed key/rank entries and
-    /// the sparse value table) — the kernel's memory cost on top of the
-    /// overlay it was lowered from: 8 bytes per entry plus ~4 per node. The
-    /// population is shared with the overlay, not duplicated, and is not
-    /// counted here.
+    /// Bytes of the plan's own storage (offsets and packed key/rank
+    /// entries) — the kernel's memory cost on top of the overlay it was
+    /// lowered from: 8 bytes per entry plus 4 per node. The population is
+    /// shared with the overlay, not duplicated, and is not counted here.
     #[must_use]
     pub fn plan_bytes(&self) -> usize {
-        self.offsets.len() * 4
-            + self.entries.len() * std::mem::size_of::<PlanEntry>()
-            + self.values.len() * 4
+        self.offsets.len() * 4 + self.entries.len() * std::mem::size_of::<PlanEntry>()
     }
 
     /// Lowers `mask` into this kernel's rank space.
     ///
     /// For a full population the mask's bitset is already rank-indexed and is
     /// borrowed; for a sparse one the occupied bits are compressed into a
-    /// rank-indexed copy, O(n). The sparse lowering is memoized per
-    /// [`FailureMask::generation`]: lowering the same unmutated mask again
-    /// (every trial of a grid point reuses one sampled mask) returns a shared
-    /// handle to the cached words instead of recompressing. Either way this
-    /// is the **batch-entry validation point**: the key-space checks the
-    /// scalar path performs on every routed pair are asserted here exactly
-    /// once.
+    /// rank-indexed copy, O(n). Either way this is the **batch-entry
+    /// validation point**: the key-space checks the scalar path performs on
+    /// every routed pair are asserted here exactly once.
     ///
     /// # Panics
     ///
@@ -443,29 +389,14 @@ impl RoutingKernel {
         if self.full {
             return KernelMask::Full(mask);
         }
-        let generation = mask.generation();
-        if let Some((cached_generation, words)) = self
-            .lowering
-            .lock()
-            .expect("lowering cache poisoned")
-            .as_ref()
-        {
-            // A generation match guarantees identical content: stamps are
-            // workspace-unique and re-drawn on every mask mutation.
-            if *cached_generation == generation {
-                return KernelMask::Compressed(Arc::clone(words));
-            }
-        }
-        let node_count = self.values.len();
+        let node_count =
+            usize::try_from(self.population.node_count()).expect("overlay sizes fit usize");
         let mut words = vec![0u64; node_count.div_ceil(64)];
         for (rank, node) in self.population.iter_nodes().enumerate() {
             if mask.is_alive(node) {
                 words[rank >> 6] |= 1u64 << (rank & 63);
             }
         }
-        let words = Arc::new(words);
-        *self.lowering.lock().expect("lowering cache poisoned") =
-            Some((generation, Arc::clone(&words)));
         KernelMask::Compressed(words)
     }
 
@@ -1211,44 +1142,18 @@ mod tests {
     }
 
     #[test]
-    fn sparse_lowering_is_memoized_per_mask_generation() {
+    fn sparse_plan_bytes_are_offsets_and_entries() {
         let space = dht_id::KeySpace::new(10).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let population = Population::sample_uniform(space, 300, &mut rng).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let population = Population::sample_uniform(space, 200, &mut rng).unwrap();
         let overlay =
             ChordOverlay::build_over(population, ChordVariant::Randomized, &mut rng).unwrap();
         let kernel = overlay.kernel().expect("ring compiles");
-        let mut mask = FailureMask::sample_over(overlay.population(), 0.3, &mut rng);
-
-        let (KernelMask::Compressed(first), KernelMask::Compressed(second)) =
-            (kernel.compile_mask(&mask), kernel.compile_mask(&mask))
-        else {
-            panic!("sparse populations lower to compressed masks");
-        };
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "unmutated mask reuses the cached lowering"
+        let node_count = overlay.population().node_count() as usize;
+        assert_eq!(
+            kernel.plan_bytes(),
+            (node_count + 1) * 4 + kernel.entry_count() as usize * 8
         );
-
-        // A clone keeps the generation (same content), so it still hits.
-        let clone = mask.clone();
-        let KernelMask::Compressed(cloned) = kernel.compile_mask(&clone) else {
-            panic!("sparse lowering");
-        };
-        assert!(Arc::ptr_eq(&first, &cloned));
-
-        // Mutation re-stamps the mask: the cache misses and the fresh
-        // lowering reflects the new content.
-        let victim = mask.alive_nodes().next().expect("someone survived");
-        assert!(mask.kill(victim));
-        let relowered = kernel.compile_mask(&mask);
-        let KernelMask::Compressed(words) = &relowered else {
-            panic!("sparse lowering");
-        };
-        assert!(!Arc::ptr_eq(&first, words), "mutated mask relowers");
-        for (rank, node) in overlay.population().iter_nodes().enumerate() {
-            assert_eq!(relowered.is_alive_rank(rank as u32), mask.is_alive(node));
-        }
     }
 
     #[test]

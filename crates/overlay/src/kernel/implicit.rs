@@ -61,7 +61,7 @@ use super::{
     check_endpoints, check_mask, lower_static_row, next_hop_rows, route_rows, KernelMask,
     KernelRule, PlanEntry, RouteBatch, RowSource, INERT_ENTRY, NO_ENTRY,
 };
-use crate::failure::{fresh_stamp, FailureMask};
+use crate::failure::FailureMask;
 use crate::generic::GeometryStrategy;
 use crate::router::RouteOutcome;
 use crate::traits::{validate_implicit_bits, Overlay, OverlayError};
@@ -69,12 +69,19 @@ use dht_id::{KeySpace, NodeId, Population};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default slot count of [`ImplicitKernel::row_cache`]: at 8 bytes per entry
 /// and `d ≤ 30` entries per row the cache tops out around 250 KiB — resident
 /// in L2, negligible against the failure mask.
 pub const DEFAULT_ROW_CACHE_SLOTS: usize = 1024;
+
+/// Draws a workspace-unique kernel id, the stamp every row cache carries.
+fn next_kernel_id() -> u64 {
+    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+    NEXT_ID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Regenerates one node's raw routing table into the scratch vector, drawing
 /// from the stream-positioned RNG.
@@ -177,7 +184,7 @@ impl ImplicitKernel {
             rule,
             space: population.space(),
             population: Arc::clone(population),
-            id: fresh_stamp(),
+            id: next_kernel_id(),
             stream_seed,
             words_per_node,
             row_width,

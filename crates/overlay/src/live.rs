@@ -240,7 +240,7 @@ pub struct LiveOverlay<S> {
     mask: FailureMask,
     /// Rank-indexed alive bits (bit `r` set iff the rank-`r` node is alive),
     /// maintained incrementally — one flip per event — and handed straight to
-    /// [`RoutingKernel::route_ranked`] so lookups never recompile a mask.
+    /// [`RoutingKernel::route_batch`] so lookups never recompile a mask.
     rank_words: Vec<u64>,
     kernel: RoutingKernel,
     /// Reverse index: `in_edges[t]` holds the rank of every owner whose
@@ -554,7 +554,8 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
 
     /// The rank-indexed alive bitset (bit `r` set iff the rank-`r` occupied
     /// node is alive), maintained incrementally — feed it to
-    /// [`RoutingKernel::route_ranked`] for mask-compile-free lookups.
+    /// [`RoutingKernel::route_batch`] or [`RoutingKernel::route_ranked`] for
+    /// mask-compile-free lookups.
     #[must_use]
     pub fn rank_alive_words(&self) -> &[u64] {
         &self.rank_words

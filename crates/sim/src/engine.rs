@@ -221,10 +221,10 @@ impl TrialEngine {
     /// `(overlay, mask, pairs, pair_seed, pairs_per_shard)`.
     ///
     /// The pairs are routed through the overlay's kernel on its **batched
-    /// lockstep path**: the mask is lowered into rank space once (memoized
-    /// per mask generation), its bitset words are resolved once for the whole
-    /// trial, and each shard draws its full pair budget in one call and
-    /// routes it with up to a frontier's width of lookups in flight
+    /// lockstep path**: the mask is lowered into rank space once, its bitset
+    /// words are resolved once for the whole trial, and each shard draws its
+    /// full pair budget in one call and routes it with up to a frontier's
+    /// width of lookups in flight
     /// ([`RoutingKernel::route_batch`] or [`ImplicitKernel::route_batch`]).
     /// Batched outcomes are bit-identical per pair to the scalar reference
     /// path (the `kernel_equivalence`, `batch_equivalence` and

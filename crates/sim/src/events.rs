@@ -11,13 +11,14 @@
 //! re-lowered, exactly the incremental repair proven equivalent to a full
 //! rebuild by the `incremental_equivalence` property suite in `dht-overlay`.
 //!
-//! In frozen mode the failure pattern only moves on churn events, so the
-//! Poisson lookups that arrive between two consecutive events all observe
-//! the same aliveness words. The engine exploits this: lookups are drawn at
-//! event time (the RNG streams are untouched) but queued, and each queue is
-//! drained through the routing kernel's lockstep [`RouteBatch`] pass right
-//! before the next liveness mutation — identical outcomes, recorded in draw
-//! order, in one cache-friendly sweep per inter-event gap.
+//! The failure pattern and the routing tables only move on churn events, so
+//! the Poisson lookups that arrive between two consecutive events all observe
+//! the same aliveness words and plan rows. The engine exploits this in both
+//! modes: lookups are drawn at event time (the RNG streams are untouched)
+//! but queued, and each queue is drained through the routing kernel's
+//! lockstep [`RouteBatch`] pass right before the next liveness mutation or
+//! repair — identical outcomes, recorded in draw order, in one
+//! cache-friendly sweep per inter-event gap.
 //!
 //! # Determinism
 //!
@@ -535,16 +536,17 @@ enum Event {
     Lookup,
 }
 
-/// Scratch state for the frozen-mode batched lookup drain.
+/// Scratch state for the batched lookup drain.
 ///
-/// In frozen mode the aliveness words only move on churn events, so every
+/// The aliveness words and plan rows only move on churn events, so every
 /// lookup drawn between two consecutive `Depart`/`Arrive` events observes
-/// the same failure pattern. Instead of routing each one as it arrives, the
-/// replica queues the drawn pair values here — the RNG draws still happen at
-/// event time, so the traffic stream is untouched — and routes the whole
-/// drain through one lockstep [`RouteBatch`] pass right before the next
-/// liveness mutation. Outcomes are recorded in draw order, keeping the
-/// folded hop statistics bit-identical to the per-lookup scalar path.
+/// the same failure pattern over the same tables. Instead of routing each
+/// one as it arrives, the replica queues the drawn pair values here — the
+/// RNG draws still happen at event time, so the traffic stream is
+/// untouched — and routes the whole drain through one lockstep
+/// [`RouteBatch`] pass right before the next liveness mutation or repair.
+/// Outcomes are recorded in draw order, keeping the folded hop statistics
+/// bit-identical to the per-lookup scalar path.
 struct LookupDrain {
     batch: RouteBatch,
     pending: Vec<(u64, u64)>,
@@ -570,9 +572,9 @@ impl LookupDrain {
     }
 
     /// Routes every queued lookup against the overlay's *current* aliveness
-    /// words — callers flush before any liveness mutation, so the words are
-    /// exactly those each lookup observed at draw time — and records the
-    /// measured outcomes in draw order.
+    /// words and plan — callers flush before any liveness mutation or repair,
+    /// so both are exactly those each lookup observed at draw time — and
+    /// records the measured outcomes in draw order.
     fn flush<S: GeometryStrategy + Clone>(
         &mut self,
         overlay: &LiveOverlay<S>,
@@ -736,10 +738,8 @@ impl LiveChurnExperiment {
             replicas: 1,
             ..LiveChurnTally::default()
         };
-        // Frozen mode accumulates lookups here and drains them in batch
-        // whenever the failure pattern is about to change; repair mode
-        // routes immediately (the tables themselves move per event) and the
-        // drain stays empty, making the flushes below no-ops.
+        // Lookups accumulate here and drain in batch whenever the failure
+        // pattern (and, in repair mode, the tables) is about to change.
         let mut drain = LookupDrain::new();
         let mut clock = 0.0_f64;
         while let Some((time, event)) = queue.pop() {
@@ -808,19 +808,7 @@ impl LiveChurnExperiment {
                             break candidate;
                         }
                     };
-                    if config.repair {
-                        let outcome = overlay.routing_kernel().route_ranked(
-                            overlay.rank_alive_words(),
-                            source.value(),
-                            target.value(),
-                            hop_limit,
-                        );
-                        if measured {
-                            tally.record(outcome);
-                        }
-                    } else {
-                        drain.push(source.value(), target.value(), measured);
-                    }
+                    drain.push(source.value(), target.value(), measured);
                 }
             }
         }
@@ -976,43 +964,25 @@ mod tests {
         assert!(tally.joins > 0 && tally.leaves > tally.joins.saturating_sub(2));
     }
 
-    /// The expectations here were captured from the per-lookup scalar
-    /// implementation immediately before the batched drain landed: frozen
-    /// mode must stay bit-identical — counters, hop-stat bit patterns and
-    /// the folded state digest — under the lockstep rewrite.
-    #[test]
-    fn frozen_drains_match_the_scalar_reference_goldens() {
-        struct Golden {
-            seed: u64,
-            attempted: u64,
-            delivered: u64,
-            dropped: u64,
-            digest: u64,
-            mean_bits: u64,
-            variance_bits: u64,
-        }
-        let goldens = [
-            Golden {
-                seed: 9,
-                attempted: 1346,
-                delivered: 1302,
-                dropped: 44,
-                digest: 0xa979_4047_3b58_fc8a,
-                mean_bits: 0x400e_917f_cdaa_45fe,
-                variance_bits: 0x4003_0ed7_8738_1337,
-            },
-            Golden {
-                seed: 23,
-                attempted: 1296,
-                delivered: 1258,
-                dropped: 38,
-                digest: 0x158b_e6a1_aa33_cddb,
-                mean_bits: 0x400f_3e45_306e_b3e3,
-                variance_bits: 0x4002_e9ca_4454_9cbb,
-            },
-        ];
+    /// One replayed run's expected counters, hop-stat bit patterns and
+    /// folded state digest.
+    struct Golden {
+        seed: u64,
+        attempted: u64,
+        delivered: u64,
+        dropped: u64,
+        digest: u64,
+        mean_bits: u64,
+        variance_bits: u64,
+    }
+
+    /// Replays two replicas over a 2^7 deterministic ring per golden seed.
+    fn assert_goldens(repair: bool, goldens: &[Golden]) {
         for golden in goldens {
-            let config = base_config().with_replicas(2).with_seed(golden.seed);
+            let config = base_config()
+                .with_replicas(2)
+                .with_repair(repair)
+                .with_seed(golden.seed);
             let tally = LiveChurnExperiment::new(config).run(ring_builder(7));
             assert_eq!(tally.attempted, golden.attempted);
             assert_eq!(tally.delivered, golden.delivered);
@@ -1026,6 +996,67 @@ mod tests {
                 golden.variance_bits
             );
         }
+    }
+
+    /// The expectations here were captured from the per-lookup scalar
+    /// implementation immediately before the batched drain landed: frozen
+    /// mode must stay bit-identical — counters, hop-stat bit patterns and
+    /// the folded state digest — under the lockstep rewrite.
+    #[test]
+    fn frozen_drains_match_the_scalar_reference_goldens() {
+        assert_goldens(
+            false,
+            &[
+                Golden {
+                    seed: 9,
+                    attempted: 1346,
+                    delivered: 1302,
+                    dropped: 44,
+                    digest: 0xa979_4047_3b58_fc8a,
+                    mean_bits: 0x400e_917f_cdaa_45fe,
+                    variance_bits: 0x4003_0ed7_8738_1337,
+                },
+                Golden {
+                    seed: 23,
+                    attempted: 1296,
+                    delivered: 1258,
+                    dropped: 38,
+                    digest: 0x158b_e6a1_aa33_cddb,
+                    mean_bits: 0x400f_3e45_306e_b3e3,
+                    variance_bits: 0x4002_e9ca_4454_9cbb,
+                },
+            ],
+        );
+    }
+
+    /// Captured while repair mode still routed each lookup as it arrived:
+    /// draining repair-mode lookups in batch before each table rewrite must
+    /// leave every counter, hop-stat bit pattern and digest unchanged.
+    #[test]
+    fn repair_drains_match_the_scalar_reference_goldens() {
+        assert_goldens(
+            true,
+            &[
+                Golden {
+                    seed: 9,
+                    attempted: 1346,
+                    delivered: 1346,
+                    dropped: 0,
+                    digest: 0xf00a_bbd5_8589_05b2,
+                    mean_bits: 0x400a_98ea_5167_15b1,
+                    variance_bits: 0x3ff9_0ad6_523d_ae2e,
+                },
+                Golden {
+                    seed: 23,
+                    attempted: 1296,
+                    delivered: 1296,
+                    dropped: 0,
+                    digest: 0x2bef_789c_efa3_8b9e,
+                    mean_bits: 0x400a_f1c7_1c71_c717,
+                    variance_bits: 0x3ff7_258f_5209_e257,
+                },
+            ],
+        );
     }
 
     #[test]
