@@ -7,11 +7,13 @@
 //! through [`dht_sim::TrialEngine`], tally — over
 //! [`dht_overlay::ImplicitOverlay`]s, whose rows are regenerated from the
 //! construction seed on demand. The resident set of a point is therefore the
-//! failure mask (one bit per identifier) plus the per-worker row caches,
-//! *independent of the edge count*: a `2^30`-node ring routes end to end
-//! from roughly a 128 MiB footprint where the materialized build would need
-//! hundreds of gigabytes. Each [`ImplicitScalePoint`] records both measured
-//! routability and the byte accounting that proves the claim.
+//! failure mask (one bit per identifier), the pair sampler's survivor index
+//! (one eighth of the mask) and the per-worker row caches, *independent of
+//! the edge count*: a `2^30`-node ring routes end to end from roughly a
+//! 144 MiB footprint (a 128 MiB mask and a 16 MiB index) where the
+//! materialized build would need hundreds of gigabytes. Each
+//! [`ImplicitScalePoint`] records both measured routability and the byte
+//! accounting that proves the claim.
 //!
 //! Seed convention (matching the static-resilience family): `SeedSequence`
 //! child 0 of the root seed is the overlay construction stream, child 1 the
@@ -20,8 +22,6 @@
 
 use dht_overlay::{ChordVariant, FailureMask, ImplicitOverlay, Overlay, OverlayError};
 use dht_sim::{SeedSequence, TrialEngine};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// One measured size of an implicit-scale sweep.
@@ -113,8 +113,12 @@ pub fn run(
     let mut points = Vec::with_capacity(bits_list.len());
     for (index, &bits) in bits_list.iter().enumerate() {
         let overlay = build_implicit_overlay(geometry, bits, stream_seed)?;
-        let mut mask_rng = ChaCha8Rng::seed_from_u64(measurement.child(2 * index as u64));
-        let mask = FailureMask::sample(overlay.key_space(), failure_probability, &mut mask_rng);
+        let mask = FailureMask::sample_seeded(
+            overlay.population(),
+            failure_probability,
+            measurement.child(2 * index as u64),
+            engine.threads(),
+        );
         let pair_seed = measurement.child(2 * index as u64 + 1);
         let tally = engine
             .run_trial(overlay.as_ref(), &mask, pairs, pair_seed)
@@ -170,6 +174,8 @@ pub fn render_implicit_scale_table(points: &[ImplicitScalePoint]) -> String {
 mod tests {
     use super::*;
     use dht_overlay::{ChordOverlay, KademliaOverlay, PlaxtonOverlay, SymphonyOverlay};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn builder_covers_all_five_geometries_and_rejects_unknowns() {

@@ -1,11 +1,17 @@
 //! Frozen node-failure patterns (the static resilience model).
 
 use dht_id::{KeySpace, NodeId, Population};
-use rand::Rng;
+use rand::{Rng, RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Number of identifier slots per bitset word.
 const WORD_BITS: u64 = 64;
+
+/// Fewest words [`FailureMask::sample_seeded`] hands one thread: 2^15
+/// identifiers, about a quarter millisecond of draws, far above the cost of
+/// spawning the thread.
+const MIN_CHUNK_WORDS: usize = 512;
 
 /// A frozen set of failed nodes over the occupied identifiers of a space.
 ///
@@ -132,26 +138,79 @@ impl FailureMask {
     /// Samples a mask in which every *occupied* node fails independently with
     /// probability `q` (unoccupied identifiers read as failed regardless).
     ///
-    /// Over a full population this draws the identical mask (and RNG stream)
-    /// as [`FailureMask::sample`].
+    /// Each occupied identifier, in ascending order, consumes exactly one
+    /// `next_u64` and fails exactly when `rng.gen_bool(q)` would have
+    /// returned `true` on that draw, so the caller's stream stays in step
+    /// with a per-node `gen_bool` loop. Over a full population this draws the
+    /// identical mask (and RNG stream) as [`FailureMask::sample`].
     ///
     /// # Panics
     ///
     /// Panics if `q` is not in `[0, 1]` or the space is larger than `2^32`.
     #[must_use]
     pub fn sample_over<R: Rng + ?Sized>(population: &Population, q: f64, rng: &mut R) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "failure probability must be in [0,1]"
-        );
+        let threshold = fail_threshold(q);
         let mut mask = FailureMask::none_over(population);
-        for node in population.iter_nodes() {
-            if rng.gen_bool(q) {
-                let value = node.value();
-                mask.alive[(value / WORD_BITS) as usize] &= !(1u64 << (value % WORD_BITS));
-                mask.failed_count += 1;
-            }
-        }
+        mask.failed_count = fail_words(&mut mask.alive, threshold, rng);
+        mask
+    }
+
+    /// Samples the mask that [`FailureMask::sample_over`] draws from a fresh
+    /// `ChaCha8Rng::seed_from_u64(seed)`, bit for bit at every `threads`,
+    /// splitting the draws across up to `threads` scoped threads.
+    ///
+    /// The mask's words are cut into at most `threads` contiguous chunks of
+    /// at least 512 words (2^15 identifiers) each; a mask too small to cut
+    /// samples inline, with no spawn. ChaCha is a counter-based stream, so a
+    /// chunk replays its own stretch of it: it seeds its own generator and
+    /// [positions](ChaCha8Rng::set_word_pos) it two stream words (one
+    /// `next_u64`) per occupied identifier before the chunk's first word. A
+    /// generic [`Rng`] cannot be positioned, which is why
+    /// [`FailureMask::sample_over`] does not split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is not in `[0, 1]` or the space is larger than `2^32`.
+    #[must_use]
+    pub fn sample_seeded(population: &Population, q: f64, seed: u64, threads: usize) -> Self {
+        let threshold = fail_threshold(q);
+        let mut mask = FailureMask::none_over(population);
+        let stream = move |rank: u64| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            rng.set_word_pos(2 * rank);
+            rng
+        };
+        let words = mask.alive.len();
+        let chunks = threads.min(words / MIN_CHUNK_WORDS).max(1);
+        mask.failed_count = if chunks == 1 {
+            fail_words(&mut mask.alive, threshold, &mut stream(0))
+        } else {
+            // Balanced cut: each chunk holds `words / chunks` words or one
+            // more, so none falls below the floor. `rank` counts the occupied
+            // identifiers before the chunk.
+            std::thread::scope(|scope| {
+                let mut rest = mask.alive.as_mut_slice();
+                let mut rank = 0u64;
+                let mut workers = Vec::with_capacity(chunks);
+                for chunk in 0..chunks {
+                    let len = words / chunks + usize::from(chunk < words % chunks);
+                    let (piece, tail) = rest.split_at_mut(len);
+                    let first = rank;
+                    rank += piece
+                        .iter()
+                        .map(|word| u64::from(word.count_ones()))
+                        .sum::<u64>();
+                    workers.push(
+                        scope.spawn(move || fail_words(piece, threshold, &mut stream(first))),
+                    );
+                    rest = tail;
+                }
+                workers
+                    .into_iter()
+                    .map(|worker| worker.join().expect("mask sampling worker panicked"))
+                    .sum()
+            })
+        };
         mask
     }
 
@@ -260,8 +319,9 @@ impl FailureMask {
     /// The raw bitset words, 64 identifiers per word in ascending order.
     ///
     /// Samplers build rank indices over this slice (one cumulative popcount
-    /// per word) to draw surviving nodes by rank in O(log words); see
-    /// [`FailureMask::select_alive`] for the index-free variant.
+    /// per 512-identifier block of eight words) to draw surviving nodes by
+    /// rank in O(log words); see [`FailureMask::select_alive`] for the
+    /// index-free variant.
     #[must_use]
     pub fn words(&self) -> &[u64] {
         &self.alive
@@ -328,7 +388,7 @@ impl FailureMask {
     /// `None` when `rank >= alive_count()`.
     ///
     /// This is a linear word scan, O(population / 64); samplers that select
-    /// repeatedly should build a cumulative popcount index over
+    /// repeatedly should build a cumulative popcount index over blocks of
     /// [`FailureMask::words`] instead (as `dht_sim::PairSampler` does).
     #[must_use]
     pub fn select_alive(&self, rank: u64) -> Option<NodeId> {
@@ -423,6 +483,60 @@ impl FailureMask {
             false
         }
     }
+}
+
+/// The integer form of `gen_bool(q)`'s test: a draw `x` of `next_u64`
+/// passes `gen_bool(q)` exactly when `x >> 11 < fail_threshold(q)`.
+///
+/// `gen_bool(q)` draws one `x` and tests `(x >> 11) as f64 * 2^-53 < q`
+/// (the vendored `rand`'s `f64` sampling). Both products, `m · 2^-53` with
+/// `m = x >> 11` and `q · 2^53`, are exact: `m < 2^53` converts to `f64`
+/// exactly, and scaling by a power of two loses no bits here (a subnormal
+/// `q` scaled up by `2^53` stays representable). So the float test is the
+/// real comparison `m < q · 2^53`, which for an integer `m` is
+/// `m < ceil(q · 2^53)`. `q = 1` gives `2^53`, above every `m`, so every
+/// draw fails; `q = 0` gives 0, so none does.
+///
+/// # Panics
+///
+/// Panics if `q` is not in `[0, 1]`.
+fn fail_threshold(q: f64) -> u64 {
+    assert!(
+        (0.0..=1.0).contains(&q),
+        "failure probability must be in [0,1]"
+    );
+    (q * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Fails occupied identifiers of `words` with one `next_u64` each, in
+/// ascending identifier order, and returns how many failed.
+///
+/// `words` hold occupancy bits on entry (as [`FailureMask::none_over`]
+/// writes them) and alive bits on return. An identifier fails when its draw
+/// `x` has `x >> 11 < threshold`, which is `gen_bool`'s test (see
+/// [`fail_threshold`]). Nothing is shortcut at `q = 0` or `q = 1`: every
+/// occupied identifier consumes its draw, as `gen_bool` does. The dead bits
+/// build in a register and each word is stored once.
+fn fail_words<R: RngCore + ?Sized>(words: &mut [u64], threshold: u64, rng: &mut R) -> u64 {
+    let mut failed = 0u64;
+    for word in words {
+        let occupied = *word;
+        let mut dead = 0u64;
+        if occupied == u64::MAX {
+            for bit in 0..WORD_BITS {
+                dead |= u64::from(rng.next_u64() >> 11 < threshold) << bit;
+            }
+        } else {
+            let mut rest = occupied;
+            while rest != 0 {
+                dead |= u64::from(rng.next_u64() >> 11 < threshold) << rest.trailing_zeros();
+                rest &= rest - 1;
+            }
+        }
+        *word = occupied & !dead;
+        failed += u64::from(dead.count_ones());
+    }
+    failed
 }
 
 /// The index of the `rank`-th set bit of `word` (rank 0 is the least
@@ -580,6 +694,59 @@ mod tests {
         let via_population =
             FailureMask::sample_over(&Population::full(s), 0.3, &mut ChaCha8Rng::seed_from_u64(4));
         assert_eq!(direct, via_population);
+    }
+
+    #[test]
+    fn fail_threshold_is_gen_bools_test() {
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let qs = [
+            0.0,
+            5e-324,
+            scale,
+            1e-9,
+            0.1,
+            0.25,
+            0.3,
+            1.0 / 3.0,
+            0.5,
+            0.7,
+            1.0 - scale,
+            1.0,
+        ];
+        for q in qs {
+            let threshold = fail_threshold(q);
+            for m in threshold.saturating_sub(2)..=threshold + 1 {
+                if m < 1 << 53 {
+                    // The float test `gen_bool` runs on the draw's top 53 bits.
+                    assert_eq!((m as f64) * scale < q, m < threshold, "q = {q}, m = {m}");
+                }
+            }
+        }
+        assert_eq!(fail_threshold(0.0), 0);
+        assert_eq!(fail_threshold(1.0), 1 << 53);
+    }
+
+    #[test]
+    fn seeded_sampling_matches_the_stream_at_every_thread_count() {
+        // 2^17 identifiers are 2048 words: 2, 3 and 4 chunks all occur.
+        let full = Population::full(space(17));
+        let sparse =
+            Population::sample_uniform(space(17), 90_000, &mut ChaCha8Rng::seed_from_u64(8))
+                .unwrap();
+        let tiny = Population::full(space(3));
+        for population in [&full, &sparse, &tiny] {
+            for q in [0.0, 0.3, 1.0] {
+                let streamed =
+                    FailureMask::sample_over(population, q, &mut ChaCha8Rng::seed_from_u64(31));
+                for threads in [1, 2, 3, 8, usize::MAX] {
+                    assert_eq!(
+                        FailureMask::sample_seeded(population, q, 31, threads),
+                        streamed,
+                        "{population}, q = {q}, threads = {threads}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,9 +73,10 @@ pub const MAX_OVERLAY_BITS: u32 = 24;
 /// recomputed from `(seed, rank)` whenever routing needs it — so its ceiling
 /// is set by the structures that *must* stay resident: the
 /// [`FailureMask`] bitset (2^30 nodes = 128 MiB) and the trial engine's
-/// pair-sampling index of the same order. The `dht_id` layer itself asserts
-/// `bits <= 32` for full-population enumeration, so 30 leaves headroom while
-/// keeping worst-case resident sets in the hundreds of megabytes.
+/// pair-sampling index, one eighth of the mask (16 MiB). The `dht_id` layer
+/// itself asserts `bits <= 32` for full-population enumeration, so 30 leaves
+/// headroom while keeping worst-case resident sets in the hundreds of
+/// megabytes.
 pub const MAX_IMPLICIT_OVERLAY_BITS: u32 = 30;
 
 /// An executable DHT overlay over the occupied identifiers of a

@@ -4,6 +4,9 @@ use dht_id::NodeId;
 use dht_overlay::{select_in_word, FailureMask};
 use rand::Rng;
 
+/// Mask words per rank-index block: 512 identifiers, one cache line of mask.
+const BLOCK_WORDS: usize = 8;
+
 /// Samples ordered source/destination pairs uniformly among the surviving
 /// nodes of a failure pattern.
 ///
@@ -14,11 +17,13 @@ use rand::Rng;
 /// the sampler automatically draws only occupied survivors.
 ///
 /// The sampler draws by *rank* directly into the mask's bitset: construction
-/// builds one cumulative popcount per 64-identifier word (8 bytes per 64
-/// nodes, instead of the 16-byte `NodeId` per survivor the seed collected),
-/// and each draw binary-searches that index and then selects within a single
-/// word ([`dht_overlay::select_in_word`]). Because the sampler borrows the
-/// mask, the mask cannot be mutated out from under the index.
+/// builds one cumulative popcount per 512-identifier block of eight words
+/// (8 bytes per 512 nodes, one eighth of the mask), and each draw
+/// binary-searches that index, popcount-scans at most eight words of the
+/// block and then selects within a single word
+/// ([`dht_overlay::select_in_word`]); this is the block layer of Vigna's
+/// rank9. Because the sampler borrows the mask, the mask cannot be mutated
+/// out from under the index.
 ///
 /// # Example
 ///
@@ -41,9 +46,9 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct PairSampler<'mask> {
     mask: &'mask FailureMask,
-    /// `cumulative[i]` is the number of alive nodes in words `0..i` of the
-    /// mask; `cumulative.len() == words.len() + 1`.
-    cumulative: Vec<u64>,
+    /// `block_ranks[b]` is the number of alive nodes in words
+    /// `0..BLOCK_WORDS * b` of the mask, one count per block of words.
+    block_ranks: Vec<u64>,
 }
 
 impl<'mask> PairSampler<'mask> {
@@ -55,16 +60,17 @@ impl<'mask> PairSampler<'mask> {
         if mask.alive_count() < 2 {
             return None;
         }
-        let words = mask.words();
-        let mut cumulative = Vec::with_capacity(words.len() + 1);
+        let blocks = mask.words().chunks(BLOCK_WORDS);
+        let mut block_ranks = Vec::with_capacity(blocks.len());
         let mut total = 0u64;
-        cumulative.push(0);
-        for word in words {
-            total += u64::from(word.count_ones());
-            cumulative.push(total);
+        for block in blocks {
+            block_ranks.push(total);
+            for word in block {
+                total += u64::from(word.count_ones());
+            }
         }
         debug_assert_eq!(total, mask.alive_count(), "mask counters match the bitset");
-        Some(PairSampler { mask, cumulative })
+        Some(PairSampler { mask, block_ranks })
     }
 
     /// Number of surviving nodes the sampler draws from.
@@ -74,7 +80,7 @@ impl<'mask> PairSampler<'mask> {
     }
 
     /// The surviving node of the given rank (ascending identifier order), via
-    /// the cumulative popcount index.
+    /// the block rank index.
     ///
     /// # Panics
     ///
@@ -97,12 +103,21 @@ impl<'mask> PairSampler<'mask> {
             "rank {rank} out of range for {} survivors",
             self.mask.alive_count()
         );
-        // Last index whose cumulative count is <= rank: the word holding the
-        // rank-th survivor.
-        let word_index = self.cumulative.partition_point(|&count| count <= rank) - 1;
-        let within = (rank - self.cumulative[word_index]) as u32;
-        let bit = select_in_word(self.mask.words()[word_index], within);
-        word_index as u64 * 64 + u64::from(bit)
+        // Last block whose count is <= rank: the block holding the rank-th
+        // survivor (empty blocks share their successor's count, so the last
+        // of equal counts is the one that holds it).
+        let block = self.block_ranks.partition_point(|&count| count <= rank) - 1;
+        let mut within = rank - self.block_ranks[block];
+        let first = block * BLOCK_WORDS;
+        let words = self.mask.words()[first..].iter().take(BLOCK_WORDS);
+        for (index, &word) in (first..).zip(words) {
+            let count = u64::from(word.count_ones());
+            if within < count {
+                return index as u64 * 64 + u64::from(select_in_word(word, within as u32));
+            }
+            within -= count;
+        }
+        unreachable!("block counts match the bitset")
     }
 
     /// Draws one ordered pair of distinct surviving nodes.
@@ -201,11 +216,25 @@ mod tests {
 
     #[test]
     fn select_agrees_with_the_masks_linear_select() {
+        use dht_id::Population;
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mask = FailureMask::sample(space(9), 0.5, &mut rng);
-        let sampler = PairSampler::new(&mask).unwrap();
-        for rank in 0..mask.alive_count() {
-            assert_eq!(Some(sampler.select(rank)), mask.select_alive(rank));
+        let s12 = space(12);
+        let population = Population::sample_uniform(space(11), 300, &mut rng).unwrap();
+        let masks = [
+            // Half a word.
+            FailureMask::none(space(5)),
+            // Exactly one block.
+            FailureMask::sample(space(9), 0.5, &mut rng),
+            // Three empty leading blocks: equal counts meet the binary search.
+            FailureMask::from_failed_nodes(s12, (0..1536).map(|v| s12.wrap(v))),
+            FailureMask::sample(space(13), 0.5, &mut rng),
+            FailureMask::sample_over(&population, 0.3, &mut rng),
+        ];
+        for mask in &masks {
+            let sampler = PairSampler::new(mask).unwrap();
+            for rank in 0..mask.alive_count() {
+                assert_eq!(Some(sampler.select(rank)), mask.select_alive(rank));
+            }
         }
     }
 

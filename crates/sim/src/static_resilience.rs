@@ -88,11 +88,12 @@ impl StaticResilienceExperiment {
 
         for trial in 0..self.config.trials() {
             // Child stream 2t seeds the failure pattern (unchanged from the
-            // seed implementation); child seed 2t+1 roots the trial's
-            // per-shard pair streams.
-            let mut failure_rng = seeds.child_rng(u64::from(trial) * 2);
+            // seed implementation), sampled on the trial's own threads;
+            // child seed 2t+1 roots the trial's per-shard pair streams.
+            let failure_seed = seeds.child(u64::from(trial) * 2);
             let pair_seed = seeds.child(u64::from(trial) * 2 + 1);
-            let mask = FailureMask::sample_over(overlay.population(), q, &mut failure_rng);
+            let mask =
+                FailureMask::sample_seeded(overlay.population(), q, failure_seed, engine.threads());
             surviving_fraction_stats
                 .push(mask.alive_count() as f64 / overlay.population().node_count() as f64);
             let Some(tally) = engine.run_trial(overlay, &mask, self.config.pairs(), pair_seed)
@@ -141,7 +142,9 @@ impl StaticResilienceExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_overlay::{CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay, PlaxtonOverlay};
+    use dht_overlay::{
+        CanOverlay, ChordOverlay, ChordVariant, ImplicitOverlay, KademliaOverlay, PlaxtonOverlay,
+    };
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -175,14 +178,19 @@ mod tests {
     #[test]
     fn multithreaded_run_is_bit_identical_to_single_threaded() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let overlay = KademliaOverlay::build(9, &mut rng).unwrap();
-        let single = StaticResilienceExperiment::new(config(0.3).with_threads(1)).run(&overlay);
-        for threads in [2, 4, 13] {
-            let multi =
-                StaticResilienceExperiment::new(config(0.3).with_threads(threads)).run(&overlay);
-            // Full structural equality: every field, including the
-            // floating-point hop statistics, matches bit for bit.
-            assert_eq!(single, multi, "threads = {threads}");
+        let kademlia = KademliaOverlay::build(9, &mut rng).unwrap();
+        // 2^17 identifiers are 2048 mask words, enough for the mask sampler
+        // to split across threads as well as the pair shards.
+        let ring = ImplicitOverlay::ring(17, ChordVariant::Deterministic, 6).unwrap();
+        for overlay in [&kademlia as &dyn Overlay, &ring] {
+            let single = StaticResilienceExperiment::new(config(0.3).with_threads(1)).run(overlay);
+            for threads in [2, 4, 13] {
+                let multi =
+                    StaticResilienceExperiment::new(config(0.3).with_threads(threads)).run(overlay);
+                // Full structural equality: every field, including the
+                // floating-point hop statistics, matches bit for bit.
+                assert_eq!(single, multi, "threads = {threads}");
+            }
         }
     }
 

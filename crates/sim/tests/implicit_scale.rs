@@ -72,7 +72,7 @@ fn trial_engine_routes_2e28_end_to_end_through_the_implicit_kernel() {
 }
 
 #[test]
-#[ignore = "2^30 allocates a 128 MiB mask plus a 128 MiB sampler index; run with --ignored"]
+#[ignore = "2^30 allocates a 128 MiB mask plus a 16 MiB sampler index; run with --ignored"]
 fn trial_engine_routes_2e30_from_a_128_mib_mask() {
     let overlay = ImplicitOverlay::ring(30, ChordVariant::Deterministic, 7).unwrap();
     let mask = FailureMask::none(overlay.key_space());

@@ -87,7 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nThe \"resident\" column is all the routing state the implicit backend\n\
          keeps (generator + row cache); the failure mask dominates the footprint\n\
-         at 128 MiB for 2^30 nodes, while materialized tables would need the\n\
+         at 128 MiB for 2^30 nodes, plus a 16 MiB survivor index (one eighth\n\
+         of the mask), while materialized tables would need the\n\
          \"if materialized\" column. Measurement now reaches the population the\n\
          paper could only treat analytically.\n"
     );
