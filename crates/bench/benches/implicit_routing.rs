@@ -1,18 +1,15 @@
-//! The implicit-backend perf trajectory: median ns/route and routes/sec for
-//! generative routing tables, written into `BENCH_routing.json` next to the
-//! materialized trajectories.
+//! The implicit-backend perf trajectory: median ns/route, ns/hop and
+//! routes/sec for generative routing tables, written into
+//! `BENCH_routing.json` next to the materialized trajectories.
 //!
+//! Every entry times the path the trial engine runs: the whole pair slice
+//! through a backend's lockstep `route_batch` at the default frontier width.
 //! At `2^20` the bench measures **both backends over bit-identical tables**
 //! (the materialized build and the implicit replay of the same construction
-//! stream), so `implicit_routing` vs `materialized_routing` entries isolate
-//! the cost of regenerating rows on demand. At `2^26` and `2^28` — beyond
-//! the materialized ceiling — only the implicit backend runs; those entries
-//! are the headline numbers the scale work moves.
-//!
-//! The `*_batch_routing` twins at `2^20` time the path the trial engine
-//! actually runs: the whole pair slice through each backend's lockstep
-//! `route_batch` at the default frontier width, over the same tables and
-//! workload as the per-route entries.
+//! stream), so `materialized_batch_routing` vs `implicit_batch_routing`
+//! entries isolate the cost of regenerating rows on demand. At `2^26` and
+//! `2^28` — beyond the materialized ceiling — only the implicit backend
+//! runs; those entries are the headline numbers the scale work moves.
 //!
 //! Environment: `BENCH_SMOKE=1` shrinks the measurement budget,
 //! `BENCH_OUTPUT`/`BENCH_BASELINE`/`BENCH_TOLERANCE` control the report —
@@ -82,91 +79,6 @@ fn print_entry(entry: &perf::RoutingBenchEntry) {
         entry.median_ns_per_hop.unwrap_or(0.0),
         entry.routes_per_sec
     );
-}
-
-/// Measures the implicit kernel over the shared workload: per-route median
-/// through `route_ranked` with a warm per-thread row cache, exactly how the
-/// trial engine drives the backend per shard.
-fn measure_implicit_point(
-    name: &str,
-    overlay: &dyn Overlay,
-    mask: &FailureMask,
-    pairs: &[(u64, u64)],
-    q: f64,
-    smoke: bool,
-) -> perf::RoutingBenchEntry {
-    let kernel = overlay
-        .implicit_kernel()
-        .expect("the implicit backend exports its kernel");
-    let lowered = kernel.compile_mask(mask);
-    let words = lowered.words();
-    let hop_limit = default_route_hop_limit(overlay);
-    let mut cache = kernel.row_cache();
-
-    let mean_hops = {
-        let total: u64 = pairs
-            .iter()
-            .map(|&(source, target)| {
-                hops_of(kernel.route_ranked(&mut cache, words, source, target, hop_limit))
-            })
-            .sum();
-        (total as f64 / pairs.len().max(1) as f64).max(1e-9)
-    };
-
-    let mut cursor = 0usize;
-    let route_one = || {
-        let (source, target) = pairs[cursor];
-        cursor = (cursor + 1) % pairs.len();
-        black_box(kernel.route_ranked(&mut cache, words, source, target, hop_limit));
-    };
-    let (median, routes_per_sample, samples) = calibrated_median(smoke, route_one);
-    let entry = perf::entry(
-        "implicit_routing",
-        name,
-        overlay.key_space().bits(),
-        q,
-        median,
-        routes_per_sample,
-        samples,
-    )
-    .with_ns_per_hop(median / mean_hops);
-    print_entry(&entry);
-    entry
-}
-
-/// Measures the materialized kernel over the same workload — the twin entry
-/// that turns each `2^20` implicit number into a backend comparison.
-fn measure_materialized_point(
-    name: &str,
-    overlay: &dyn Overlay,
-    mask: &FailureMask,
-    pairs: &[(u64, u64)],
-    q: f64,
-    smoke: bool,
-) -> perf::RoutingBenchEntry {
-    let kernel = overlay.kernel().expect("materialized builds compile");
-    let lowered = kernel.compile_mask(mask);
-    let words = lowered.words();
-    let hop_limit = default_route_hop_limit(overlay);
-
-    let mut cursor = 0usize;
-    let route_one = || {
-        let (source, target) = pairs[cursor];
-        cursor = (cursor + 1) % pairs.len();
-        black_box(kernel.route_ranked(words, source, target, hop_limit));
-    };
-    let (median, routes_per_sample, samples) = calibrated_median(smoke, route_one);
-    let entry = perf::entry(
-        "materialized_routing",
-        name,
-        overlay.key_space().bits(),
-        q,
-        median,
-        routes_per_sample,
-        samples,
-    );
-    print_entry(&entry);
-    entry
 }
 
 /// Measures the lockstep batch of whichever backend `overlay` exposes: each
@@ -241,57 +153,26 @@ fn main() {
     let smoke = perf::smoke_mode();
     let mut entries = Vec::new();
 
-    // Both backends at 2^20, bit-identical tables, shared workload.
-    for q in [0.0, 0.3] {
-        let (mask, pairs) = workload_at(20, q);
-        for name in GEOMETRIES {
-            let materialized = build_full_overlay(name, 20, SEED).unwrap();
-            entries.push(measure_materialized_point(
-                name,
-                materialized.as_ref(),
-                &mask,
-                &pairs,
-                q,
-                smoke,
-            ));
-            entries.push(measure_batch_point(
-                name,
-                materialized.as_ref(),
-                &mask,
-                &pairs,
-                q,
-                smoke,
-            ));
-            drop(materialized);
-            let implicit =
-                build_implicit_overlay(name, 20, SeedSequence::new(SEED).child(0)).unwrap();
-            entries.push(measure_implicit_point(
-                name,
-                implicit.as_ref(),
-                &mask,
-                &pairs,
-                q,
-                smoke,
-            ));
-            entries.push(measure_batch_point(
-                name,
-                implicit.as_ref(),
-                &mask,
-                &pairs,
-                q,
-                smoke,
-            ));
-        }
-    }
-
-    // Beyond the materialized ceiling: implicit only.
-    for bits in [26u32, 28] {
+    for bits in [20u32, 26, 28] {
         for q in [0.0, 0.3] {
             let (mask, pairs) = workload_at(bits, q);
             for name in GEOMETRIES {
+                // Both backends over bit-identical tables at 2^20; beyond the
+                // materialized ceiling, implicit only.
+                if bits == 20 {
+                    let materialized = build_full_overlay(name, bits, SEED).unwrap();
+                    entries.push(measure_batch_point(
+                        name,
+                        materialized.as_ref(),
+                        &mask,
+                        &pairs,
+                        q,
+                        smoke,
+                    ));
+                }
                 let implicit =
                     build_implicit_overlay(name, bits, SeedSequence::new(SEED).child(0)).unwrap();
-                entries.push(measure_implicit_point(
+                entries.push(measure_batch_point(
                     name,
                     implicit.as_ref(),
                     &mask,

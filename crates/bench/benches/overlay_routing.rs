@@ -1,12 +1,12 @@
 //! Micro-benchmarks of single-message greedy routing on each overlay, with
-//! and without failures — the inner loop of every simulated figure — plus
-//! the machine-readable perf trajectory: per-geometry median ns/route and
-//! routes/sec at `2^16` and `2^20` for the scalar path (`overlay_routing`
-//! entries), the compiled rank-space kernel routed one message at a time
-//! (`kernel_routing` entries, which also record median ns/hop), and the
-//! lockstep batched router driving the whole pair workload per invocation
-//! (`batch_routing` entries), written to `BENCH_routing.json` and (when
-//! `BENCH_BASELINE` is set) enforced against a committed baseline.
+//! and without failures — the scalar oracle every equivalence suite checks
+//! against — plus the machine-readable perf trajectory: per-geometry median
+//! ns/route and routes/sec at `2^16` and `2^20` for the scalar path
+//! (`overlay_routing` entries) and for the compiled kernel's lockstep batch
+//! driving the whole pair workload per invocation, the path the trial engine
+//! runs (`batch_routing` entries, which also record median ns/hop), written
+//! to `BENCH_routing.json` and (when `BENCH_BASELINE` is set) enforced
+//! against a committed baseline.
 //!
 //! Environment: `BENCH_SMOKE=1` shrinks the measurement budget,
 //! `BENCH_OUTPUT`/`BENCH_BASELINE`/`BENCH_TOLERANCE` control the report —
@@ -79,7 +79,7 @@ fn bench_routing_under_failure(c: &mut Criterion) {
 criterion_group!(benches, bench_routing_intact, bench_routing_under_failure);
 
 /// The frozen mask and alive pair set one `(overlay, q)` trajectory point
-/// is measured over. Both trajectories (scalar and kernel) are built from
+/// is measured over. Both trajectories (scalar and batch) are built from
 /// the *same* seeds, so their entries are directly comparable — the seeds
 /// live here, in one place, to keep that invariant structural.
 fn trajectory_workload(overlay: &dyn Overlay, q: f64) -> (FailureMask, Vec<(u64, u64)>) {
@@ -101,7 +101,7 @@ fn trajectory_workload(overlay: &dyn Overlay, q: f64) -> (FailureMask, Vec<(u64,
 /// `(median_ns_per_route, routes_per_sample, samples)`.
 fn calibrated_median<F: FnMut()>(smoke: bool, mut route_one: F) -> (f64, u64, u64) {
     let calibration_ns = perf::measure_median_ns(64, 1, &mut route_one).max(1.0);
-    // Smoke needs five samples of ~25 ms each: the kernel entries sit at
+    // Smoke needs five samples of ~25 ms each: the batch entries sit at
     // tens of nanoseconds per route, where a median of three 10 ms samples
     // jitters past the regression gate's tolerance on a noisy host.
     let (target_sample_ns, samples) = if smoke { (25e6, 5) } else { (100e6, 7) };
@@ -151,82 +151,28 @@ fn measure_point(
     entry
 }
 
-/// Measures one `(geometry, bits, q)` point of the compiled-kernel
-/// trajectory: the same mask and pair workload as [`measure_point`], routed
-/// through the rank-space kernel, with the mean executed hops of the pair
-/// set turning the route median into a ns/hop median.
-fn measure_kernel_point(
-    name: &str,
-    overlay: &dyn Overlay,
-    q: f64,
-    smoke: bool,
-) -> perf::RoutingBenchEntry {
-    let (mask, pairs) = trajectory_workload(overlay, q);
-    let kernel = overlay.kernel().expect("all five geometries compile");
-    let lowered = kernel.compile_mask(&mask);
-    // Resolve the alive words once — the timed loop is pure routing, with no
-    // per-route mask-representation match, exactly how the trial engine
-    // drives the kernel per shard.
-    let words = lowered.words();
-    let hop_limit = default_route_hop_limit(overlay);
-    let mean_hops = mean_executed_hops(kernel, words, &pairs, hop_limit);
-
-    let mut cursor = 0usize;
-    let route_one = || {
-        let (source, target) = pairs[cursor];
-        cursor = (cursor + 1) % pairs.len();
-        black_box(kernel.route_ranked(words, source, target, hop_limit));
-    };
-    let (median, routes_per_sample, samples) = calibrated_median(smoke, route_one);
-    let entry = perf::entry(
-        "kernel_routing",
-        name,
-        overlay.key_space().bits(),
-        q,
-        median,
-        routes_per_sample,
-        samples,
-    )
-    .with_ns_per_hop(median / mean_hops);
-    println!(
-        "{:<40} {:>12.1} ns/route {:>10.1} ns/hop {:>14.0} routes/sec",
-        entry.key(),
-        entry.median_ns_per_route,
-        entry.median_ns_per_hop.unwrap_or(0.0),
-        entry.routes_per_sec
-    );
-    entry
-}
-
-/// Mean executed hops over the pair set (drops included at the hops they
-/// travelled): the divisor that turns ns/route into ns/hop.
-fn mean_executed_hops(
-    kernel: &dht_overlay::RoutingKernel,
-    words: &[u64],
-    pairs: &[(u64, u64)],
-    hop_limit: u32,
-) -> f64 {
-    let total_hops: u64 = pairs
+/// Mean executed hops over one batch run's outcomes (drops included at the
+/// hops they travelled): the divisor that turns ns/route into ns/hop.
+fn mean_executed_hops(outcomes: &[RouteOutcome]) -> f64 {
+    let total_hops: u64 = outcomes
         .iter()
-        .map(
-            |&(source, target)| match kernel.route_ranked(words, source, target, hop_limit) {
-                RouteOutcome::Delivered { hops } | RouteOutcome::Dropped { hops, .. } => {
-                    u64::from(hops)
-                }
-                RouteOutcome::HopLimitExceeded { limit } => u64::from(limit),
-                RouteOutcome::SourceFailed | RouteOutcome::TargetFailed => 0,
-            },
-        )
+        .map(|outcome| match *outcome {
+            RouteOutcome::Delivered { hops } | RouteOutcome::Dropped { hops, .. } => {
+                u64::from(hops)
+            }
+            RouteOutcome::HopLimitExceeded { limit } => u64::from(limit),
+            RouteOutcome::SourceFailed | RouteOutcome::TargetFailed => 0,
+        })
         .sum();
-    (total_hops as f64 / pairs.len().max(1) as f64).max(1e-9)
+    (total_hops as f64 / outcomes.len().max(1) as f64).max(1e-9)
 }
 
 /// Measures one `(geometry, bits, q)` point of the lockstep batch
-/// trajectory: the same mask and pair workload as [`measure_point`] and
-/// [`measure_kernel_point`], but each timed invocation drives the *entire*
-/// pair slice through [`RoutingKernel::route_batch`] — software-prefetched
-/// plan rows, word-parallel aliveness, retire-and-refill compaction — and
-/// the median is the per-invocation median divided by the slice length.
+/// trajectory: the same mask and pair workload as [`measure_point`], but
+/// each timed invocation drives the *entire* pair slice through
+/// [`RoutingKernel::route_batch`] — software-prefetched plan rows,
+/// word-parallel aliveness, retire-and-refill compaction — and the median is
+/// the per-invocation median divided by the slice length.
 ///
 /// [`RoutingKernel::route_batch`]: dht_overlay::RoutingKernel::route_batch
 fn measure_batch_point(
@@ -240,7 +186,6 @@ fn measure_batch_point(
     let lowered = kernel.compile_mask(&mask);
     let words = lowered.words();
     let hop_limit = default_route_hop_limit(overlay);
-    let mean_hops = mean_executed_hops(kernel, words, &pairs, hop_limit);
 
     let mut batch = RouteBatch::default();
     let mut outcomes = Vec::with_capacity(pairs.len());
@@ -249,6 +194,7 @@ fn measure_batch_point(
         black_box(&outcomes);
     };
     let (median_per_batch, batches_per_sample, samples) = calibrated_median(smoke, route_all);
+    let mean_hops = mean_executed_hops(&outcomes);
     let median = median_per_batch / pairs.len() as f64;
     let entry = perf::entry(
         "batch_routing",
@@ -271,8 +217,8 @@ fn measure_batch_point(
 }
 
 /// Measures the perf trajectory at `2^16` and `2^20` — the scalar path and
-/// the compiled kernel side by side — merges it into `BENCH_routing.json`,
-/// and enforces the committed baseline when asked.
+/// the compiled kernel's batch side by side — merges it into
+/// `BENCH_routing.json`, and enforces the committed baseline when asked.
 fn perf_trajectory() {
     let smoke = perf::smoke_mode();
     let mut entries = Vec::new();
@@ -281,7 +227,6 @@ fn perf_trajectory() {
             let overlay = build_overlay(name, bits);
             for q in [0.0, 0.3] {
                 entries.push(measure_point(name, overlay.as_ref(), q, smoke));
-                entries.push(measure_kernel_point(name, overlay.as_ref(), q, smoke));
                 entries.push(measure_batch_point(name, overlay.as_ref(), q, smoke));
             }
         }

@@ -1,13 +1,16 @@
 //! The machine-readable perf trajectory: `BENCH_routing.json`.
 //!
-//! Two bench targets feed this file — `overlay_routing` (single-message
-//! greedy routing per geometry at `2^16` and `2^20`) and
-//! `fig6_static_resilience` (trial-engine measurement throughput). Each run
-//! loads the report, replaces its own entries (matched by bench name, mode,
-//! geometry, bits and failure probability) and writes it back, so the file
-//! accumulates the full trajectory regardless of which bench ran last. A
-//! missing report starts fresh; an existing one that does not parse is an
-//! error, never silently replaced.
+//! Five bench targets feed this file — `overlay_routing` (scalar and
+//! batched routing per geometry at `2^16` and `2^20`),
+//! `fig6_static_resilience` (trial-engine measurement throughput),
+//! `live_churn`, `failure_campaigns` and `implicit_routing` (both backends'
+//! batched routing up to `2^28`). Each run loads the report, replaces its
+//! own entries (matched by bench name, mode, geometry, bits and failure
+//! probability) and writes it back, so the file accumulates the full
+//! trajectory regardless of which bench ran last. Entries are never
+//! removed: CI checks that the committed keys equal the keys the benches
+//! write. A missing report starts fresh; an existing one that does not
+//! parse is an error, never silently replaced.
 //!
 //! Environment contract (all optional):
 //!

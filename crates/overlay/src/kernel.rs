@@ -21,7 +21,7 @@
 //!   for ring/Symphony (largest first), XOR-bucket position for
 //!   Kademlia/Plaxton, flipped-bit weight for the hypercube — and laid out in
 //!   greedy-preference order;
-//! * `next_hop` becomes an expected-O(1) scan over the advance-sorted
+//! * a greedy hop becomes an expected-O(1) scan over the advance-sorted
 //!   entries (ring; the sorted layout also admits a plain binary search) or
 //!   a leading-zero dispatch (prefix geometries) plus a short alive-probe
 //!   scan, instead of an O(d) distance-recomputing pass;
@@ -37,22 +37,24 @@
 //! prefetches the next one; the implicit source ([`ImplicitKernel`])
 //! regenerates it into the caller's [`ImplicitRowCache`] and has nothing to
 //! prefetch. On top of it sit one admission prelude, one per-hop step (the
-//! rule's dispatch over the row), one scalar route loop and the lockstep
-//! pass of [`batch`]. Every row either source produces comes from the same
-//! static row lowering, so the two backends cannot disagree on a hop.
+//! rule's dispatch over the row) and the lockstep pass of [`batch`], the
+//! only way either kernel routes. Every row either source produces comes
+//! from the same static row lowering, so the two backends cannot disagree
+//! on a hop.
 //!
 //! The kernel's outcomes are **bit-identical** to the scalar path: every
-//! [`RouteOutcome`] (including `Dropped { stuck_at }` and hop counts) matches
-//! `route_with_limit` for all five geometries, full and sparse populations
-//! alike — proven by the `kernel_equivalence` proptest suite. That is what
-//! lets `dht_sim`'s trial engine switch onto the kernel without perturbing a
-//! single committed measurement.
+//! [`RouteOutcome`] of [`RoutingKernel::route_batch`] (including
+//! `Dropped { stuck_at }` and hop counts) matches `route_with_limit` for
+//! all five geometries, full and sparse populations alike — proven by the
+//! `kernel_equivalence` proptest suite. That is what lets `dht_sim`'s trial
+//! engine switch onto the kernel without perturbing a single committed
+//! measurement.
 //!
 //! # Example
 //!
 //! ```rust
 //! use dht_overlay::{default_route_hop_limit, route, ChordOverlay, ChordVariant};
-//! use dht_overlay::{FailureMask, Overlay};
+//! use dht_overlay::{FailureMask, Overlay, RouteBatch};
 //!
 //! let overlay = ChordOverlay::build(10, ChordVariant::Deterministic)?;
 //! let kernel = overlay.kernel().expect("ring geometry compiles");
@@ -60,10 +62,17 @@
 //! let mask = FailureMask::none(space);
 //! let lowered = kernel.compile_mask(&mask);
 //! let limit = default_route_hop_limit(&overlay);
-//! let (a, b) = (space.wrap(3), space.wrap(900));
+//! let mut outcomes = Vec::new();
+//! kernel.route_batch(
+//!     &mut RouteBatch::default(),
+//!     lowered.words(),
+//!     &[(3, 900)],
+//!     limit,
+//!     &mut outcomes,
+//! );
 //! assert_eq!(
-//!     kernel.route(&lowered, a, b, limit),
-//!     route(&overlay, a, b, &mask),
+//!     outcomes,
+//!     [route(&overlay, space.wrap(3), space.wrap(900), &mask)],
 //! );
 //! # Ok::<(), dht_overlay::OverlayError>(())
 //! ```
@@ -143,12 +152,12 @@ impl KernelMask<'_> {
         alive_bit(self.words(), rank)
     }
 
-    /// The rank-indexed bitset words, resolved once so route loops probe a
-    /// bare slice instead of re-matching the representation per hop.
+    /// The rank-indexed bitset words, resolved once so the lockstep pass
+    /// probes a bare slice instead of re-matching the representation per
+    /// hop.
     ///
-    /// Batch drivers resolve this once per shard and route through
-    /// [`RoutingKernel::route_ranked`] / [`RoutingKernel::route_batch`], so
-    /// not even the per-route match is paid on the hot path.
+    /// Batch drivers resolve this once per shard and hand it to
+    /// [`RoutingKernel::route_batch`].
     #[inline]
     #[must_use]
     pub fn words(&self) -> &[u64] {
@@ -169,9 +178,8 @@ fn alive_bit(words: &[u64], rank: u32) -> bool {
 ///
 /// See the [module docs](self) for the representation. Obtain one through
 /// [`Overlay::kernel`](crate::Overlay::kernel) (compiled lazily, cached on
-/// the overlay); drive it with [`RoutingKernel::route`] /
-/// [`RoutingKernel::route_values`] after lowering the failure mask once with
-/// [`RoutingKernel::compile_mask`].
+/// the overlay); drive it with [`RoutingKernel::route_batch`] after lowering
+/// the failure mask once with [`RoutingKernel::compile_mask`].
 #[derive(Debug, Clone)]
 pub struct RoutingKernel {
     rule: KernelRule,
@@ -400,89 +408,6 @@ impl RoutingKernel {
         KernelMask::Compressed(words)
     }
 
-    /// Routes `source` → `target` under the lowered `mask`, giving up after
-    /// `hop_limit` hops.
-    ///
-    /// The outcome is bit-identical to
-    /// [`route_with_limit`](crate::route_with_limit) on the overlay this
-    /// kernel was compiled from, for the same mask and limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` or `target` do not belong to the kernel's key space
-    /// (the same contract as the scalar driver).
-    #[must_use]
-    pub fn route(
-        &self,
-        mask: &KernelMask<'_>,
-        source: NodeId,
-        target: NodeId,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        check_endpoints(self.bits, "source", source, target);
-        self.route_values(mask, source.value(), target.value(), hop_limit)
-    }
-
-    /// [`RoutingKernel::route`] over raw identifier values — the batch entry
-    /// point used by `dht_sim`'s trial engine, with the key-space validation
-    /// hoisted to [`RoutingKernel::compile_mask`] (debug assertions only
-    /// here).
-    #[must_use]
-    pub fn route_values(
-        &self,
-        mask: &KernelMask<'_>,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        self.route_ranked(mask.words(), source, target, hop_limit)
-    }
-
-    /// [`RoutingKernel::route_values`] over a caller-held rank-indexed alive
-    /// bitset, bypassing [`KernelMask`] entirely.
-    ///
-    /// The live-churn engine maintains its rank words incrementally (one bit
-    /// flip per join/leave), so per-lookup routing never recompiles a mask.
-    /// `alive_words` must have bit `r` set iff the rank-`r` occupied node is
-    /// alive, with `node_count.div_ceil(64)` words — exactly the layout of
-    /// [`KernelMask::Compressed`] and of a full population's
-    /// [`FailureMask::words`].
-    #[must_use]
-    pub fn route_ranked(
-        &self,
-        alive_words: &[u64],
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        route_rows(&mut self.rows(), alive_words, source, target, hop_limit)
-    }
-
-    /// The greedy next hop from `current` towards `target`, or `None` when no
-    /// alive entry makes progress — a single step of the compiled plan,
-    /// equivalent to [`Overlay::next_hop`](crate::Overlay::next_hop) on the
-    /// source overlay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `current` or `target` do not belong to the kernel's key
-    /// space.
-    #[must_use]
-    pub fn next_hop(
-        &self,
-        mask: &KernelMask<'_>,
-        current: NodeId,
-        target: NodeId,
-    ) -> Option<NodeId> {
-        check_endpoints(self.bits, "current", current, target);
-        next_hop_rows(
-            &mut self.rows(),
-            mask.words(),
-            current.value(),
-            target.value(),
-        )
-    }
-
     /// The materialized row source over this plan.
     fn rows(&self) -> PlanRows<'_> {
         PlanRows {
@@ -514,9 +439,9 @@ impl RoutingKernel {
 /// Two implementations: a materialized [`RoutingKernel`] slices the row out
 /// of its CSR plan and prefetches the next one, and an implicit kernel with
 /// the caller's [`ImplicitRowCache`] regenerates it on a miss (see
-/// [`implicit`]). Everything above the row — admission, the per-rule hop,
-/// the scalar loop and the lockstep pass — is written once against this
-/// trait, so the two backends share every routing decision by construction.
+/// [`implicit`]). Everything above the row — admission, the per-rule hop
+/// and the lockstep pass — is written once against this trait, so the two
+/// backends share every routing decision by construction.
 trait RowSource {
     /// The dispatch rule of the rows.
     fn rule(&self) -> KernelRule;
@@ -535,8 +460,8 @@ trait RowSource {
 }
 
 /// The materialized row source: rows are slices of the compiled plan. The
-/// entry slice and stride are copied out of the kernel, so the route loops
-/// keep them in registers across their stores to the frontier.
+/// entry slice and stride are copied out of the kernel, so the lockstep pass
+/// keeps them in registers across its stores to the frontier.
 struct PlanRows<'k> {
     kernel: &'k RoutingKernel,
     entries: &'k [PlanEntry],
@@ -598,11 +523,11 @@ impl RowSource for PlanRows<'_> {
     }
 }
 
-/// The admission prelude every route runs, scalar or batched: source
-/// aliveness, then target aliveness, then the trivial-arrival check — the
-/// scalar driver's order. `Ok((rank, cursor))` starts a route at the
-/// source's rank with a non-zero distance cursor (see [`distance`]);
-/// `Err` is the outcome of a lookup that resolves before its first hop.
+/// The admission prelude every route runs: source aliveness, then target
+/// aliveness, then the trivial-arrival check — the scalar driver's order.
+/// `Ok((rank, cursor))` starts a route at the source's rank with a non-zero
+/// distance cursor (see [`distance`]); `Err` is the outcome of a lookup that
+/// resolves before its first hop.
 #[inline(always)]
 fn admit<R: RowSource>(
     rows: &R,
@@ -693,10 +618,10 @@ fn dropped(rule: KernelRule, space: KeySpace, hops: u32, target: u64, cursor: u6
     }
 }
 
-/// The rule of `tag`: 0 ring, 1 XOR, 2 tree, 3 hypercube. The route loops
-/// are compiled once per rule, with the tag as a const generic: the rule is
-/// then a constant in each copy, and [`step`] keeps only that rule's arm in
-/// the hop loop instead of dispatching on every hop.
+/// The rule of `tag`: 0 ring, 1 XOR, 2 tree, 3 hypercube. The lockstep
+/// driver is compiled once per rule, with the tag as a const generic: the
+/// rule is then a constant in each copy, and [`step`] keeps only that rule's
+/// arm in the pass instead of dispatching on every hop.
 const fn rule_of(tag: u8) -> KernelRule {
     match tag {
         0 => KernelRule::RingAdvance,
@@ -704,74 +629,6 @@ const fn rule_of(tag: u8) -> KernelRule {
         2 => KernelRule::PrefixTree,
         _ => KernelRule::HypercubeBit,
     }
-}
-
-/// The scalar route loop: admission, then one [`step`] per hop until the
-/// cursor reaches zero, no hop makes progress or `hop_limit` is spent.
-fn route_rows<R: RowSource>(
-    rows: &mut R,
-    words: &[u64],
-    source: u64,
-    target: u64,
-    hop_limit: u32,
-) -> RouteOutcome {
-    let route: fn(&mut R, &[u64], u64, u64, u32) -> RouteOutcome = match rows.rule() {
-        KernelRule::RingAdvance => route_loop::<R, 0>,
-        KernelRule::PrefixXor => route_loop::<R, 1>,
-        KernelRule::PrefixTree => route_loop::<R, 2>,
-        KernelRule::HypercubeBit => route_loop::<R, 3>,
-    };
-    route(rows, words, source, target, hop_limit)
-}
-
-/// [`route_rows`] for the rule tagged `TAG`.
-fn route_loop<R: RowSource, const TAG: u8>(
-    rows: &mut R,
-    words: &[u64],
-    source: u64,
-    target: u64,
-    hop_limit: u32,
-) -> RouteOutcome {
-    let rule = rule_of(TAG);
-    let (mut rank, mut cursor) = match admit(rows, rule, words, source, target) {
-        Ok(start) => start,
-        Err(outcome) => return outcome,
-    };
-    let mut hops = 0u32;
-    loop {
-        if hops >= hop_limit {
-            return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-        }
-        let Some((left, next)) = step(rows, rule, words, rank, cursor, target) else {
-            return dropped(rule, rows.space(), hops, target, cursor);
-        };
-        hops += 1;
-        if left == 0 {
-            return RouteOutcome::Delivered { hops };
-        }
-        cursor = left;
-        rank = next;
-    }
-}
-
-/// The single-step core of both kernels' `next_hop`: the identifier the
-/// message moves to from `current`, `None` when `current` is unoccupied (no
-/// table, like the scalar path's empty neighbour slice), already at
-/// `target`, or stuck.
-fn next_hop_rows<R: RowSource>(
-    rows: &mut R,
-    words: &[u64],
-    current: u64,
-    target: u64,
-) -> Option<NodeId> {
-    let rank = rows.rank_of_value(current)?;
-    let (rule, space) = (rows.rule(), rows.space());
-    let cursor = distance(rule, space, current, target);
-    if cursor == 0 {
-        return None;
-    }
-    let (left, _) = step(rows, rule, words, rank, cursor, target)?;
-    Some(space.wrap(position(rule, space, target, left)))
 }
 
 /// Asserts that `mask` covers the kernel's key space and population — the
@@ -787,13 +644,6 @@ fn check_mask(mask: &FailureMask, bits: u32, population: &Population) {
         population.node_count(),
         "mask covers a different population"
     );
-}
-
-/// Asserts that both endpoints of a per-route call live in a `bits`-bit
-/// space; `first` names the first endpoint in the panic message.
-fn check_endpoints(bits: u32, first: &str, from: NodeId, target: NodeId) {
-    assert_eq!(from.bits(), bits, "{first} is from a different key space");
-    assert_eq!(target.bits(), bits, "target is from a different key space");
 }
 
 /// One ring hop over a single plan row: the largest advance `<=` remaining
@@ -1071,6 +921,24 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// Routes `pairs` through one default-width [`RoutingKernel::route_batch`].
+    fn route_all(
+        kernel: &RoutingKernel,
+        words: &[u64],
+        pairs: &[(u64, u64)],
+        hop_limit: u32,
+    ) -> Vec<RouteOutcome> {
+        let mut outcomes = Vec::new();
+        kernel.route_batch(
+            &mut RouteBatch::default(),
+            words,
+            pairs,
+            hop_limit,
+            &mut outcomes,
+        );
+        outcomes
+    }
+
     #[test]
     fn ring_kernel_precomputes_sorted_advances() {
         let overlay = ChordOverlay::build(6, ChordVariant::Deterministic).unwrap();
@@ -1078,14 +946,14 @@ mod tests {
         assert_eq!(kernel.rule(), KernelRule::RingAdvance);
         assert_eq!(kernel.entry_count(), 64 * 6);
         assert!(kernel.plan_bytes() > 0);
-        // Deterministic fingers advance by 1, 2, 4, ..., already sorted.
+        // Deterministic fingers advance by 1, 2, 4, ..., already sorted: the
+        // longest non-overshooting finger takes 0 to 32, the next one to 48.
         let mask = FailureMask::none(overlay.key_space());
         let lowered = kernel.compile_mask(&mask);
-        let space = overlay.key_space();
-        let hop = kernel
-            .next_hop(&lowered, space.wrap(0), space.wrap(48))
-            .unwrap();
-        assert_eq!(hop, space.wrap(32), "longest non-overshooting finger");
+        assert_eq!(
+            route_all(kernel, lowered.words(), &[(0, 48)], 64),
+            [RouteOutcome::Delivered { hops: 2 }]
+        );
     }
 
     #[test]
@@ -1097,12 +965,25 @@ mod tests {
         let mask = FailureMask::sample(space, 0.3, &mut rng);
         let lowered = kernel.compile_mask(&mask);
         let limit = default_route_hop_limit(&overlay);
-        for _ in 0..500 {
-            let source = space.random_id(&mut rng);
-            let target = space.random_id(&mut rng);
+        let pairs: Vec<(u64, u64)> = (0..500)
+            .map(|_| {
+                (
+                    space.random_id(&mut rng).value(),
+                    space.random_id(&mut rng).value(),
+                )
+            })
+            .collect();
+        let outcomes = route_all(kernel, lowered.words(), &pairs, limit);
+        for (&(source, target), outcome) in pairs.iter().zip(&outcomes) {
             assert_eq!(
-                kernel.route(&lowered, source, target, limit),
-                route_with_limit(&overlay, source, target, &mask, limit),
+                *outcome,
+                route_with_limit(
+                    &overlay,
+                    space.wrap(source),
+                    space.wrap(target),
+                    &mask,
+                    limit
+                ),
             );
         }
     }
@@ -1114,15 +995,17 @@ mod tests {
         let space = overlay.key_space();
         let mask = FailureMask::none(space);
         let lowered = kernel.compile_mask(&mask);
-        let source = space.wrap(0);
-        let target = space.wrap(0b111111);
+        let outcomes = route_all(kernel, lowered.words(), &[(0, 0b111111)], 3);
+        assert_eq!(outcomes, [RouteOutcome::HopLimitExceeded { limit: 3 }]);
         assert_eq!(
-            kernel.route(&lowered, source, target, 3),
-            RouteOutcome::HopLimitExceeded { limit: 3 },
-        );
-        assert_eq!(
-            kernel.route(&lowered, source, target, 3),
-            route_with_limit(&overlay, source, target, &mask, 3),
+            outcomes,
+            [route_with_limit(
+                &overlay,
+                space.wrap(0),
+                space.wrap(0b111111),
+                &mask,
+                3
+            )]
         );
     }
 
@@ -1167,30 +1050,5 @@ mod tests {
         let kernel = overlay.kernel().unwrap();
         // A full-space mask over a 50-node overlay is a caller bug.
         let _ = kernel.compile_mask(&FailureMask::none(space));
-    }
-
-    #[test]
-    fn unoccupied_current_has_no_next_hop() {
-        let space = dht_id::KeySpace::new(8).unwrap();
-        let population =
-            Population::sparse(space, [space.wrap(10), space.wrap(200), space.wrap(90)]).unwrap();
-        let overlay = ChordOverlay::build_over(
-            population,
-            ChordVariant::Deterministic,
-            &mut crate::generic::NoRandomness,
-        )
-        .unwrap();
-        let kernel = overlay.kernel().unwrap();
-        let mask = FailureMask::none_over(overlay.population());
-        let lowered = kernel.compile_mask(&mask);
-        assert_eq!(
-            kernel.next_hop(&lowered, space.wrap(11), space.wrap(90)),
-            None
-        );
-        assert_eq!(
-            kernel.next_hop(&lowered, space.wrap(10), space.wrap(10)),
-            None,
-            "arrived: no hop makes progress"
-        );
     }
 }

@@ -1,11 +1,10 @@
 //! Batched lockstep routing: a structure-of-arrays frontier over either row
 //! source.
 //!
-//! [`RoutingKernel::route_values`] routes one lookup at a time, and on
-//! DRAM-resident plans (2^20 nodes and up) each hop is a dependent pointer
-//! chase: load the CSR row, probe the alive bitset, only then know the next
-//! rank. A single in-flight lookup leaves the memory system idle for most of
-//! that latency.
+//! A lookup routed on its own is a dependent pointer chase: on DRAM-resident
+//! plans (2^20 nodes and up) each hop loads the CSR row, probes the alive
+//! bitset, and only then knows the next rank. A single in-flight lookup
+//! leaves the memory system idle for most of that latency.
 //!
 //! [`RouteBatch`] fixes the utilization problem without touching the routing
 //! semantics. It holds a **frontier** of in-flight lookups in parallel arrays
@@ -27,16 +26,17 @@
 //!
 //! The driver and its pass are written once, generic over the kernel's row
 //! source, and serve both [`RoutingKernel::route_batch`] and
-//! [`ImplicitKernel::route_batch`](super::ImplicitKernel::route_batch).
-//! Outcomes are **bit-identical** per lookup to the scalar route loop:
-//! every lane runs the same admission prelude and the same per-hop step,
-//! and routing is read-only, so lanes cannot interact. The
-//! `batch_equivalence` proptest suite holds all five geometries to this,
-//! full and sparse populations alike, which is what lets `dht_sim`'s trial
-//! engine route its shards through the batch path without perturbing one
-//! committed measurement.
+//! [`ImplicitKernel::route_batch`](super::ImplicitKernel::route_batch) —
+//! the only way either kernel routes. Outcomes are **bit-identical** per
+//! lookup to the scalar oracle [`route_with_limit`](crate::route_with_limit)
+//! at any frontier width: every lane runs the same admission prelude and
+//! the same per-hop step, and routing is read-only, so lanes cannot
+//! interact. The `batch_equivalence` proptest suite holds all five
+//! geometries to this, full and sparse populations alike, which is what
+//! lets `dht_sim`'s trial engine route its shards through the batch path
+//! without perturbing one committed measurement.
 
-use super::{admit, dropped, rule_of, step, KernelMask, KernelRule, RoutingKernel, RowSource};
+use super::{admit, dropped, rule_of, step, KernelRule, RoutingKernel, RowSource};
 use crate::router::RouteOutcome;
 
 /// The default frontier width of [`RouteBatch::default`]: wide enough to
@@ -54,11 +54,11 @@ pub const DEFAULT_BATCH_WIDTH: usize = 128;
 /// any number of `route_batch` calls (the trial engine keeps one per worker
 /// thread).
 ///
-/// Each lane tracks its route the way the scalar loop does, as a *distance
-/// cursor* to the target: the remaining clockwise distance for the ring
-/// rule, the remaining XOR diff for the prefix and hypercube rules (zero =
-/// arrival). The rule is a property of the kernel, not the batch, so one
-/// batch can be reused across kernels of different rules and backends.
+/// Each lane tracks its route as a *distance cursor* to the target: the
+/// remaining clockwise distance for the ring rule, the remaining XOR diff
+/// for the prefix and hypercube rules (zero = arrival). The rule is a
+/// property of the kernel, not the batch, so one batch can be reused across
+/// kernels of different rules and backends.
 #[derive(Debug, Clone)]
 pub struct RouteBatch {
     /// Lane → occupied rank currently holding the message.
@@ -156,13 +156,19 @@ impl Default for RouteBatch {
 impl RoutingKernel {
     /// Routes every `(source, target)` pair of `pairs` under a pre-resolved
     /// rank-indexed alive bitset, filling `outcomes` so `outcomes[i]` is the
-    /// outcome of `pairs[i]` — bit-identical to calling
-    /// [`RoutingKernel::route_ranked`] per pair, but with up to
+    /// outcome of `pairs[i]`, giving up on a lookup after `hop_limit` hops —
+    /// bit-identical to [`route_with_limit`](crate::route_with_limit) per
+    /// pair on the overlay this kernel was compiled from, with up to
     /// [`RouteBatch::width`] lookups in flight at once.
     ///
-    /// `alive_words` follows the [`RoutingKernel::route_ranked`] contract
-    /// (bit `r` set iff the rank-`r` occupied node is alive). The batch is
-    /// pure scratch: it is cleared on entry and drained on return.
+    /// `alive_words` must have bit `r` set iff the rank-`r` occupied node is
+    /// alive, with `node_count.div_ceil(64)` words — the layout of
+    /// [`KernelMask::words`](super::KernelMask::words) and of
+    /// [`LiveOverlay::rank_alive_words`](crate::LiveOverlay::rank_alive_words).
+    /// Pairs are raw identifier values of the kernel's key space, checked by
+    /// debug assertions only: the key-space validation is paid once, in
+    /// [`RoutingKernel::compile_mask`]. The batch is pure scratch: it is
+    /// cleared on entry and drained on return.
     ///
     /// The loop structure is lockstep: admit pairs until the frontier is full
     /// (lookups that resolve at admission — failed endpoints, source ==
@@ -187,24 +193,10 @@ impl RoutingKernel {
             outcomes,
         );
     }
-
-    /// [`RoutingKernel::route_batch`] over a lowered [`KernelMask`]: the mask
-    /// representation is resolved to its bitset words once for the whole
-    /// batch.
-    pub fn route_batch_masked(
-        &self,
-        batch: &mut RouteBatch,
-        mask: &KernelMask<'_>,
-        pairs: &[(u64, u64)],
-        hop_limit: u32,
-        outcomes: &mut Vec<RouteOutcome>,
-    ) {
-        self.route_batch(batch, mask.words(), pairs, hop_limit, outcomes);
-    }
 }
 
 /// The lockstep driver behind both kernels' `route_batch`, compiled once
-/// per rule like the scalar loop (see [`rule_of`]).
+/// per rule (see [`rule_of`]).
 pub(super) fn route_batch_rows<R: RowSource>(
     rows: &mut R,
     batch: &mut RouteBatch,
@@ -264,8 +256,8 @@ fn lockstep<R: RowSource, const TAG: u8>(
     }
 }
 
-/// One lockstep pass: every lane takes the hop the scalar route loop would
-/// take, in lane order, prefetching the row of its next rank.
+/// One lockstep pass: every lane takes one greedy hop, in lane order,
+/// prefetching the row of its next rank.
 #[inline(always)]
 fn pass<R: RowSource>(
     rows: &mut R,
@@ -350,7 +342,7 @@ pub(crate) fn prefetch_read<T>(slice: &[T], index: usize) {
 mod tests {
     use super::*;
     use crate::failure::FailureMask;
-    use crate::router::default_route_hop_limit;
+    use crate::router::{default_route_hop_limit, route_with_limit};
     use crate::traits::Overlay;
     use crate::{ChordOverlay, ChordVariant};
 
@@ -375,18 +367,25 @@ mod tests {
         let kernel = overlay.kernel().expect("ring compiles");
         let mask = FailureMask::none(overlay.key_space());
         let lowered = kernel.compile_mask(&mask);
+        let space = overlay.key_space();
         let limit = default_route_hop_limit(&overlay);
         let pairs: Vec<(u64, u64)> = (0..64u64).map(|i| (i, (i * 37 + 11) & 255)).collect();
         let mut outcomes = Vec::new();
         // A width-1 batch serialises every lookup; outcomes still match the
-        // per-route path and the batch drains fully.
-        kernel.route_batch_masked(&mut batch, &lowered, &pairs, limit, &mut outcomes);
+        // scalar oracle and the batch drains fully.
+        kernel.route_batch(&mut batch, lowered.words(), &pairs, limit, &mut outcomes);
         assert_eq!(batch.in_flight(), 0);
         assert_eq!(outcomes.len(), pairs.len());
         for (i, &(source, target)) in pairs.iter().enumerate() {
             assert_eq!(
                 outcomes[i],
-                kernel.route_values(&lowered, source, target, limit),
+                route_with_limit(
+                    &overlay,
+                    space.wrap(source),
+                    space.wrap(target),
+                    &mask,
+                    limit
+                ),
             );
         }
     }
@@ -399,7 +398,7 @@ mod tests {
         let lowered = kernel.compile_mask(&mask);
         let mut batch = RouteBatch::default();
         let mut outcomes = vec![RouteOutcome::Delivered { hops: 99 }];
-        kernel.route_batch_masked(&mut batch, &lowered, &[], 16, &mut outcomes);
+        kernel.route_batch(&mut batch, lowered.words(), &[], 16, &mut outcomes);
         assert!(outcomes.is_empty());
     }
 }

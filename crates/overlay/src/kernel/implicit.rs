@@ -20,7 +20,7 @@
 //! descriptor (seed, rule, stream stride) and regenerates any plan row on
 //! demand. This module holds only that row source — the descriptor, the
 //! [`ImplicitRowCache`] and the cache fill. Routing itself is the kernel
-//! module's one route loop, admission prelude and lockstep pass, run over
+//! module's one admission prelude, per-hop step and lockstep pass, run over
 //! the cache instead of a CSR plan, and every row is lowered by the same
 //! static row lowering [`RoutingKernel`](super::RoutingKernel)'s compiler
 //! uses (with rank == value). Outcomes — [`RouteOutcome`] variants, hop
@@ -29,37 +29,46 @@
 //! which the `implicit_equivalence` property suite asserts across every
 //! geometry.
 //!
-//! Regeneration cost is amortized by an [`ImplicitRowCache`]: a direct-mapped
-//! cache of lowered rows, owned by the *caller* (one per worker thread), so
-//! the kernel itself stays shareable and its resident set stays constant.
-//! Routes concentrate near targets, so hot rows hit the cache even at 2^30.
-//! Each cache is stamped with its kernel's workspace-unique id, and every
-//! call that takes a cache checks the stamp, so a cache cannot silently
-//! serve rows of another kernel.
+//! Regenerated rows land in an [`ImplicitRowCache`]: a direct-mapped cache
+//! of lowered rows, owned by the *caller* (one per worker thread), so the
+//! kernel itself stays shareable and its resident set stays constant. At
+//! scale it rarely hits: on the end-to-end benchmark's `implicit_scale`
+//! workload (uniform pairs over the survivors) the measured hit share is
+//! ~2·10⁻⁵ at 2^26 and ~2·10⁻⁶ at 2^28, so nearly every hop regenerates its
+//! row. Each cache is stamped with its kernel's workspace-unique id, and
+//! every call that takes a cache checks the stamp, so a cache cannot
+//! silently serve rows of another kernel.
 //!
 //! # Example
 //!
 //! ```rust
-//! use dht_overlay::{ChordVariant, FailureMask, ImplicitOverlay, Overlay};
+//! use dht_overlay::{ChordVariant, FailureMask, ImplicitOverlay, Overlay, RouteBatch};
 //!
 //! // A 2^26-node ring: far beyond the materialized ceiling, ~0 bytes of
 //! // routing state.
 //! let overlay = ImplicitOverlay::ring(26, ChordVariant::Deterministic, 7)?;
 //! let kernel = overlay.implicit_kernel().expect("implicit backend");
 //! let mut cache = kernel.row_cache();
-//! let space = overlay.key_space();
-//! let mask = FailureMask::none(space);
+//! let mask = FailureMask::none(overlay.key_space());
 //! let lowered = kernel.compile_mask(&mask);
-//! let outcome = kernel.route(&mut cache, &lowered, space.wrap(3), space.wrap(1 << 25), 64);
-//! assert!(outcome.is_delivered());
+//! let mut outcomes = Vec::new();
+//! kernel.route_batch(
+//!     &mut RouteBatch::default(),
+//!     &mut cache,
+//!     lowered.words(),
+//!     &[(3, 1 << 25)],
+//!     64,
+//!     &mut outcomes,
+//! );
+//! assert!(outcomes[0].is_delivered());
 //! assert!(overlay.resident_bytes() < 1024);
 //! # Ok::<(), dht_overlay::OverlayError>(())
 //! ```
 
 use super::batch::route_batch_rows;
 use super::{
-    check_endpoints, check_mask, lower_static_row, next_hop_rows, route_rows, KernelMask,
-    KernelRule, PlanEntry, RouteBatch, RowSource, INERT_ENTRY, NO_ENTRY,
+    check_mask, lower_static_row, KernelMask, KernelRule, PlanEntry, RouteBatch, RowSource,
+    INERT_ENTRY, NO_ENTRY,
 };
 use crate::failure::FailureMask;
 use crate::generic::GeometryStrategy;
@@ -99,7 +108,7 @@ type RowFn = dyn Fn(NodeId, &mut ChaCha8Rng, &mut Vec<NodeId>) + Send + Sync;
 /// Obtain one through [`ImplicitOverlay`] (or [`ImplicitKernel::from_strategy`]
 /// directly) and drive it exactly like a [`RoutingKernel`](super::RoutingKernel): lower the failure
 /// mask once with [`ImplicitKernel::compile_mask`], then route with
-/// [`ImplicitKernel::route`] / [`ImplicitKernel::route_batch`].
+/// [`ImplicitKernel::route_batch`].
 pub struct ImplicitKernel {
     rule: KernelRule,
     space: KeySpace,
@@ -304,98 +313,17 @@ impl ImplicitKernel {
         }
     }
 
-    /// Routes `source` → `target` under the lowered `mask`, giving up after
-    /// `hop_limit` hops — bit-identical to [`RoutingKernel::route`](super::RoutingKernel::route) on the
-    /// materialized build of the same stream seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` or `target` do not belong to the kernel's key
-    /// space, or if `cache` was created by another kernel.
-    #[must_use]
-    pub fn route(
-        &self,
-        cache: &mut ImplicitRowCache,
-        mask: &KernelMask<'_>,
-        source: NodeId,
-        target: NodeId,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        check_endpoints(self.space.bits(), "source", source, target);
-        self.route_values(cache, mask, source.value(), target.value(), hop_limit)
-    }
-
-    /// [`ImplicitKernel::route`] over raw identifier values (the key-space
-    /// validation hoisted to [`ImplicitKernel::compile_mask`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` was created by another kernel.
-    #[must_use]
-    pub fn route_values(
-        &self,
-        cache: &mut ImplicitRowCache,
-        mask: &KernelMask<'_>,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        self.route_ranked(cache, mask.words(), source, target, hop_limit)
-    }
-
-    /// [`ImplicitKernel::route_values`] over a caller-held rank-indexed alive
-    /// bitset — the [`RoutingKernel::route_ranked`](super::RoutingKernel::route_ranked) counterpart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` was created by another kernel.
-    #[must_use]
-    pub fn route_ranked(
-        &self,
-        cache: &mut ImplicitRowCache,
-        words: &[u64],
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        route_rows(&mut self.rows(cache), words, source, target, hop_limit)
-    }
-
-    /// The greedy next hop from `current` towards `target`, or `None` when no
-    /// alive entry makes progress — equivalent to
-    /// [`RoutingKernel::next_hop`](super::RoutingKernel::next_hop) on the materialized build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `current` or `target` do not belong to the kernel's key
-    /// space, or if `cache` was created by another kernel.
-    #[must_use]
-    pub fn next_hop(
-        &self,
-        cache: &mut ImplicitRowCache,
-        mask: &KernelMask<'_>,
-        current: NodeId,
-        target: NodeId,
-    ) -> Option<NodeId> {
-        check_endpoints(self.space.bits(), "current", current, target);
-        next_hop_rows(
-            &mut self.rows(cache),
-            mask.words(),
-            current.value(),
-            target.value(),
-        )
-    }
-
     /// Routes every `(source, target)` pair through the lockstep
     /// [`RouteBatch`] frontier — the [`RoutingKernel::route_batch`](super::RoutingKernel::route_batch)
     /// counterpart, running the same driver and pass over this kernel's rows
     /// and therefore filling identical `outcomes`.
     ///
-    /// `alive_words` follows the [`RoutingKernel::route_ranked`](super::RoutingKernel::route_ranked) contract.
-    /// The implicit row source performs no software prefetch (row
-    /// regeneration is compute-bound, not latency-bound); the frontier still
-    /// amortizes the row cache, because consecutive lanes near the same
-    /// target reuse rows.
+    /// `alive_words` follows the [`RoutingKernel::route_batch`](super::RoutingKernel::route_batch)
+    /// contract. The implicit row source performs no software prefetch: row
+    /// regeneration is compute-bound, not latency-bound. Nor does the
+    /// frontier make the row cache pay at scale: lanes route independent
+    /// pairs, and on the end-to-end benchmark's `implicit_scale` workload
+    /// the measured hit share is ~2·10⁻⁵ at 2^26 and ~2·10⁻⁶ at 2^28.
     ///
     /// # Panics
     ///
@@ -780,6 +708,26 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
+    /// Routes `pairs` through one default-width [`ImplicitKernel::route_batch`].
+    fn route_all(
+        kernel: &ImplicitKernel,
+        cache: &mut ImplicitRowCache,
+        words: &[u64],
+        pairs: &[(u64, u64)],
+        hop_limit: u32,
+    ) -> Vec<RouteOutcome> {
+        let mut outcomes = Vec::new();
+        kernel.route_batch(
+            &mut RouteBatch::default(),
+            cache,
+            words,
+            pairs,
+            hop_limit,
+            &mut outcomes,
+        );
+        outcomes
+    }
+
     #[test]
     fn regenerated_tables_match_the_materialized_build() {
         let bits = 8;
@@ -821,29 +769,7 @@ mod tests {
         let mask = FailureMask::sample(space, 0.3, &mut sampler);
         let lowered = kernel.compile_mask(&mask);
         let limit = default_route_hop_limit(&materialized);
-        for _ in 0..500 {
-            let source = space.random_id(&mut sampler);
-            let target = space.random_id(&mut sampler);
-            assert_eq!(
-                kernel.route(&mut cache, &lowered, source, target, limit),
-                route_with_limit(&materialized, source, target, &mask, limit),
-            );
-        }
-        assert!(cache.hits() > 0, "repeated rows must hit the cache");
-    }
-
-    #[test]
-    fn batch_outcomes_match_the_scalar_implicit_path() {
-        let bits = 9;
-        let seed = 3;
-        let implicit = ImplicitOverlay::ring(bits, ChordVariant::Randomized, seed).unwrap();
-        let kernel = implicit.implicit_kernel().unwrap();
-        let space = implicit.key_space();
-        let mut sampler = rng(13);
-        let mask = FailureMask::sample(space, 0.3, &mut sampler);
-        let lowered = kernel.compile_mask(&mask);
-        let words: Vec<u64> = lowered.words().to_vec();
-        let pairs: Vec<(u64, u64)> = (0..256)
+        let pairs: Vec<(u64, u64)> = (0..500)
             .map(|_| {
                 (
                     space.random_id(&mut sampler).value(),
@@ -851,47 +777,20 @@ mod tests {
                 )
             })
             .collect();
-        let mut batch = RouteBatch::new(32);
-        let mut batch_cache = kernel.row_cache_with_slots(32);
-        let mut outcomes = Vec::new();
-        kernel.route_batch(
-            &mut batch,
-            &mut batch_cache,
-            &words,
-            &pairs,
-            64,
-            &mut outcomes,
-        );
-        assert_eq!(batch.in_flight(), 0);
-        let mut scalar_cache = kernel.row_cache_with_slots(32);
-        for (i, &(source, target)) in pairs.iter().enumerate() {
+        let outcomes = route_all(kernel, &mut cache, lowered.words(), &pairs, limit);
+        for (&(source, target), outcome) in pairs.iter().zip(&outcomes) {
             assert_eq!(
-                outcomes[i],
-                kernel.route_ranked(&mut scalar_cache, &words, source, target, 64),
-                "pair {i}"
+                *outcome,
+                route_with_limit(
+                    &materialized,
+                    space.wrap(source),
+                    space.wrap(target),
+                    &mask,
+                    limit
+                ),
             );
         }
-    }
-
-    #[test]
-    fn next_hop_matches_the_scalar_strategy() {
-        let bits = 8;
-        let seed = 21;
-        let implicit = ImplicitOverlay::tree(bits, seed).unwrap();
-        let kernel = implicit.implicit_kernel().unwrap();
-        let mut cache = kernel.row_cache();
-        let space = implicit.key_space();
-        let mut sampler = rng(31);
-        let mask = FailureMask::sample(space, 0.2, &mut sampler);
-        let lowered = kernel.compile_mask(&mask);
-        for _ in 0..200 {
-            let current = space.random_id(&mut sampler);
-            let target = space.random_id(&mut sampler);
-            assert_eq!(
-                kernel.next_hop(&mut cache, &lowered, current, target),
-                implicit.next_hop(current, target, &mask),
-            );
-        }
+        assert!(cache.hits() > 0, "repeated rows must hit the cache");
     }
 
     #[test]
@@ -964,8 +863,8 @@ mod tests {
         let mut cache = ring_kernel.row_cache();
         let mask = FailureMask::none(ring.key_space());
         let words = mask.words();
-        let _ = ring_kernel.route_ranked(&mut cache, words, 1, 700, 64);
-        let _ = cube_kernel.route_ranked(&mut cache, words, 1, 700, 64);
+        let _ = route_all(ring_kernel, &mut cache, words, &[(1, 700)], 64);
+        let _ = route_all(cube_kernel, &mut cache, words, &[(1, 700)], 64);
     }
 
     #[test]
@@ -976,14 +875,23 @@ mod tests {
         assert_eq!(cache.slots(), 4, "slot counts round up to powers of two");
         let mask = FailureMask::none(overlay.key_space());
         let lowered = kernel.compile_mask(&mask);
-        let space = overlay.key_space();
-        let _ = kernel.next_hop(&mut cache, &lowered, space.wrap(0), space.wrap(100));
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let _ = kernel.next_hop(&mut cache, &lowered, space.wrap(0), space.wrap(200));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // One-hop routes (every ring row holds its successor) read only the
+        // source row.
+        let mut route_one = |source: u64| {
+            let outcomes = route_all(
+                kernel,
+                &mut cache,
+                lowered.words(),
+                &[(source, source + 1)],
+                64,
+            );
+            assert_eq!(outcomes, [RouteOutcome::Delivered { hops: 1 }]);
+            (cache.hits(), cache.misses())
+        };
+        assert_eq!(route_one(0), (0, 1));
+        assert_eq!(route_one(0), (1, 1));
         // Same slot, different rank: the collision evicts.
-        let _ = kernel.next_hop(&mut cache, &lowered, space.wrap(4), space.wrap(200));
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        assert_eq!(route_one(4), (1, 2));
         assert!(cache.resident_bytes() > 0);
     }
 }

@@ -554,8 +554,7 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
 
     /// The rank-indexed alive bitset (bit `r` set iff the rank-`r` occupied
     /// node is alive), maintained incrementally — feed it to
-    /// [`RoutingKernel::route_batch`] or [`RoutingKernel::route_ranked`] for
-    /// mask-compile-free lookups.
+    /// [`RoutingKernel::route_batch`] for mask-compile-free lookups.
     #[must_use]
     pub fn rank_alive_words(&self) -> &[u64] {
         &self.rank_words
@@ -566,12 +565,6 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
     #[must_use]
     pub fn routing_kernel(&self) -> &RoutingKernel {
         &self.kernel
-    }
-
-    /// The fixed per-node table width of the live family.
-    #[must_use]
-    pub fn table_width(&self) -> usize {
-        self.width
     }
 
     /// The CSR arena holding every (live or tombstoned) routing table.
@@ -642,7 +635,7 @@ mod tests {
     use crate::chord::ChordStrategy;
     use crate::kademlia::KademliaStrategy;
     use crate::router::{default_route_hop_limit, route_with_limit};
-    use crate::ChordVariant;
+    use crate::{ChordVariant, RouteBatch};
     use dht_id::KeySpace;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -779,17 +772,32 @@ mod tests {
             }
         }
         let limit = default_route_hop_limit(&overlay);
-        for _ in 0..300 {
-            let source = s.wrap(rng.gen_range(0..s.population()));
-            let target = s.wrap(rng.gen_range(0..s.population()));
+        let pairs: Vec<(u64, u64)> = (0..300)
+            .map(|_| {
+                (
+                    rng.gen_range(0..s.population()),
+                    rng.gen_range(0..s.population()),
+                )
+            })
+            .collect();
+        let mut outcomes = Vec::new();
+        overlay.routing_kernel().route_batch(
+            &mut RouteBatch::default(),
+            overlay.rank_alive_words(),
+            &pairs,
+            limit,
+            &mut outcomes,
+        );
+        for (&(source, target), outcome) in pairs.iter().zip(&outcomes) {
             assert_eq!(
-                overlay.routing_kernel().route_ranked(
-                    overlay.rank_alive_words(),
-                    source.value(),
-                    target.value(),
-                    limit,
+                *outcome,
+                route_with_limit(
+                    &overlay,
+                    s.wrap(source),
+                    s.wrap(target),
+                    overlay.mask(),
+                    limit
                 ),
-                route_with_limit(&overlay, source, target, overlay.mask(), limit),
             );
         }
     }

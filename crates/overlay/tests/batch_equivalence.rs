@@ -1,31 +1,32 @@
 //! Batch equivalence properties: the lockstep batched router must be
-//! **bit-identical per lookup** to the per-route kernel path.
+//! **bit-identical per lookup** to the scalar routing path at every
+//! frontier width.
 //!
 //! For every geometry, over random full *and* sparse populations, random
 //! failure masks, random (not necessarily occupied or alive) endpoint pairs
-//! and random hop limits, the properties route the same pair slice through
-//! [`RoutingKernel::route_values`] one lookup at a time and through
-//! [`RoutingKernel::route_batch`] in lockstep, then compare the outcome
+//! and tight hop limits, the properties route the same pair slice through
+//! [`RoutingKernel::route_batch`] in lockstep and through the scalar oracle
+//! `route_with_limit` one lookup at a time, then compare the outcome
 //! vectors element for element. Batch widths range from 1 (every lane
 //! retires and refills every pass) past the frontier size (the whole slice
 //! fits in one admission wave), so mid-batch retirement, `swap_remove`
 //! compaction and refill are all exercised, as is a frontier narrower than
-//! the batch width.
-//!
-//! Both batch entry points are covered: `route_batch` over pre-resolved
-//! alive words and `route_batch_masked` over a lowered [`KernelMask`].
+//! the batch width. Each width's batch is reused across every slice and
+//! limit, so a drained batch must route the next call as a fresh one.
 //!
 //! This is the contract that lets `dht_sim`'s trial engine and the live
 //! churn drain route whole shards through the batch path without perturbing
 //! any committed measurement.
+//!
+//! [`RoutingKernel::route_batch`]: dht_overlay::RoutingKernel::route_batch
 
 use dht_id::{KeySpace, Population};
 use dht_overlay::{
-    default_route_hop_limit, CanOverlay, ChordOverlay, ChordVariant, FailureMask, KademliaOverlay,
-    Overlay, PlaxtonOverlay, RouteBatch, RouteOutcome, SymphonyOverlay,
+    default_route_hop_limit, route_with_limit, CanOverlay, ChordOverlay, ChordVariant, FailureMask,
+    KademliaOverlay, Overlay, PlaxtonOverlay, RouteBatch, RouteOutcome, SymphonyOverlay,
 };
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Draws the population for a case: full, or a uniform sample of the given
@@ -39,8 +40,8 @@ fn population(space: KeySpace, occupancy: f64, seed: u64) -> Population {
     Population::sample_uniform(space, count, &mut rng).expect("valid sparse size")
 }
 
-/// Routes the same random pair slice through the scalar kernel path and the
-/// lockstep batch (both entry points) and asserts every outcome agrees.
+/// Routes random pair slices through the lockstep batch at every width and
+/// limit and asserts each outcome equals the scalar oracle's.
 fn assert_batch_equivalent<O>(
     overlay: &O,
     q: f64,
@@ -53,11 +54,11 @@ where
     // Width 1 retires and refills every pass; 3 keeps compaction churning;
     // 256 swallows the whole slice in one admission wave (a frontier
     // narrower than the batch). Pair count 0 is the degenerate no-op, 17 is
-    // below every non-unit width, 200 forces mid-batch refill.
+    // below every non-unit width, 200 forces mid-batch refill. Limits 0–2
+    // force HopLimitExceeded retirement mid-pass; the default limit
+    // exercises full Delivered/Dropped trajectories.
     const WIDTHS: [usize; 4] = [1, 3, 64, 256];
     const PAIR_COUNTS: [usize; 3] = [0, 17, 200];
-    let width = WIDTHS[(pair_seed % 4) as usize];
-    let pair_count = PAIR_COUNTS[((pair_seed >> 2) % 3) as usize];
     let kernel = overlay
         .kernel()
         .expect("all five geometries export a kernel rule");
@@ -68,12 +69,12 @@ where
         &mut ChaCha8Rng::seed_from_u64(mask_seed),
     );
     let lowered = kernel.compile_mask(&mask);
-    let words = lowered.words();
     let mut rng = ChaCha8Rng::seed_from_u64(pair_seed);
 
     // Arbitrary in-space identifiers: occupied or not, alive or not, equal
-    // or not — the batch must agree wherever the scalar path has an answer.
-    let pairs: Vec<(u64, u64)> = (0..pair_count)
+    // or not — the batch must agree on every input the scalar path accepts.
+    // Each pair count routes a prefix of one slice.
+    let all_pairs: Vec<(u64, u64)> = (0..PAIR_COUNTS[2])
         .map(|_| {
             (
                 space.random_id(&mut rng).value(),
@@ -82,41 +83,41 @@ where
         })
         .collect();
 
-    let mut batch = RouteBatch::new(width);
+    let mut batches: Vec<RouteBatch> = WIDTHS.iter().map(|&w| RouteBatch::new(w)).collect();
     let mut outcomes: Vec<RouteOutcome> = Vec::new();
-    // Random limits down to 0 force HopLimitExceeded retirement mid-pass;
-    // the default limit exercises full Delivered/Dropped trajectories.
-    let limits = [default_route_hop_limit(overlay), rng.gen_range(0..4)];
-    for limit in limits {
-        let scalar: Vec<RouteOutcome> = pairs
+    for limit in [default_route_hop_limit(overlay), 0, 1, 2] {
+        let all_scalar: Vec<RouteOutcome> = all_pairs
             .iter()
-            .map(|&(source, target)| kernel.route_values(&lowered, source, target, limit))
+            .map(|&(source, target)| {
+                route_with_limit(
+                    overlay,
+                    space.wrap(source),
+                    space.wrap(target),
+                    &mask,
+                    limit,
+                )
+            })
             .collect();
-
-        kernel.route_batch(&mut batch, words, &pairs, limit, &mut outcomes);
-        prop_assert_eq!(batch.in_flight(), 0, "batch must drain completely");
-        prop_assert_eq!(outcomes.len(), pairs.len());
-        for (index, (batched, reference)) in outcomes.iter().zip(scalar.iter()).enumerate() {
-            prop_assert_eq!(
-                batched,
-                reference,
-                "outcome diverges at slot {} ({} -> {}, width {}, limit {})",
-                index,
-                pairs[index].0,
-                pairs[index].1,
-                width,
-                limit
-            );
+        for count in PAIR_COUNTS {
+            let (pairs, scalar) = (&all_pairs[..count], &all_scalar[..count]);
+            for (batch, width) in batches.iter_mut().zip(WIDTHS) {
+                kernel.route_batch(batch, lowered.words(), pairs, limit, &mut outcomes);
+                prop_assert_eq!(batch.in_flight(), 0, "batch must drain completely");
+                prop_assert_eq!(outcomes.len(), pairs.len());
+                for (index, (batched, reference)) in outcomes.iter().zip(scalar).enumerate() {
+                    prop_assert_eq!(
+                        batched,
+                        reference,
+                        "outcome diverges at slot {} ({} -> {}, width {}, limit {})",
+                        index,
+                        pairs[index].0,
+                        pairs[index].1,
+                        width,
+                        limit
+                    );
+                }
+            }
         }
-
-        kernel.route_batch_masked(&mut batch, &lowered, &pairs, limit, &mut outcomes);
-        prop_assert_eq!(
-            &outcomes,
-            &scalar,
-            "masked entry point diverges (width {}, limit {})",
-            width,
-            limit
-        );
     }
     Ok(())
 }

@@ -7,13 +7,12 @@
 //!
 //! * `ImplicitOverlay::table_of` regenerates exactly the rows the
 //!   materialized builder produced from the same construction stream,
-//! * `ImplicitKernel::next_hop` makes exactly the greedy decision of the
-//!   materialized `RoutingKernel::next_hop`,
-//! * `ImplicitKernel::route` returns exactly the materialized
-//!   [`RouteOutcome`] — hop counts, `Dropped { stuck_at }` nodes and
-//!   `HopLimitExceeded` under artificially tight limits included, and
-//! * `ImplicitKernel::route_batch` reproduces the lockstep frontier's
-//!   per-pair outcomes verbatim.
+//! * `ImplicitKernel::route_batch` reproduces the materialized
+//!   `RoutingKernel::route_batch` outcomes verbatim — hop counts,
+//!   `Dropped { stuck_at }` nodes and `HopLimitExceeded` under artificially
+//!   tight limits included, and
+//! * the implicit overlay's scalar `Overlay::next_hop` makes exactly the
+//!   greedy decision of the materialized one.
 //!
 //! This is the contract that lets every consumer — `dht_sim`'s trial
 //! engine, the scenario server, the batch runner — switch backends without
@@ -22,7 +21,7 @@
 use dht_id::NodeId;
 use dht_overlay::{
     default_route_hop_limit, CanOverlay, ChordOverlay, ChordVariant, FailureMask, ImplicitOverlay,
-    KademliaOverlay, Overlay, PlaxtonOverlay, RouteBatch, SymphonyOverlay,
+    KademliaOverlay, Overlay, PlaxtonOverlay, RouteBatch, RouteOutcome, SymphonyOverlay,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -63,63 +62,45 @@ where
     let mask = FailureMask::sample(space, q, &mut ChaCha8Rng::seed_from_u64(mask_seed));
     let lowered = kernel.compile_mask(&mask);
     let lowered_implicit = generative.compile_mask(&mask);
-    let limit = default_route_hop_limit(materialized);
 
+    // Arbitrary identifiers: alive or not, equal or not — the implicit path
+    // must agree on every input the materialized kernel accepts, at the
+    // default limit and at tight limits that trip HopLimitExceeded.
     let mut rng = ChaCha8Rng::seed_from_u64(pair_seed);
-    let mut pairs: Vec<(u64, u64)> = Vec::new();
-    for round in 0..64 {
-        // Arbitrary identifiers: alive or not, equal or not — the implicit
-        // path must agree on every input the materialized kernel accepts.
-        let source = space.random_id(&mut rng);
-        let target = space.random_id(&mut rng);
-        pairs.push((source.value(), target.value()));
-        prop_assert_eq!(
-            generative.next_hop(&mut cache, &lowered_implicit, source, target),
-            kernel.next_hop(&lowered, source, target),
-            "next_hop diverges for {} -> {} (round {})",
-            source,
-            target,
-            round
+    let pairs: Vec<(u64, u64)> = (0..64)
+        .map(|_| {
+            (
+                space.random_id(&mut rng).value(),
+                space.random_id(&mut rng).value(),
+            )
+        })
+        .collect();
+    let mut batch = RouteBatch::new(16);
+    let mut materialized_outcomes: Vec<RouteOutcome> = Vec::new();
+    let mut implicit_outcomes: Vec<RouteOutcome> = Vec::new();
+    for limit in [default_route_hop_limit(materialized), 0, 1, 2] {
+        kernel.route_batch(
+            &mut batch,
+            lowered.words(),
+            &pairs,
+            limit,
+            &mut materialized_outcomes,
+        );
+        generative.route_batch(
+            &mut batch,
+            &mut cache,
+            lowered_implicit.words(),
+            &pairs,
+            limit,
+            &mut implicit_outcomes,
         );
         prop_assert_eq!(
-            generative.route(&mut cache, &lowered_implicit, source, target, limit),
-            kernel.route(&lowered, source, target, limit),
-            "route outcome diverges for {} -> {} (round {})",
-            source,
-            target,
-            round
-        );
-        let tight = round % 3;
-        prop_assert_eq!(
-            generative.route(&mut cache, &lowered_implicit, source, target, tight),
-            kernel.route(&lowered, source, target, tight),
-            "tight-limit outcome diverges for {} -> {} (limit {})",
-            source,
-            target,
-            tight
+            &materialized_outcomes,
+            &implicit_outcomes,
+            "outcomes diverge at limit {}",
+            limit
         );
     }
-
-    // Batched lockstep: per-pair outcomes are identical across backends.
-    let mut batch = RouteBatch::new(16);
-    let mut materialized_outcomes = Vec::new();
-    kernel.route_batch(
-        &mut batch,
-        lowered.words(),
-        &pairs,
-        limit,
-        &mut materialized_outcomes,
-    );
-    let mut implicit_outcomes = Vec::new();
-    generative.route_batch(
-        &mut batch,
-        &mut cache,
-        lowered_implicit.words(),
-        &pairs,
-        limit,
-        &mut implicit_outcomes,
-    );
-    prop_assert_eq!(materialized_outcomes, implicit_outcomes);
 
     // The scalar Overlay::next_hop of the implicit overlay agrees too (it
     // regenerates the row and asks the strategy directly).

@@ -21,7 +21,8 @@ use dht_overlay::kademlia::KademliaStrategy;
 use dht_overlay::plaxton::PlaxtonStrategy;
 use dht_overlay::symphony::SymphonyStrategy;
 use dht_overlay::{
-    default_route_hop_limit, route_with_limit, ChordVariant, GeometryStrategy, LiveOverlay, Overlay,
+    default_route_hop_limit, route_with_limit, ChordVariant, GeometryStrategy, LiveOverlay,
+    Overlay, RouteBatch,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -103,22 +104,36 @@ fn check_incremental_equivalence<S: GeometryStrategy + Clone>(
     assert_matches_rebuild(&overlay, "final")?;
 
     let limit = default_route_hop_limit(&overlay);
-    for _ in 0..20 {
-        let source = space.wrap(rng.gen_range(0..space.population()));
-        let target = space.wrap(rng.gen_range(0..space.population()));
-        if overlay.population().index_of(source).is_none()
-            || overlay.population().index_of(target).is_none()
-        {
-            continue;
-        }
+    let pairs: Vec<(u64, u64)> = (0..20)
+        .map(|_| {
+            (
+                rng.gen_range(0..space.population()),
+                rng.gen_range(0..space.population()),
+            )
+        })
+        .filter(|&(source, target)| {
+            overlay.population().index_of(space.wrap(source)).is_some()
+                && overlay.population().index_of(space.wrap(target)).is_some()
+        })
+        .collect();
+    let mut outcomes = Vec::new();
+    overlay.routing_kernel().route_batch(
+        &mut RouteBatch::default(),
+        overlay.rank_alive_words(),
+        &pairs,
+        limit,
+        &mut outcomes,
+    );
+    for (&(source, target), outcome) in pairs.iter().zip(&outcomes) {
         prop_assert_eq!(
-            overlay.routing_kernel().route_ranked(
-                overlay.rank_alive_words(),
-                source.value(),
-                target.value(),
-                limit,
+            *outcome,
+            route_with_limit(
+                &overlay,
+                space.wrap(source),
+                space.wrap(target),
+                overlay.mask(),
+                limit
             ),
-            route_with_limit(&overlay, source, target, overlay.mask(), limit),
             "kernel and scalar routes diverged on the churned state"
         );
     }

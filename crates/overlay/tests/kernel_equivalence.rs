@@ -3,21 +3,22 @@
 //!
 //! For every geometry, over random full *and* sparse populations, random
 //! failure masks and random (not necessarily occupied or alive) endpoint
-//! pairs, the properties assert that
-//!
-//! * `RoutingKernel::next_hop` makes exactly the greedy decision of
-//!   `Overlay::next_hop`, and
-//! * `RoutingKernel::route` returns exactly the [`RouteOutcome`] of
-//!   `route_with_limit` — including `Dropped { stuck_at }` nodes, hop counts
-//!   and `HopLimitExceeded` under artificially tight limits.
+//! pairs, the properties assert that the kernel's compiled rule and lowered
+//! mask, driven by [`RoutingKernel::route_batch`] at the default frontier
+//! width, return exactly the [`RouteOutcome`] of `route_with_limit` —
+//! including `Dropped { stuck_at }` nodes, hop counts and
+//! `HopLimitExceeded` under artificially tight limits. The frontier widths
+//! themselves are swept by the `batch_equivalence` suite.
 //!
 //! This is the contract that lets `dht_sim`'s trial engine route through the
 //! kernel without perturbing any committed measurement or RNG stream.
+//!
+//! [`RoutingKernel::route_batch`]: dht_overlay::RoutingKernel::route_batch
 
 use dht_id::{KeySpace, Population};
 use dht_overlay::{
     default_route_hop_limit, route_with_limit, CanOverlay, ChordOverlay, ChordVariant, FailureMask,
-    KademliaOverlay, Overlay, PlaxtonOverlay, RouteOutcome, SymphonyOverlay,
+    KademliaOverlay, Overlay, PlaxtonOverlay, RouteBatch, RouteOutcome, SymphonyOverlay,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -34,8 +35,9 @@ fn population(space: KeySpace, occupancy: f64, seed: u64) -> Population {
     Population::sample_uniform(space, count, &mut rng).expect("valid sparse size")
 }
 
-/// Routes and single-steps a batch of random pairs through both paths and
-/// asserts every observable agrees.
+/// Routes random pairs through the kernel at the default and at tight
+/// limits, then occupied pairs under an intact mask, and asserts every
+/// outcome equals the scalar oracle's.
 fn assert_kernel_equivalent<O>(
     overlay: &O,
     q: f64,
@@ -57,48 +59,71 @@ where
     let lowered = kernel.compile_mask(&mask);
     let limit = default_route_hop_limit(overlay);
     let mut rng = ChaCha8Rng::seed_from_u64(pair_seed);
-    for round in 0..50 {
-        // Arbitrary identifiers: occupied or not, alive or not, equal or not
-        // — the kernel must agree on every input the scalar path accepts.
-        let source = space.random_id(&mut rng);
-        let target = space.random_id(&mut rng);
-        prop_assert_eq!(
-            kernel.next_hop(&lowered, source, target),
-            overlay.next_hop(source, target, &mask),
-            "next_hop diverges for {} -> {} (round {})",
-            source,
-            target,
-            round
-        );
-        prop_assert_eq!(
-            kernel.route(&lowered, source, target, limit),
-            route_with_limit(overlay, source, target, &mask, limit),
-            "route outcome diverges for {} -> {} (round {})",
-            source,
-            target,
-            round
-        );
-        // A tight limit must trip HopLimitExceeded at the same instant.
-        let tight = round % 3;
-        prop_assert_eq!(
-            kernel.route(&lowered, source, target, tight),
-            route_with_limit(overlay, source, target, &mask, tight),
-            "tight-limit outcome diverges for {} -> {} (limit {})",
-            source,
-            target,
-            tight
-        );
+    let mut batch = RouteBatch::default();
+    let mut outcomes: Vec<RouteOutcome> = Vec::new();
+
+    // Arbitrary identifiers: occupied or not, alive or not, equal or not —
+    // the kernel must agree on every input the scalar path accepts.
+    let pairs: Vec<(u64, u64)> = (0..50)
+        .map(|_| {
+            (
+                space.random_id(&mut rng).value(),
+                space.random_id(&mut rng).value(),
+            )
+        })
+        .collect();
+    // Tight limits must trip HopLimitExceeded at the same instant.
+    for limit in [limit, 0, 1, 2] {
+        kernel.route_batch(&mut batch, lowered.words(), &pairs, limit, &mut outcomes);
+        prop_assert_eq!(outcomes.len(), pairs.len());
+        for (&(source, target), batched) in pairs.iter().zip(&outcomes) {
+            prop_assert_eq!(
+                *batched,
+                route_with_limit(
+                    overlay,
+                    space.wrap(source),
+                    space.wrap(target),
+                    &mask,
+                    limit
+                ),
+                "route outcome diverges for {} -> {} (limit {})",
+                source,
+                target,
+                limit
+            );
+        }
     }
-    // Exhaustive delivery check on a no-failure mask: hop counts must match
-    // pairwise even where the random masks above never dropped anything.
+
+    // Intact mask over occupied pairs: hop counts must match pairwise even
+    // where the random masks above never dropped anything.
     let none = FailureMask::none_over(overlay.population());
     let lowered_none = kernel.compile_mask(&none);
-    for _ in 0..20 {
-        let source = overlay.population().random_node(&mut rng);
-        let target = overlay.population().random_node(&mut rng);
-        let scalar = route_with_limit(overlay, source, target, &none, limit);
+    let intact: Vec<(u64, u64)> = (0..20)
+        .map(|_| {
+            (
+                overlay.population().random_node(&mut rng).value(),
+                overlay.population().random_node(&mut rng).value(),
+            )
+        })
+        .collect();
+    kernel.route_batch(
+        &mut batch,
+        lowered_none.words(),
+        &intact,
+        limit,
+        &mut outcomes,
+    );
+    prop_assert_eq!(outcomes.len(), intact.len());
+    for (&(source, target), batched) in intact.iter().zip(&outcomes) {
+        let scalar = route_with_limit(
+            overlay,
+            space.wrap(source),
+            space.wrap(target),
+            &none,
+            limit,
+        );
         prop_assert_eq!(
-            kernel.route(&lowered_none, source, target, limit),
+            *batched,
             scalar,
             "intact outcome diverges for {} -> {}",
             source,

@@ -273,12 +273,12 @@ impl ReportServer {
     ///
     /// A line longer than 1 MiB is answered with an `id: 0` error envelope
     /// naming the cap; the rest of it is skipped unbuffered, and serving
-    /// continues with the next line.
+    /// continues with the next line. A line that is not UTF-8 is answered
+    /// with an `id: 0` error envelope too, and serving continues.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error from either side, including a line that
-    /// is not UTF-8.
+    /// Returns the first I/O error from either side.
     pub fn serve<R: BufRead, W: Write>(&mut self, mut reader: R, mut writer: W) -> io::Result<()> {
         if self.shutdown {
             return Ok(());
@@ -292,13 +292,15 @@ impl ReportServer {
                 self.stats.errors += 1;
                 let message = format!("request line longer than {MAX_REQUEST_LINE_BYTES} bytes");
                 error_response(0, &message)
-            } else {
-                let text = std::str::from_utf8(&line)
-                    .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
+            } else if let Ok(text) = std::str::from_utf8(&line) {
                 if text.trim().is_empty() {
                     continue;
                 }
                 self.handle_line(text.trim_end_matches('\n').trim_end_matches('\r'))
+            } else {
+                self.stats.requests += 1;
+                self.stats.errors += 1;
+                error_response(0, "request line is not UTF-8")
             };
             writeln!(writer, "{response}")?;
             writer.flush()?;
@@ -417,19 +419,21 @@ mod tests {
     #[test]
     fn over_long_lines_are_refused_and_skipped_without_ending_the_session() {
         let mut server = ReportServer::new(1);
-        let input = format!(
-            "{}\n{{\"id\":2,\"request\":\"Stats\"}}\n",
-            "x".repeat(MAX_REQUEST_LINE_BYTES + 1)
-        );
+        // An over-long line, then a line that is not UTF-8, then a request.
+        let mut input = "x".repeat(MAX_REQUEST_LINE_BYTES + 1).into_bytes();
+        input.extend_from_slice(b"\n{\"id\":3,\xFF\xFE}\n{\"id\":2,\"request\":\"Stats\"}\n");
         let mut output = Vec::new();
-        server.serve(input.as_bytes(), &mut output).unwrap();
+        server.serve(input.as_slice(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
+        assert_eq!(lines.len(), 3, "{text}");
         assert!(lines[0].starts_with("{\"id\":0,\"err\":"), "{}", lines[0]);
         assert!(lines[0].contains(&MAX_REQUEST_LINE_BYTES.to_string()));
-        assert!(lines[1].starts_with("{\"id\":2,\"ok\":"), "{}", lines[1]);
-        assert_eq!(server.stats().errors, 1);
+        assert!(lines[1].starts_with("{\"id\":0,\"err\":"), "{}", lines[1]);
+        assert!(lines[1].contains("not UTF-8"), "{}", lines[1]);
+        assert!(lines[2].starts_with("{\"id\":2,\"ok\":"), "{}", lines[2]);
+        assert_eq!(server.stats().requests, 3);
+        assert_eq!(server.stats().errors, 2);
     }
 
     #[test]

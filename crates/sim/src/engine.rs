@@ -227,8 +227,8 @@ impl TrialEngine {
     /// width of lookups in flight
     /// ([`RoutingKernel::route_batch`] or [`ImplicitKernel::route_batch`]).
     /// Batched outcomes are bit-identical per pair to the scalar reference
-    /// path (the `kernel_equivalence`, `batch_equivalence` and
-    /// `implicit_equivalence` suites prove it), and outcomes are recorded in
+    /// path (the `kernel_equivalence` and `implicit_equivalence` suites
+    /// prove it), and outcomes are recorded in
     /// draw order — so which backend ran is not observable in the tally.
     ///
     /// # Panics
@@ -406,8 +406,11 @@ struct Scratch {
 mod tests {
     use super::*;
     use dht_id::KeySpace;
+    use dht_id::Population;
     use dht_overlay::route_prevalidated;
-    use dht_overlay::{CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay};
+    use dht_overlay::{
+        CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay, PlaxtonOverlay, SymphonyOverlay,
+    };
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -503,18 +506,28 @@ mod tests {
     /// The engine routes every shard through the lockstep batch, so this is
     /// the engine-level batched-vs-scalar equality contract: same pairs,
     /// same RNG streams, bit-identical tallies (including the
-    /// order-sensitive floating-point hop statistics).
+    /// order-sensitive floating-point hop statistics), for all five
+    /// geometries and for a sparse population, whose mask the kernel
+    /// compresses by rank.
     #[test]
     fn kernel_path_tallies_identically_to_the_scalar_path() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let mut build_rng = ChaCha8Rng::seed_from_u64(37);
+        let sparse =
+            Population::sample_uniform(KeySpace::new(10).unwrap(), 300, &mut build_rng).unwrap();
         let overlays: Vec<Box<dyn Overlay>> = vec![
             Box::new(ChordOverlay::build(9, ChordVariant::Deterministic).unwrap()),
             Box::new(KademliaOverlay::build(9, &mut rng).unwrap()),
             Box::new(CanOverlay::build(9).unwrap()),
+            Box::new(PlaxtonOverlay::build(9, &mut build_rng).unwrap()),
+            Box::new(SymphonyOverlay::build(9, 1, 1, &mut build_rng).unwrap()),
+            Box::new(
+                ChordOverlay::build_over(sparse, ChordVariant::Randomized, &mut build_rng).unwrap(),
+            ),
         ];
         for overlay in &overlays {
             assert!(overlay.kernel().is_some(), "geometries compile kernels");
-            let mask = FailureMask::sample(overlay.key_space(), 0.3, &mut rng);
+            let mask = FailureMask::sample_over(overlay.population(), 0.3, &mut rng);
             let engine = TrialEngine::new(3);
             let with_kernel = engine.run_trial(overlay.as_ref(), &mask, 8_000, 13);
             let scalar = scalar_reference(&engine, overlay.as_ref(), &mask, 8_000, 13);

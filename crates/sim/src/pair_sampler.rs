@@ -159,7 +159,7 @@ impl<'mask> PairSampler<'mask> {
     /// [`RoutingKernel::route_batch`](dht_overlay::RoutingKernel::route_batch),
     /// keeping the routing frontier full without perturbing a single draw —
     /// per-shard draw order is what makes the committed measured values
-    /// bit-identical across scalar, per-route-kernel and batched engines.
+    /// bit-identical between the batched engine and the scalar oracle.
     pub fn sample_values_into<R: Rng + ?Sized>(
         &self,
         count: u64,
