@@ -2,6 +2,7 @@
 
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy, NoRandomness};
+use crate::kernel::RowForm;
 use crate::traits::{validate_bits, OverlayError};
 use dht_id::{distance::hamming, NodeId, Population};
 use rand::Rng;
@@ -72,6 +73,15 @@ impl GeometryStrategy for CanStrategy {
     fn implicit_stream_words(&self, population: &Population) -> Option<u64> {
         // Hypercube links are fully determined by the identifier: no draws.
         population.is_full().then_some(0)
+    }
+
+    fn row_form(&self, population: &Population) -> RowForm {
+        // Over a full population every flip is occupied: links `n ^ 2^i`.
+        if population.is_full() {
+            RowForm::ClosedForm
+        } else {
+            RowForm::Rows
+        }
     }
 
     fn supports_live(&self) -> bool {

@@ -2,6 +2,7 @@
 
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy, NoRandomness};
+use crate::kernel::RowForm;
 use crate::traits::{validate_bits, Overlay, OverlayError};
 use dht_id::{distance::ring_distance, NodeId, Population};
 use rand::Rng;
@@ -110,6 +111,15 @@ impl GeometryStrategy for ChordStrategy {
             ChordVariant::Randomized => {
                 Some(2 * u64::from(population.space().bits().saturating_sub(1)))
             }
+        }
+    }
+
+    fn row_form(&self, population: &Population) -> RowForm {
+        // Over a full population deterministic fingers are `n + 2^i`.
+        if population.is_full() && self.variant == ChordVariant::Deterministic {
+            RowForm::ClosedForm
+        } else {
+            RowForm::Rows
         }
     }
 

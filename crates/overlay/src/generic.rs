@@ -2,7 +2,7 @@
 
 use crate::arena::RoutingArena;
 use crate::failure::FailureMask;
-use crate::kernel::{KernelRule, RoutingKernel};
+use crate::kernel::{KernelRule, RoutingKernel, RowForm};
 use crate::traits::{validate_population, Overlay, OverlayError};
 use dht_id::{NodeId, Population};
 use rand::Rng;
@@ -85,6 +85,23 @@ pub trait GeometryStrategy: Send + Sync {
     fn implicit_stream_words(&self, population: &Population) -> Option<u64> {
         let _ = population;
         None
+    }
+
+    /// How the kernels read the entries a hop probes over `population`
+    /// (see [`crate::kernel`]).
+    ///
+    /// The default, lowered rows, serves every geometry that exports a
+    /// [`KernelRule`]: the materialized kernel compiles them into its plan
+    /// and the implicit one regenerates them into its row cache. A strategy
+    /// that declares another form asserts that the form's entries are
+    /// exactly the static row lowering's entries a hop reads — the closed
+    /// form (ring fingers `n + 2^i`, hypercube links `n ^ 2^i`, both
+    /// backends, no plan) or positioned prefix draws (bucket `b` is the
+    /// `next_u64` at word `2b` of the node's stream slice, implicit backend).
+    /// The equivalence suites hold every declaration to the scalar path.
+    fn row_form(&self, population: &Population) -> RowForm {
+        let _ = population;
+        RowForm::Rows
     }
 
     /// Whether the geometry implements the live-churn maintenance hooks
@@ -201,8 +218,9 @@ pub struct GeometryOverlay<S> {
     population: Arc<Population>,
     strategy: S,
     arena: RoutingArena,
-    /// Lazily compiled rank-space plan (see [`crate::kernel`]); only
-    /// geometries whose strategy exports a [`KernelRule`] ever initialise it.
+    /// Lazily compiled rank-space kernel (see [`crate::kernel`]); only
+    /// geometries whose strategy exports a [`KernelRule`] ever initialise it,
+    /// and closed-form geometries initialise it without a plan.
     kernel: OnceLock<RoutingKernel>,
 }
 
@@ -289,7 +307,12 @@ impl<S: GeometryStrategy> Overlay for GeometryOverlay<S> {
         let rule = self.strategy.kernel_rule()?;
         Some(
             self.kernel
-                .get_or_init(|| RoutingKernel::compile(rule, &self.population, &self.arena)),
+                .get_or_init(|| match self.strategy.row_form(&self.population) {
+                    RowForm::ClosedForm => RoutingKernel::closed_form(rule, &self.population),
+                    RowForm::Rows | RowForm::PositionedPrefix => {
+                        RoutingKernel::compile(rule, &self.population, &self.arena)
+                    }
+                }),
         )
     }
 
@@ -397,20 +420,35 @@ mod tests {
     fn resident_bytes_counts_the_compiled_plan_for_every_geometry() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let overlays: [Box<dyn Overlay>; 5] = [
-            Box::new(crate::CanOverlay::build(10).unwrap()),
+        let planned: [Box<dyn Overlay>; 4] = [
             Box::new(crate::ChordOverlay::build_randomized(10, &mut rng).unwrap()),
             Box::new(crate::KademliaOverlay::build(10, &mut rng).unwrap()),
             Box::new(crate::PlaxtonOverlay::build(10, &mut rng).unwrap()),
             Box::new(crate::SymphonyOverlay::build(10, 1, 2, &mut rng).unwrap()),
         ];
-        for overlay in &overlays {
+        for overlay in &planned {
             let before = overlay.resident_bytes();
             let plan = overlay.kernel().unwrap().plan_bytes();
             assert!(plan > 0);
             assert_eq!(
                 overlay.resident_bytes(),
                 before + plan,
+                "{}",
+                overlay.geometry_name()
+            );
+        }
+        // Closed-form geometries route without a plan.
+        let closed: [Box<dyn Overlay>; 2] = [
+            Box::new(crate::CanOverlay::build(10).unwrap()),
+            Box::new(crate::ChordOverlay::build(10, crate::ChordVariant::Deterministic).unwrap()),
+        ];
+        for overlay in &closed {
+            let before = overlay.resident_bytes();
+            let plan = overlay.kernel().unwrap().plan_bytes();
+            assert_eq!(plan, 0);
+            assert_eq!(
+                overlay.resident_bytes(),
+                before,
                 "{}",
                 overlay.geometry_name()
             );

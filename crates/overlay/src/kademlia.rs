@@ -2,6 +2,7 @@
 
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy};
+use crate::kernel::RowForm;
 use crate::traits::{validate_bits, Overlay, OverlayError};
 use dht_id::{distance::xor_distance, NodeId, Population};
 use rand::Rng;
@@ -36,6 +37,20 @@ fn bucket_range(node: NodeId, bucket: u32) -> (u64, u64) {
     (lo, lo | suffix_mask)
 }
 
+/// The full-population contact of bucket `bucket` (0 = widest) of the node
+/// with value `node` in a `bits`-bit space: the node with bit `bucket`
+/// (MSB-first) flipped and every bit below it taken from `draw`.
+///
+/// The one contact formula of the full construction: the materialized build
+/// feeds it one `next_u64` per bucket in order, and the implicit backend's
+/// positioned source feeds it the same draw replayed at the bucket's stream
+/// position.
+pub(crate) fn prefix_contact(bits: u32, node: u64, bucket: u32, draw: u64) -> u64 {
+    let flipped = 1u64 << (bits - 1 - bucket);
+    let suffix = flipped - 1;
+    ((node ^ flipped) & !suffix) | (draw & suffix)
+}
+
 /// Pushes one prefix-bucket contact per level, shared by the XOR and tree
 /// geometries (their routing tables are structurally identical; §3.3).
 pub(crate) fn build_prefix_table<R: Rng + ?Sized>(
@@ -48,15 +63,8 @@ pub(crate) fn build_prefix_table<R: Rng + ?Sized>(
     let bits = space.bits();
     if population.is_full() {
         for bucket in 0..bits {
-            // Bucket `bucket` (0 = widest): flip bit `bucket`, randomise
-            // everything below it.
-            let random_suffix = space.random_id(rng);
-            table.push(
-                node.flip_bit(bucket)
-                    .expect("bucket index is within the key space")
-                    .splice_prefix(bucket + 1, random_suffix)
-                    .expect("identifier widths match"),
-            );
+            let contact = prefix_contact(bits, node.value(), bucket, rng.next_u64());
+            table.push(space.wrap(contact));
         }
     } else {
         for bucket in 0..bits {
@@ -187,13 +195,22 @@ impl GeometryStrategy for KademliaStrategy {
     }
 
     fn implicit_stream_words(&self, population: &Population) -> Option<u64> {
-        // Full-population buckets draw one `random_id` (one `next_u64`, two
-        // words) per bucket, unconditionally. Sparse bucket sampling draws a
-        // variable number of words (rejection against occupancy), so only the
-        // full construction has a fixed stream offset per rank.
+        // Full-population buckets draw one `next_u64` (two words) per
+        // bucket, unconditionally. Sparse bucket sampling draws a variable
+        // number of words (rejection against occupancy), so only the full
+        // construction has a fixed stream offset per rank.
         population
             .is_full()
             .then(|| 2 * u64::from(population.space().bits()))
+    }
+
+    fn row_form(&self, population: &Population) -> RowForm {
+        // Bucket `b`'s draw sits at word `2b` of the node's stream slice.
+        if population.is_full() {
+            RowForm::PositionedPrefix
+        } else {
+            RowForm::Rows
+        }
     }
 
     fn supports_live(&self) -> bool {

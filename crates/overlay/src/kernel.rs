@@ -29,18 +29,34 @@
 //!   ([`KernelMask::is_alive_rank`]) — no sparse population-rank lookup per
 //!   probe.
 //!
-//! # One routing loop over two row sources
+//! # One routing loop over four row sources
 //!
 //! Rank-space routing is written once, over a crate-private *row source*:
-//! something that hands out the lowered plan row of a rank. The
-//! materialized source slices the row out of this kernel's CSR plan and
-//! prefetches the next one; the implicit source ([`ImplicitKernel`])
-//! regenerates it into the caller's [`ImplicitRowCache`] and has nothing to
-//! prefetch. On top of it sit one admission prelude, one per-hop step (the
-//! rule's dispatch over the row) and the lockstep pass of [`batch`], the
-//! only way either kernel routes. Every row either source produces comes
-//! from the same static row lowering, so the two backends cannot disagree
-//! on a hop.
+//! something that hands a hop the entries of a rank's row it probes, in
+//! greedy-preference order. Each geometry strategy declares which form its
+//! rows take over a population
+//! ([`GeometryStrategy::row_form`](crate::generic::GeometryStrategy::row_form)),
+//! and the kernel picks the source from it:
+//!
+//! * **plan rows** — the materialized source slices the row out of this
+//!   kernel's CSR plan and prefetches the next one;
+//! * **cached rows** — the implicit source ([`ImplicitKernel`]) regenerates
+//!   the row into the caller's [`ImplicitRowCache`] (randomized Chord,
+//!   Symphony);
+//! * **closed form** — deterministic Chord fingers `rank + 2^i` and hypercube
+//!   links `rank ^ 2^i` over a full population are computed from the rank on
+//!   both backends, and a hop visits only the entries it can take: the
+//!   fingers from the remaining distance's top bit down, the links of the
+//!   bits still set in the XOR diff. Such a kernel compiles no plan;
+//! * **positioned draws** — on the implicit backend, a Kademlia or Plaxton
+//!   bucket is one stream draw at a fixed position, so a hop seeks to the
+//!   bucket it probes and reads on only for the XOR fallback.
+//!
+//! On top of the source sit one admission prelude, one per-hop step (the
+//! rule's dispatch over the entries) and the lockstep pass of [`batch`], the
+//! only way either kernel routes. The closed form and the positioned draws
+//! yield exactly the entries of the static row lowering that the hop would
+//! read, so no source can disagree with another on a hop.
 //!
 //! The kernel's outcomes are **bit-identical** to the scalar path: every
 //! [`RouteOutcome`] of [`RoutingKernel::route_batch`] (including
@@ -125,6 +141,23 @@ pub enum KernelRule {
     HypercubeBit,
 }
 
+/// How a kernel reads the entries a hop probes: the answer of
+/// [`GeometryStrategy::row_form`](crate::generic::GeometryStrategy::row_form)
+/// for a population.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowForm {
+    /// Lowered rows: compiled into the materialized plan, regenerated into
+    /// the implicit backend's row cache.
+    Rows,
+    /// Ring fingers `rank + 2^i` or hypercube links `rank ^ 2^i`, computed
+    /// from the rank on both backends; no plan is compiled.
+    ClosedForm,
+    /// Prefix buckets drawn one at a time from the construction stream at
+    /// bucket `b`'s position `rank × stride + 2b` (implicit backend; the
+    /// materialized backend compiles plan rows).
+    PositionedPrefix,
+}
+
 /// A [`FailureMask`] lowered into a kernel's rank space: alive probes become
 /// direct bit tests indexed by occupied rank.
 ///
@@ -174,7 +207,9 @@ fn alive_bit(words: &[u64], rank: u32) -> bool {
     words[(rank >> 6) as usize] & (1u64 << (rank & 63)) != 0
 }
 
-/// A built overlay lowered into a rank-space routing plan.
+/// A built overlay lowered into a rank-space routing plan — or, for a
+/// geometry whose strategy declares [`RowForm::ClosedForm`], a kernel that
+/// computes its entries per hop and holds no plan.
 ///
 /// See the [module docs](self) for the representation. Obtain one through
 /// [`Overlay::kernel`](crate::Overlay::kernel) (compiled lazily, cached on
@@ -197,6 +232,9 @@ pub struct RoutingKernel {
     stride: Option<u32>,
     /// The packed plan entries, tables back to back in rank order.
     entries: Vec<PlanEntry>,
+    /// Routes through the closed-form source instead of a plan (then
+    /// `offsets` and `entries` are empty).
+    closed_form: bool,
 }
 
 /// One packed plan entry: the precomputed hop key and the neighbour's
@@ -286,6 +324,28 @@ impl RoutingKernel {
             offsets,
             stride,
             entries,
+            closed_form: false,
+        }
+    }
+
+    /// A kernel without a plan, for a full population whose strategy
+    /// declares [`RowForm::ClosedForm`]: every hop computes its entries from
+    /// the rank, so [`RoutingKernel::entry_count`] and
+    /// [`RoutingKernel::plan_bytes`] read 0.
+    #[must_use]
+    pub(crate) fn closed_form(rule: KernelRule, population: &Arc<Population>) -> Self {
+        assert!(population.is_full(), "closed forms need a full population");
+        let space = population.space();
+        RoutingKernel {
+            rule,
+            space,
+            bits: space.bits(),
+            full: true,
+            population: Arc::clone(population),
+            offsets: Vec::new(),
+            stride: None,
+            entries: Vec::new(),
+            closed_form: true,
         }
     }
 
@@ -364,7 +424,7 @@ impl RoutingKernel {
     }
 
     /// Number of plan entries (directed edges, placeholders included for the
-    /// positional prefix rules).
+    /// positional prefix rules); 0 for a closed-form kernel.
     #[must_use]
     pub fn entry_count(&self) -> u64 {
         self.entries.len() as u64
@@ -372,8 +432,9 @@ impl RoutingKernel {
 
     /// Bytes of the plan's own storage (offsets and packed key/rank
     /// entries) — the kernel's memory cost on top of the overlay it was
-    /// lowered from: 8 bytes per entry plus 4 per node. The population is
-    /// shared with the overlay, not duplicated, and is not counted here.
+    /// lowered from: 8 bytes per entry plus 4 per node, and 0 for a
+    /// closed-form kernel. The population is shared with the overlay, not
+    /// duplicated, and is not counted here.
     #[must_use]
     pub fn plan_bytes(&self) -> usize {
         self.offsets.len() * 4 + self.entries.len() * std::mem::size_of::<PlanEntry>()
@@ -434,14 +495,16 @@ impl RoutingKernel {
     }
 }
 
-/// Where the shared route loops read plan rows from.
+/// Where the shared route loops read the entries a hop probes from.
 ///
-/// Two implementations: a materialized [`RoutingKernel`] slices the row out
-/// of its CSR plan and prefetches the next one, and an implicit kernel with
-/// the caller's [`ImplicitRowCache`] regenerates it on a miss (see
-/// [`implicit`]). Everything above the row — admission, the per-rule hop
-/// and the lockstep pass — is written once against this trait, so the two
-/// backends share every routing decision by construction.
+/// Four implementations: a materialized [`RoutingKernel`] slices the row out
+/// of its CSR plan and prefetches the next one; an implicit kernel with the
+/// caller's [`ImplicitRowCache`] regenerates it on a miss (see [`implicit`]);
+/// the closed-form source computes ring and hypercube entries from the rank
+/// ([`ClosedForm`]); and the implicit prefix source draws one bucket at a
+/// time from its stream position. Everything above the entries — admission,
+/// the per-rule hop and the lockstep pass — is written once against this
+/// trait, so every source shares every routing decision by construction.
 trait RowSource {
     /// The dispatch rule of the rows.
     fn rule(&self) -> KernelRule;
@@ -449,14 +512,49 @@ trait RowSource {
     /// The identifier space routed in.
     fn space(&self) -> KeySpace;
 
-    /// Occupied rank of the identifier `value`, `None` when unoccupied.
-    fn rank_of_value(&self, value: u64) -> Option<u32>;
+    /// Occupied rank of the identifier `value`, `None` when unoccupied. The
+    /// default serves full populations, where rank == value.
+    #[inline]
+    fn rank_of_value(&self, value: u64) -> Option<u32> {
+        Some(value as u32)
+    }
 
-    /// The lowered plan row of `rank`.
-    fn row(&mut self, rank: u32) -> &[PlanEntry];
+    /// The entries of `rank`'s row that a hop of `rule`, `cursor` away from
+    /// its target, probes, in greedy-preference order: for the prefix rules
+    /// the row from the bucket of the cursor's leading bit on, for the ring
+    /// and hypercube rules the row itself. A source may leave out entries
+    /// the hop would skip (ring advances beyond the cursor, hypercube bits
+    /// the diff no longer holds), never entries it could take.
+    fn entries(
+        &mut self,
+        rule: KernelRule,
+        rank: u32,
+        cursor: u64,
+    ) -> impl Iterator<Item = PlanEntry>;
 
-    /// Hints that the row of `rank` is read on the next lockstep pass.
-    fn prefetch(&self, rank: u32);
+    /// Hints that the entries of `rank` are read on the next lockstep pass.
+    /// Only plan rows are loaded from memory the hop waits for; the other
+    /// sources compute their entries and have nothing to prefetch.
+    fn prefetch(&self, rank: u32) {
+        let _ = rank;
+    }
+}
+
+/// The entries of a lowered `row` that a hop of `rule` at `cursor` scans:
+/// the row from the bucket of the cursor's leading bit on for the prefix
+/// rules (rows are positional), the whole row otherwise.
+#[inline(always)]
+fn row_entries(
+    row: &[PlanEntry],
+    rule: KernelRule,
+    bits: u32,
+    cursor: u64,
+) -> impl Iterator<Item = PlanEntry> + '_ {
+    let first = match rule {
+        KernelRule::PrefixXor | KernelRule::PrefixTree => leading_level(bits, cursor),
+        KernelRule::RingAdvance | KernelRule::HypercubeBit => 0,
+    };
+    row[first..].iter().copied()
 }
 
 /// The materialized row source: rows are slices of the compiled plan. The
@@ -489,8 +587,13 @@ impl RowSource for PlanRows<'_> {
         }
     }
 
-    #[inline]
-    fn row(&mut self, rank: u32) -> &[PlanEntry] {
+    #[inline(always)]
+    fn entries(
+        &mut self,
+        rule: KernelRule,
+        rank: u32,
+        cursor: u64,
+    ) -> impl Iterator<Item = PlanEntry> {
         let (start, end) = match self.stride {
             Some(stride) => (
                 rank as usize * stride as usize,
@@ -498,7 +601,7 @@ impl RowSource for PlanRows<'_> {
             ),
             None => self.kernel.bounds(rank),
         };
-        &self.entries[start..end]
+        row_entries(&self.entries[start..end], rule, self.kernel.bits, cursor)
     }
 
     /// Fixed-stride plans (every full population) know the row address
@@ -520,6 +623,71 @@ impl RowSource for PlanRows<'_> {
             }
             None => prefetch_read(&self.kernel.offsets, rank as usize),
         }
+    }
+}
+
+/// The closed-form source of a full-population ring or hypercube, on both
+/// backends: rank == value, and the entries a hop can take are computed from
+/// the rank and the cursor, so there is no row to store, regenerate or
+/// prefetch.
+struct ClosedForm {
+    rule: KernelRule,
+    space: KeySpace,
+}
+
+impl RowSource for ClosedForm {
+    #[inline]
+    fn rule(&self) -> KernelRule {
+        self.rule
+    }
+
+    #[inline]
+    fn space(&self) -> KeySpace {
+        self.space
+    }
+
+    /// Ring: the fingers `rank + 2^i` for every `2^i` up to the remaining
+    /// distance's top bit, largest first — the static row's entries the
+    /// ring scan does not skip as overshooting. Hypercube: the links
+    /// `rank ^ 2^i` for every bit still set in the XOR diff, most
+    /// significant first — the static row's entries whose bit the diff
+    /// holds.
+    #[inline(always)]
+    fn entries(
+        &mut self,
+        rule: KernelRule,
+        rank: u32,
+        cursor: u64,
+    ) -> impl Iterator<Item = PlanEntry> {
+        let ring = match rule {
+            KernelRule::RingAdvance => true,
+            KernelRule::HypercubeBit => false,
+            KernelRule::PrefixXor | KernelRule::PrefixTree => {
+                unreachable!("only ring and hypercube rows have a closed form")
+            }
+        };
+        let mut weights = if ring {
+            u64::MAX >> cursor.leading_zeros()
+        } else {
+            cursor
+        };
+        let rank = u64::from(rank);
+        let max = self.space.max_value();
+        std::iter::from_fn(move || {
+            (weights != 0).then(|| {
+                let weight = 1u64 << (63 - weights.leading_zeros());
+                weights ^= weight;
+                let target = if ring {
+                    (rank + weight) & max
+                } else {
+                    rank ^ weight
+                };
+                PlanEntry {
+                    key: weight as u32,
+                    target: target as u32,
+                }
+            })
+        })
     }
 }
 
@@ -580,8 +748,8 @@ fn position(rule: KernelRule, space: KeySpace, target: u64, cursor: u64) -> u64 
 }
 
 /// One greedy hop from `rank`, `cursor` away from `target`: the rule's
-/// dispatch over the rank's row. Returns the cursor after the hop and the
-/// next rank, or `None` when no alive entry makes progress.
+/// dispatch over the entries the source hands out. Returns the cursor after
+/// the hop and the next rank, or `None` when no alive entry makes progress.
 ///
 /// Always inlined, so a loop that passes a constant `rule` keeps only that
 /// rule's arm (see [`rule_of`]). The per-rule hop helpers are always
@@ -595,16 +763,15 @@ fn step<R: RowSource>(
     cursor: u64,
     target: u64,
 ) -> Option<(u64, u32)> {
-    let bits = rows.space().bits();
-    let row = rows.row(rank);
+    let entries = rows.entries(rule, rank, cursor);
     match rule {
         KernelRule::RingAdvance => {
-            ring_hop_row(row, words, cursor).map(|(advance, next)| (cursor - advance, next))
+            ring_hop(entries, words, cursor).map(|(advance, next)| (cursor - advance, next))
         }
-        KernelRule::PrefixXor => xor_hop_row(row, words, bits, cursor, target),
-        KernelRule::PrefixTree => tree_hop_row(row, words, bits, cursor, target),
+        KernelRule::PrefixXor => xor_hop(entries, words, cursor, target),
+        KernelRule::PrefixTree => tree_hop(entries, words, target),
         KernelRule::HypercubeBit => {
-            cube_hop_row(row, words, cursor).map(|(weight, next)| (cursor ^ weight, next))
+            cube_hop(entries, words, cursor).map(|(weight, next)| (cursor ^ weight, next))
         }
     }
 }
@@ -646,18 +813,22 @@ fn check_mask(mask: &FailureMask, bits: u32, population: &Population) {
     );
 }
 
-/// One ring hop over a single plan row: the largest advance `<=` remaining
-/// whose entry is alive. Returns the advance taken and the new rank.
+/// One ring hop: the first entry whose advance is `<=` the remaining
+/// distance and alive. Returns the advance taken and the new rank.
 ///
-/// Entries are stored largest-advance first, so a forward scan over the
-/// row finds the answer: overshooting advances and dead probes are both
-/// skipped by the same walk. The scan is expected O(1) probes — the
-/// number of advances above the remaining distance is geometrically
-/// distributed (one per phase above the current one), which beats a
-/// branchy O(log d) binary search on real tables.
+/// Entries come largest-advance first, so a forward scan finds the largest
+/// admissible advance: overshooting advances and dead probes are both
+/// skipped by the same walk. Over a plan row the scan is expected O(1)
+/// probes — the number of advances above the remaining distance is
+/// geometrically distributed (one per phase above the current one), which
+/// beats a branchy O(log d) binary search on real tables.
 #[inline(always)]
-fn ring_hop_row(row: &[PlanEntry], words: &[u64], remaining: u64) -> Option<(u64, u32)> {
-    for entry in row {
+fn ring_hop(
+    entries: impl Iterator<Item = PlanEntry>,
+    words: &[u64],
+    remaining: u64,
+) -> Option<(u64, u32)> {
+    for entry in entries {
         // Live plans keep zero-advance self entries at the row tail
         // (fixed-width rows, sorted descending); a zero advance never
         // makes greedy progress, so reaching the tail means the hop
@@ -674,45 +845,41 @@ fn ring_hop_row(row: &[PlanEntry], words: &[u64], remaining: u64) -> Option<(u64
     None
 }
 
-/// One tree hop over a single plan row: probe the level of the highest bit
-/// of the XOR `diff` to the target, no fallback. Returns the diff after the
-/// hop and the entry's rank.
+/// One tree hop: probe the first entry — the level of the highest bit of
+/// the XOR `diff` to the target — with no fallback. Returns the diff after
+/// the hop and the entry's rank.
 #[inline(always)]
-fn tree_hop_row(
-    row: &[PlanEntry],
+fn tree_hop(
+    mut entries: impl Iterator<Item = PlanEntry>,
     words: &[u64],
-    bits: u32,
-    diff: u64,
     target: u64,
 ) -> Option<(u64, u32)> {
-    let entry = row[leading_level(bits, diff)];
+    let entry = entries.next()?;
     (entry.target != NO_ENTRY && alive_bit(words, entry.target))
         .then(|| (u64::from(entry.key) ^ target, entry.target))
 }
 
-/// One XOR hop over a single plan row: the bucket of the highest bit of the
-/// XOR `diff` to the target when alive (the provable minimum), else the
-/// XOR-closest alive contact among the lower-order buckets. Returns the diff
-/// after the hop and the contact's rank.
+/// One XOR hop: the first entry — the bucket of the highest bit of the XOR
+/// `diff` to the target — when alive (the provable minimum), else the
+/// XOR-closest alive contact among the lower-order buckets that follow it.
+/// Returns the diff after the hop and the contact's rank.
 #[inline(always)]
-fn xor_hop_row(
-    row: &[PlanEntry],
+fn xor_hop(
+    mut entries: impl Iterator<Item = PlanEntry>,
     words: &[u64],
-    bits: u32,
     diff: u64,
     target: u64,
 ) -> Option<(u64, u32)> {
-    let level = leading_level(bits, diff);
-    let primary = row[level];
+    let primary = entries.next()?;
     if primary.target != NO_ENTRY && alive_bit(words, primary.target) {
         return Some((u64::from(primary.key) ^ target, primary.target));
     }
-    // Fallback: buckets above `level` can never beat the current
-    // distance; buckets below compete on their (precomputed) contact
-    // values' XOR distance to the target. Strictly-smaller keeps the
-    // scalar path's first-minimum tie behaviour.
+    // Fallback: buckets above the primary can never beat the current
+    // distance; buckets below compete on their contact values' XOR
+    // distance to the target. Strictly-smaller keeps the scalar path's
+    // first-minimum tie behaviour.
     let mut best: Option<(u64, u32)> = None;
-    for entry in &row[level + 1..bits as usize] {
+    for entry in entries {
         if entry.target == NO_ENTRY || !alive_bit(words, entry.target) {
             continue;
         }
@@ -724,12 +891,16 @@ fn xor_hop_row(
     best
 }
 
-/// One hypercube hop over a single plan row: the first (highest-weight) entry
-/// whose bit is still set in `diff` and alive. Returns the corrected bit
-/// weight and the new rank.
+/// One hypercube hop: the first (highest-weight) entry whose bit is still
+/// set in `diff` and alive. Returns the corrected bit weight and the new
+/// rank.
 #[inline(always)]
-fn cube_hop_row(row: &[PlanEntry], words: &[u64], diff: u64) -> Option<(u64, u32)> {
-    for entry in row {
+fn cube_hop(
+    entries: impl Iterator<Item = PlanEntry>,
+    words: &[u64],
+    diff: u64,
+) -> Option<(u64, u32)> {
+    for entry in entries {
         if diff & u64::from(entry.key) != 0 && alive_bit(words, entry.target) {
             return Some((u64::from(entry.key), entry.target));
         }
@@ -941,19 +1112,87 @@ mod tests {
 
     #[test]
     fn ring_kernel_precomputes_sorted_advances() {
+        // A deterministic ring over a full population routes in closed form
+        // and holds no plan.
         let overlay = ChordOverlay::build(6, ChordVariant::Deterministic).unwrap();
         let kernel = overlay.kernel().expect("ring compiles");
         assert_eq!(kernel.rule(), KernelRule::RingAdvance);
-        assert_eq!(kernel.entry_count(), 64 * 6);
-        assert!(kernel.plan_bytes() > 0);
-        // Deterministic fingers advance by 1, 2, 4, ..., already sorted: the
-        // longest non-overshooting finger takes 0 to 32, the next one to 48.
+        assert_eq!((kernel.entry_count(), kernel.plan_bytes()), (0, 0));
+        // Deterministic fingers advance by 1, 2, 4, ...: the longest
+        // non-overshooting finger takes 0 to 32, the next one to 48.
         let mask = FailureMask::none(overlay.key_space());
         let lowered = kernel.compile_mask(&mask);
         assert_eq!(
             route_all(kernel, lowered.words(), &[(0, 48)], 64),
             [RouteOutcome::Delivered { hops: 2 }]
         );
+        // A randomized ring still compiles a plan, every row sorted by
+        // strictly descending, non-zero advance.
+        let randomized =
+            ChordOverlay::build_randomized(6, &mut ChaCha8Rng::seed_from_u64(6)).unwrap();
+        let kernel = randomized.kernel().expect("ring compiles");
+        assert!(kernel.plan_bytes() > 0);
+        for rank in 0..64 {
+            let (start, end) = kernel.bounds(rank);
+            let row = &kernel.entries[start..end];
+            assert!(!row.is_empty() && row[row.len() - 1].key > 0);
+            assert!(
+                row.windows(2).all(|pair| pair[0].key > pair[1].key),
+                "row {rank} is sorted by descending advance"
+            );
+        }
+    }
+
+    /// Routes arbitrary pairs through `overlay`'s closed-form kernel and
+    /// through a plan compiled from its arena, at every failure probability,
+    /// hop limit and frontier width of the closed-form coverage, and asserts
+    /// identical outcomes pair by pair.
+    fn assert_closed_form_matches_plan<S: crate::GeometryStrategy>(
+        overlay: &crate::GeometryOverlay<S>,
+        rng: &mut ChaCha8Rng,
+    ) {
+        let name = overlay.geometry_name();
+        let bits = overlay.key_space().bits();
+        let closed = overlay.kernel().expect("closed forms are kernels");
+        assert_eq!(
+            closed.plan_bytes(),
+            0,
+            "{name} at {bits} bits holds no plan"
+        );
+        let population = Arc::new(overlay.population().clone());
+        let plan = RoutingKernel::compile(closed.rule(), &population, overlay.arena());
+        assert!(plan.entry_count() > 0);
+        let space = overlay.key_space();
+        let pairs: Vec<(u64, u64)> = (0..200)
+            .map(|_| (space.random_id(rng).value(), space.random_id(rng).value()))
+            .collect();
+        for q in [0.0, 0.3, 1.0] {
+            let mask = FailureMask::sample(space, q, rng);
+            let words = closed.compile_mask(&mask).words().to_vec();
+            for limit in [default_route_hop_limit(overlay), 0, 1, 2] {
+                for width in [1, 128] {
+                    let mut closed_outcomes = Vec::new();
+                    let mut plan_outcomes = Vec::new();
+                    let mut batch = RouteBatch::new(width);
+                    closed.route_batch(&mut batch, &words, &pairs, limit, &mut closed_outcomes);
+                    plan.route_batch(&mut batch, &words, &pairs, limit, &mut plan_outcomes);
+                    assert_eq!(
+                        closed_outcomes, plan_outcomes,
+                        "{name} at {bits} bits, q {q}, limit {limit}, width {width}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_kernels_route_like_their_compiled_plans() {
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        for bits in 1..=12 {
+            let ring = ChordOverlay::build(bits, ChordVariant::Deterministic).unwrap();
+            assert_closed_form_matches_plan(&ring, &mut rng);
+            assert_closed_form_matches_plan(&CanOverlay::build(bits).unwrap(), &mut rng);
+        }
     }
 
     #[test]

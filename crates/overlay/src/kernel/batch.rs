@@ -12,9 +12,10 @@
 //! lockstep pass advances the *whole frontier by one hop per pass*. While
 //! lane `i`'s freshly computed next rank is still cooling, its row source
 //! prefetches the row (the materialized plan issues `prefetch_read`; the
-//! implicit cache has nothing to prefetch) and the pass moves on to lane
-//! `i + 1` — by the time the next pass returns to lane `i`, the row is
-//! (ideally) already in cache. With 64–256 lanes the dependent chains of
+//! sources that compute their entries — the implicit row cache, the closed
+//! form, positioned draws — have nothing to prefetch) and the pass moves on
+//! to lane `i + 1` — by the time the next pass returns to lane `i`, the row
+//! is (ideally) already in cache. With 64–256 lanes the dependent chains of
 //! independent lookups overlap and the batch approaches the DRAM bandwidth
 //! limit instead of the latency limit.
 //!
@@ -27,16 +28,18 @@
 //! The driver and its pass are written once, generic over the kernel's row
 //! source, and serve both [`RoutingKernel::route_batch`] and
 //! [`ImplicitKernel::route_batch`](super::ImplicitKernel::route_batch) —
-//! the only way either kernel routes. Outcomes are **bit-identical** per
-//! lookup to the scalar oracle [`route_with_limit`](crate::route_with_limit)
-//! at any frontier width: every lane runs the same admission prelude and
-//! the same per-hop step, and routing is read-only, so lanes cannot
-//! interact. The `batch_equivalence` proptest suite holds all five
+//! the only way either kernel routes — over every source: plan rows,
+//! cached rows, the closed form and positioned draws. Outcomes are
+//! **bit-identical** per lookup to the scalar oracle
+//! [`route_with_limit`](crate::route_with_limit) at any frontier width:
+//! every lane runs the same admission prelude and the same per-hop step,
+//! and routing is read-only (a source's scratch is per call), so lanes
+//! cannot interact. The `batch_equivalence` proptest suite holds all five
 //! geometries to this, full and sparse populations alike, which is what
 //! lets `dht_sim`'s trial engine route its shards through the batch path
 //! without perturbing one committed measurement.
 
-use super::{admit, dropped, rule_of, step, KernelRule, RoutingKernel, RowSource};
+use super::{admit, dropped, rule_of, step, ClosedForm, KernelRule, RoutingKernel, RowSource};
 use crate::router::RouteOutcome;
 
 /// The default frontier width of [`RouteBatch::default`]: wide enough to
@@ -184,14 +187,22 @@ impl RoutingKernel {
         hop_limit: u32,
         outcomes: &mut Vec<RouteOutcome>,
     ) {
-        route_batch_rows(
-            &mut self.rows(),
-            batch,
-            alive_words,
-            pairs,
-            hop_limit,
-            outcomes,
-        );
+        if self.closed_form {
+            let mut rows = ClosedForm {
+                rule: self.rule,
+                space: self.space,
+            };
+            route_batch_rows(&mut rows, batch, alive_words, pairs, hop_limit, outcomes);
+        } else {
+            route_batch_rows(
+                &mut self.rows(),
+                batch,
+                alive_words,
+                pairs,
+                hop_limit,
+                outcomes,
+            );
+        }
     }
 }
 

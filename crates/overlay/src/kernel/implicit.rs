@@ -17,27 +17,40 @@
 //! generated.
 //!
 //! [`ImplicitKernel`] exploits exactly that: it stores a constant-size
-//! descriptor (seed, rule, stream stride) and regenerates any plan row on
-//! demand. This module holds only that row source — the descriptor, the
-//! [`ImplicitRowCache`] and the cache fill. Routing itself is the kernel
-//! module's one admission prelude, per-hop step and lockstep pass, run over
-//! the cache instead of a CSR plan, and every row is lowered by the same
-//! static row lowering [`RoutingKernel`](super::RoutingKernel)'s compiler
-//! uses (with rank == value). Outcomes — [`RouteOutcome`] variants, hop
-//! counts, `stuck_at` identifiers, batch orderings — are therefore
-//! **bit-identical** to the materialized kernel built from the same seed,
-//! which the `implicit_equivalence` property suite asserts across every
-//! geometry.
+//! descriptor (seed, rule, stream stride, row form) and produces the entries
+//! a hop probes on demand, from the source the strategy's
+//! [`GeometryStrategy::row_form`] names:
 //!
-//! Regenerated rows land in an [`ImplicitRowCache`]: a direct-mapped cache
-//! of lowered rows, owned by the *caller* (one per worker thread), so the
-//! kernel itself stays shareable and its resident set stays constant. At
-//! scale it rarely hits: on the end-to-end benchmark's `implicit_scale`
-//! workload (uniform pairs over the survivors) the measured hit share is
-//! ~2·10⁻⁵ at 2^26 and ~2·10⁻⁶ at 2^28, so nearly every hop regenerates its
-//! row. Each cache is stamped with its kernel's workspace-unique id, and
-//! every call that takes a cache checks the stamp, so a cache cannot
-//! silently serve rows of another kernel.
+//! * **closed form** — deterministic Chord and the hypercube compute the
+//!   fingers or links a hop can take from the rank (the kernel module's
+//!   closed-form source, shared with the materialized backend);
+//! * **positioned draws** — a Kademlia or Plaxton hop seeks the caller's
+//!   stream replayer to word `r × words + 2b` of the bucket `b` it probes
+//!   and draws that one contact, reading on only for the XOR fallback's
+//!   lower buckets;
+//! * **cached rows** — randomized Chord and Symphony regenerate the whole
+//!   row and lower it into the caller's [`ImplicitRowCache`].
+//!
+//! Routing itself is the kernel module's one admission prelude, per-hop
+//! step and lockstep pass, and every source yields exactly the entries of
+//! the static row lowering [`RoutingKernel`](super::RoutingKernel)'s
+//! compiler uses (with rank == value) that the hop reads. Outcomes —
+//! [`RouteOutcome`] variants, hop counts, `stuck_at` identifiers, batch
+//! orderings — are therefore **bit-identical** to the materialized kernel
+//! built from the same seed, which the `implicit_equivalence` property suite
+//! asserts across every geometry.
+//!
+//! The [`ImplicitRowCache`] is a direct-mapped cache of lowered rows, owned
+//! by the *caller* (one per worker thread), so the kernel itself stays
+//! shareable and its resident set stays constant; it also holds the seeking
+//! RNG the positioned draws use. At scale it rarely hits: lanes route
+//! independent uniform pairs, so a hop finds its row cached with a
+//! probability near slots / nodes (1024 / 2^26 ≈ 1.5·10⁻⁵; the end-to-end
+//! benchmark measured ~2·10⁻⁵ at 2^26 and ~2·10⁻⁶ at 2^28), and nearly
+//! every hop through it regenerates its row. Each cache is stamped with its
+//! kernel's workspace-unique id, and every call that takes a cache checks
+//! the stamp, whichever source routes, so a cache cannot silently serve
+//! rows of another kernel.
 //!
 //! # Example
 //!
@@ -67,15 +80,16 @@
 
 use super::batch::route_batch_rows;
 use super::{
-    check_mask, lower_static_row, KernelMask, KernelRule, PlanEntry, RouteBatch, RowSource,
-    INERT_ENTRY, NO_ENTRY,
+    check_mask, leading_level, lower_static_row, row_entries, ClosedForm, KernelMask, KernelRule,
+    PlanEntry, RouteBatch, RowForm, RowSource, INERT_ENTRY, NO_ENTRY,
 };
 use crate::failure::FailureMask;
 use crate::generic::GeometryStrategy;
+use crate::kademlia::prefix_contact;
 use crate::router::RouteOutcome;
 use crate::traits::{validate_implicit_bits, Overlay, OverlayError};
 use dht_id::{KeySpace, NodeId, Population};
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,6 +125,9 @@ type RowFn = dyn Fn(NodeId, &mut ChaCha8Rng, &mut Vec<NodeId>) + Send + Sync;
 /// [`ImplicitKernel::route_batch`].
 pub struct ImplicitKernel {
     rule: KernelRule,
+    /// Which source hands a hop its entries: cached rows, the closed form or
+    /// positioned prefix draws.
+    form: RowForm,
     space: KeySpace,
     population: Arc<Population>,
     /// Workspace-unique stamp, copied into every cache this kernel creates.
@@ -128,6 +145,7 @@ impl fmt::Debug for ImplicitKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ImplicitKernel")
             .field("rule", &self.rule)
+            .field("form", &self.form)
             .field("space", &self.space)
             .field("stream_seed", &self.stream_seed)
             .field("words_per_node", &self.words_per_node)
@@ -191,6 +209,7 @@ impl ImplicitKernel {
         let generator_population = Arc::clone(population);
         Ok(ImplicitKernel {
             rule,
+            form: strategy.row_form(population),
             space: population.space(),
             population: Arc::clone(population),
             id: next_kernel_id(),
@@ -300,34 +319,24 @@ impl ImplicitKernel {
         KernelMask::Full(mask)
     }
 
-    /// The row source of this kernel over `cache` — the one place the
-    /// cache's stamp is checked, once per public call.
-    fn rows<'a>(&'a self, cache: &'a mut ImplicitRowCache) -> CachedRows<'a> {
-        assert_eq!(
-            cache.kernel_id, self.id,
-            "row cache belongs to a different implicit kernel"
-        );
-        CachedRows {
-            kernel: self,
-            cache,
-        }
-    }
-
     /// Routes every `(source, target)` pair through the lockstep
     /// [`RouteBatch`] frontier — the [`RoutingKernel::route_batch`](super::RoutingKernel::route_batch)
     /// counterpart, running the same driver and pass over this kernel's rows
     /// and therefore filling identical `outcomes`.
     ///
     /// `alive_words` follows the [`RoutingKernel::route_batch`](super::RoutingKernel::route_batch)
-    /// contract. The implicit row source performs no software prefetch: row
-    /// regeneration is compute-bound, not latency-bound. Nor does the
-    /// frontier make the row cache pay at scale: lanes route independent
-    /// pairs, and on the end-to-end benchmark's `implicit_scale` workload
-    /// the measured hit share is ~2·10⁻⁵ at 2^26 and ~2·10⁻⁶ at 2^28.
+    /// contract. The strategy's row form picks the source: deterministic
+    /// Chord and the hypercube compute their entries in closed form,
+    /// Kademlia and Plaxton draw only the buckets a hop probes from the
+    /// cache's seeking RNG, and every other geometry regenerates whole rows
+    /// into `cache`. No implicit source performs a software prefetch: its
+    /// work is compute-bound, not latency-bound. Nor does the frontier make
+    /// the row cache pay at scale: lanes route independent pairs.
     ///
     /// # Panics
     ///
-    /// Panics if `cache` was created by another kernel.
+    /// Panics if `cache` was created by another kernel, whichever source
+    /// routes.
     pub fn route_batch(
         &self,
         batch: &mut RouteBatch,
@@ -337,41 +346,45 @@ impl ImplicitKernel {
         hop_limit: u32,
         outcomes: &mut Vec<RouteOutcome>,
     ) {
-        route_batch_rows(
-            &mut self.rows(cache),
-            batch,
-            alive_words,
-            pairs,
-            hop_limit,
-            outcomes,
+        assert_eq!(
+            cache.kernel_id, self.id,
+            "row cache belongs to a different implicit kernel"
         );
+        match self.form {
+            RowForm::Rows => {
+                let mut rows = CachedRows {
+                    kernel: self,
+                    cache,
+                };
+                route_batch_rows(&mut rows, batch, alive_words, pairs, hop_limit, outcomes);
+            }
+            RowForm::ClosedForm => {
+                let mut rows = ClosedForm {
+                    rule: self.rule,
+                    space: self.space,
+                };
+                route_batch_rows(&mut rows, batch, alive_words, pairs, hop_limit, outcomes);
+            }
+            RowForm::PositionedPrefix => {
+                let mut rows = PositionedPrefix {
+                    kernel: self,
+                    rng: &mut cache.rng,
+                };
+                route_batch_rows(&mut rows, batch, alive_words, pairs, hop_limit, outcomes);
+            }
+        }
     }
 }
 
 /// The implicit row source: an [`ImplicitKernel`] reading rows through the
 /// caller's [`ImplicitRowCache`], regenerating them on a miss. Full
-/// populations only, so rank == value and there is nothing to prefetch.
+/// populations only, so rank == value.
 struct CachedRows<'a> {
     kernel: &'a ImplicitKernel,
     cache: &'a mut ImplicitRowCache,
 }
 
-impl RowSource for CachedRows<'_> {
-    #[inline]
-    fn rule(&self) -> KernelRule {
-        self.kernel.rule
-    }
-
-    #[inline]
-    fn space(&self) -> KeySpace {
-        self.kernel.space
-    }
-
-    #[inline]
-    fn rank_of_value(&self, value: u64) -> Option<u32> {
-        Some(value as u32)
-    }
-
+impl CachedRows<'_> {
     /// The lowered plan row of `rank`, regenerated and lowered into its
     /// direct-mapped slot on a miss.
     #[inline]
@@ -407,9 +420,81 @@ impl RowSource for CachedRows<'_> {
         }
         &cache.entries[start..start + cache.lens[slot] as usize]
     }
+}
+
+impl RowSource for CachedRows<'_> {
+    #[inline]
+    fn rule(&self) -> KernelRule {
+        self.kernel.rule
+    }
 
     #[inline]
-    fn prefetch(&self, _rank: u32) {}
+    fn space(&self) -> KeySpace {
+        self.kernel.space
+    }
+
+    #[inline(always)]
+    fn entries(
+        &mut self,
+        rule: KernelRule,
+        rank: u32,
+        cursor: u64,
+    ) -> impl Iterator<Item = PlanEntry> {
+        let bits = self.kernel.space.bits();
+        row_entries(self.row(rank), rule, bits, cursor)
+    }
+}
+
+/// The positioned-draw source of a full-population prefix geometry
+/// (Kademlia, Plaxton): the contact of bucket `b` of rank `r` is one
+/// `next_u64` at stream word `r × words_per_node + 2b`, so a hop seeks once
+/// to the bucket it probes and reads on, sequentially, only while the XOR
+/// fallback scans the lower buckets. It borrows the caller's row-cache RNG
+/// and never touches the cache slots.
+struct PositionedPrefix<'a> {
+    kernel: &'a ImplicitKernel,
+    rng: &'a mut ChaCha8Rng,
+}
+
+impl RowSource for PositionedPrefix<'_> {
+    #[inline]
+    fn rule(&self) -> KernelRule {
+        self.kernel.rule
+    }
+
+    #[inline]
+    fn space(&self) -> KeySpace {
+        self.kernel.space
+    }
+
+    /// The static row's entries from the bucket of the cursor's leading bit
+    /// on, drawn as the iterator is advanced. Over a full population no
+    /// contact is the owner, so no entry is inert.
+    #[inline(always)]
+    fn entries(
+        &mut self,
+        rule: KernelRule,
+        rank: u32,
+        cursor: u64,
+    ) -> impl Iterator<Item = PlanEntry> {
+        assert!(
+            matches!(rule, KernelRule::PrefixXor | KernelRule::PrefixTree),
+            "only prefix rows are drawn per bucket"
+        );
+        let bits = self.kernel.space.bits();
+        let level = leading_level(bits, cursor) as u32;
+        let node = u64::from(rank);
+        self.rng
+            .set_word_pos(node * self.kernel.words_per_node + 2 * u64::from(level));
+        let rng = &mut *self.rng;
+        (level..bits).map(move |bucket| {
+            let contact = prefix_contact(bits, node, bucket, rng.next_u64()) as u32;
+            PlanEntry {
+                key: contact,
+                target: contact,
+            }
+        })
+    }
 }
 
 /// Collects a lowered row straight into its cache slot.
@@ -756,19 +841,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn routes_match_the_materialized_kernel_under_failures() {
-        let bits = 10;
-        let seed = 5;
-        let implicit = ImplicitOverlay::xor(bits, seed).unwrap();
-        let materialized = KademliaOverlay::build(bits, &mut rng(seed)).unwrap();
-        let kernel = implicit.implicit_kernel().unwrap();
+    /// Routes 500 arbitrary pairs through `kernel` under a `q = 0.3` mask
+    /// and asserts each outcome against the scalar oracle on
+    /// `materialized`, its twin; returns the row cache it routed with.
+    fn assert_routes_match_the_oracle(
+        kernel: &ImplicitKernel,
+        materialized: &dyn Overlay,
+    ) -> ImplicitRowCache {
         let mut cache = kernel.row_cache_with_slots(64);
-        let space = implicit.key_space();
+        let space = kernel.key_space();
         let mut sampler = rng(77);
         let mask = FailureMask::sample(space, 0.3, &mut sampler);
         let lowered = kernel.compile_mask(&mask);
-        let limit = default_route_hop_limit(&materialized);
+        let limit = default_route_hop_limit(materialized);
         let pairs: Vec<(u64, u64)> = (0..500)
             .map(|_| {
                 (
@@ -782,7 +867,7 @@ mod tests {
             assert_eq!(
                 *outcome,
                 route_with_limit(
-                    &materialized,
+                    materialized,
                     space.wrap(source),
                     space.wrap(target),
                     &mask,
@@ -790,7 +875,107 @@ mod tests {
                 ),
             );
         }
+        cache
+    }
+
+    #[test]
+    fn routes_match_the_materialized_kernel_under_failures() {
+        let bits = 10;
+        let seed = 5;
+        // XOR draws only the buckets a hop probes and leaves the cache
+        // slots alone.
+        let xor = ImplicitOverlay::xor(bits, seed).unwrap();
+        let cache = assert_routes_match_the_oracle(
+            xor.routing_kernel(),
+            &KademliaOverlay::build(bits, &mut rng(seed)).unwrap(),
+        );
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // Symphony reads whole rows through the cache.
+        let symphony = ImplicitOverlay::symphony(bits, 1, 2, seed).unwrap();
+        let cache = assert_routes_match_the_oracle(
+            symphony.routing_kernel(),
+            &SymphonyOverlay::build(bits, 1, 2, &mut rng(seed)).unwrap(),
+        );
         assert!(cache.hits() > 0, "repeated rows must hit the cache");
+    }
+
+    /// Asserts, for 64 random ranks of `overlay`, that the positioned
+    /// source's entries from every bucket on equal the static lowering of
+    /// the regenerated table from that bucket on.
+    fn assert_draws_match_the_lowered_rows<S: GeometryStrategy + Clone + 'static>(
+        overlay: &ImplicitOverlay<S>,
+        ranks: &mut ChaCha8Rng,
+    ) {
+        let kernel = overlay.routing_kernel();
+        assert_eq!(kernel.form, RowForm::PositionedPrefix);
+        let bits = kernel.space.bits();
+        let mut cache = kernel.row_cache();
+        let mut table = Vec::new();
+        let mut lowered = Vec::new();
+        for _ in 0..64 {
+            let node = kernel.space.random_id(ranks);
+            kernel.table_of(node, &mut table);
+            lowered.clear();
+            lower_static_row(
+                kernel.rule,
+                &kernel.population,
+                node,
+                &table,
+                &mut Vec::new(),
+                &mut lowered,
+            );
+            let mut source = PositionedPrefix {
+                kernel,
+                rng: &mut cache.rng,
+            };
+            for bucket in 0..bits {
+                // Any cursor whose leading bit sits at `bucket`.
+                let cursor = 1u64 << (bits - 1 - bucket);
+                let drawn: Vec<PlanEntry> = source
+                    .entries(kernel.rule, node.value() as u32, cursor)
+                    .collect();
+                assert_eq!(
+                    drawn,
+                    lowered[bucket as usize..],
+                    "{} at {bits} bits: bucket {bucket} of {node}",
+                    overlay.geometry_name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn positioned_draws_equal_the_lowered_prefix_rows() {
+        let mut ranks = rng(31);
+        for bits in 2..=16 {
+            let seed = u64::from(bits) * 7;
+            assert_draws_match_the_lowered_rows(
+                &ImplicitOverlay::xor(bits, seed).unwrap(),
+                &mut ranks,
+            );
+            assert_draws_match_the_lowered_rows(
+                &ImplicitOverlay::tree(bits, seed).unwrap(),
+                &mut ranks,
+            );
+        }
+    }
+
+    #[test]
+    fn implicit_overlays_keep_their_resident_bytes() {
+        // Every `implicit_scale` report records these as its
+        // `overlay_resident_bytes`.
+        for bits in [4, 20, 30] {
+            let ring = ImplicitOverlay::ring(bits, ChordVariant::Deterministic, 0).unwrap();
+            assert_eq!(ring.resident_bytes(), 80);
+            assert_eq!(ImplicitOverlay::xor(bits, 0).unwrap().resident_bytes(), 72);
+            assert_eq!(ImplicitOverlay::tree(bits, 0).unwrap().resident_bytes(), 72);
+            assert_eq!(
+                ImplicitOverlay::hypercube(bits).unwrap().resident_bytes(),
+                72
+            );
+            let symphony = ImplicitOverlay::symphony(bits, 1, 1, 0).unwrap();
+            assert_eq!(symphony.resident_bytes(), 80);
+        }
     }
 
     #[test]

@@ -32,10 +32,12 @@
 //!
 //! For batch measurement, every geometry also lowers into a compiled
 //! rank-space [`RoutingKernel`] (see [`kernel`]): per-entry hop keys are
-//! precomputed at build time and alive checks become direct bit tests by
-//! occupied rank, with outcomes bit-identical to the scalar path. The
-//! kernel compiles lazily on first [`Overlay::kernel`] call; `dht_sim`'s
-//! trial engine routes through it automatically.
+//! precomputed at build time — or, for deterministic Chord and the hypercube
+//! over a full population, computed per hop in closed form — and alive
+//! checks become direct bit tests by occupied rank, with outcomes
+//! bit-identical to the scalar path. The kernel compiles lazily on first
+//! [`Overlay::kernel`] call; `dht_sim`'s trial engine routes through it
+//! automatically.
 //!
 //! Beyond the frozen snapshots, [`LiveOverlay`] (see [`live`]) runs the same
 //! five geometries under *live churn*: nodes of a fixed universe depart and

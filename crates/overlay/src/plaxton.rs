@@ -3,6 +3,7 @@
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy};
 use crate::kademlia::build_prefix_table;
+use crate::kernel::RowForm;
 use crate::traits::{validate_bits, Overlay, OverlayError};
 use dht_id::{prefix::highest_differing_bit, NodeId, Population};
 use rand::Rng;
@@ -59,11 +60,20 @@ impl GeometryStrategy for PlaxtonStrategy {
     }
 
     fn implicit_stream_words(&self, population: &Population) -> Option<u64> {
-        // Same construction family as the XOR geometry: one `random_id` (two
+        // Same construction family as the XOR geometry: one `next_u64` (two
         // words) per level over a full population.
         population
             .is_full()
             .then(|| 2 * u64::from(population.space().bits()))
+    }
+
+    fn row_form(&self, population: &Population) -> RowForm {
+        // Level `b`'s draw sits at word `2b` of the node's stream slice.
+        if population.is_full() {
+            RowForm::PositionedPrefix
+        } else {
+            RowForm::Rows
+        }
     }
 
     fn supports_live(&self) -> bool {

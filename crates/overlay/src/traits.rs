@@ -163,10 +163,10 @@ pub trait Overlay: Send + Sync {
     /// [`crate::ImplicitOverlay`]).
     ///
     /// Batch drivers prefer [`Overlay::kernel`] when present and use this
-    /// otherwise: the same routing loop, reading rows from a per-worker
-    /// [`crate::ImplicitRowCache`] instead of a compiled plan. Implicit
-    /// outcomes are bit-identical to the materialized kernel built from the
-    /// same seed. The default is `None`.
+    /// otherwise: the same routing loop, with a per-worker
+    /// [`crate::ImplicitRowCache`] as its scratch instead of a compiled
+    /// plan. Implicit outcomes are bit-identical to the materialized kernel
+    /// built from the same seed. The default is `None`.
     ///
     /// # Panics
     ///
