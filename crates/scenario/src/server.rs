@@ -25,7 +25,7 @@ use dht_experiments::spec::{
 use dht_markov::ChainCache;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 
 /// The sugar form of the server's core question: "N (= 2^bits), geometry,
@@ -330,10 +330,6 @@ impl ReportServer {
     /// testable seam: callers that bind port 0 themselves know the actual
     /// address, which `serve_tcp` only reports on stderr.
     ///
-    /// Each response leaves in one segment: [`ReportServer::serve`] writes
-    /// it through a buffer flushed once per response, and Nagle's algorithm
-    /// is off, so no response waits for the client's delayed ACK.
-    ///
     /// # Errors
     ///
     /// Returns the first accept error; per-connection errors are logged to
@@ -341,9 +337,8 @@ impl ReportServer {
     pub fn serve_listener(&mut self, listener: &TcpListener) -> io::Result<()> {
         for stream in listener.incoming() {
             match stream.and_then(|stream| {
-                stream.set_nodelay(true)?;
                 let reader = BufReader::new(stream.try_clone()?);
-                self.serve(reader, BufWriter::new(stream))
+                self.serve(reader, stream)
             }) {
                 Ok(()) => {}
                 Err(err) => eprintln!("connection error: {err}"),

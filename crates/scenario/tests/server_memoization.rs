@@ -151,45 +151,6 @@ fn tcp_server_shuts_down_cleanly_on_request() {
 }
 
 #[test]
-fn tcp_responses_do_not_wait_for_delayed_acks() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::time::{Duration, Instant};
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        ReportServer::new(1).serve_listener(&listener).unwrap();
-    });
-
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    // Each request leaves in one write, so only the server's response
-    // writes can wait on a delayed ACK (~40 ms each on Linux).
-    let mut send = |id, request| {
-        let request = format!("{}\n", line(id, request));
-        stream.write_all(request.as_bytes()).unwrap();
-    };
-    let start = Instant::now();
-    for id in 1..=30 {
-        send(id, Request::Stats);
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        assert!(
-            response.starts_with(&format!("{{\"id\":{id},\"ok\":")),
-            "{response}"
-        );
-    }
-    let elapsed = start.elapsed();
-    send(31, Request::Shutdown);
-    handle.join().unwrap();
-    assert!(
-        elapsed < Duration::from_millis(300),
-        "30 sequential Stats round trips took {elapsed:?}"
-    );
-}
-
-#[test]
 fn stats_round_trip_over_the_wire() {
     let mut server = ReportServer::new(1);
     let response = server.handle_line(&line(5, Request::Stats));
