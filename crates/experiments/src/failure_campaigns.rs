@@ -13,7 +13,7 @@
 //! giant-component fraction from `dht-percolation` — the
 //! connectivity-vs-routability contrast of the paper, now per fault shape.
 
-use crate::spec::{build_full_overlay, SpecError};
+use crate::spec::{build_overlay, Backend, SpecError};
 use dht_overlay::{FailurePlan, Overlay};
 use dht_percolation::connected_components;
 use dht_sim::{CampaignTally, SeedSequence, TrialEngine};
@@ -184,9 +184,10 @@ pub fn run_point(
 /// patterns of `pairs` pairs each.
 ///
 /// Each geometry's overlay is built once from `seed` (child 0, the
-/// repository-wide convention — see [`build_full_overlay`]), so every plan
-/// and fraction attacks the *same* overlay instance and differences are
-/// attributable to the fault structure alone. Grid point `k` (in sweep
+/// repository-wide convention — see [`build_overlay`], which compiles its
+/// plan on the `threads` budget), so every plan and fraction attacks the
+/// *same* overlay instance and differences are attributable to the fault
+/// structure alone. Grid point `k` (in sweep
 /// order) is seeded with child `k + 1` of a [`SeedSequence`] rooted at
 /// `seed`; child 0 stays reserved for overlay construction. Results are
 /// invariant under the `threads` budget.
@@ -207,9 +208,10 @@ pub fn run_grid(
 ) -> Result<Vec<FailureCampaignPoint>, SpecError> {
     validate(geometries, plans, failed_fractions, pairs, patterns)?;
     let seeds = SeedSequence::new(seed);
+    let stream_seed = seeds.child(0);
     let mut points = Vec::new();
     for geometry in geometries {
-        let overlay = build_full_overlay(geometry, bits, seed)?;
+        let overlay = build_overlay(geometry, bits, stream_seed, Backend::Materialized, threads)?;
         for plan in plans {
             for &fraction in failed_fractions {
                 let point_seed = seeds.child(points.len() as u64 + 1);

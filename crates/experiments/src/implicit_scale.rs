@@ -20,7 +20,8 @@
 //! measurement root; point `k` splits the measurement root into mask stream
 //! `2k` and pair stream `2k + 1`.
 
-use dht_overlay::{ChordVariant, FailureMask, ImplicitOverlay, Overlay, OverlayError};
+use crate::spec::{build_overlay, Backend, SpecError};
+use dht_overlay::{FailureMask, Overlay, OverlayError};
 use dht_sim::{SeedSequence, TrialEngine};
 use serde::{Deserialize, Serialize};
 
@@ -52,8 +53,7 @@ pub struct ImplicitScalePoint {
     pub implied_edges: u64,
 }
 
-/// Builds the implicit overlay for a geometry name, replaying the shared
-/// construction stream seeded by `stream_seed` — the generative twin of
+/// [`build_overlay`] on the implicit backend: the generative twin of
 /// [`crate::spec::build_full_overlay`] (same geometry names, same Symphony
 /// `(1, 1)` parameters, same stream seed convention), so the two backends
 /// produce bit-identical routing wherever both can run.
@@ -68,23 +68,9 @@ pub fn build_implicit_overlay(
     bits: u32,
     stream_seed: u64,
 ) -> Result<Box<dyn Overlay>, OverlayError> {
-    Ok(match geometry {
-        "ring" => Box::new(ImplicitOverlay::ring(
-            bits,
-            ChordVariant::Deterministic,
-            stream_seed,
-        )?),
-        "xor" => Box::new(ImplicitOverlay::xor(bits, stream_seed)?),
-        "tree" => Box::new(ImplicitOverlay::tree(bits, stream_seed)?),
-        "hypercube" => Box::new(ImplicitOverlay::hypercube(bits)?),
-        "symphony" => Box::new(ImplicitOverlay::symphony(bits, 1, 1, stream_seed)?),
-        other => {
-            return Err(OverlayError::InvalidParameter {
-                message: format!(
-                    "unknown geometry {other:?} (expected ring, xor, tree, hypercube or symphony)"
-                ),
-            })
-        }
+    build_overlay(geometry, bits, stream_seed, Backend::Implicit, 1).map_err(|err| match err {
+        SpecError::Overlay(err) => err,
+        other => unreachable!("implicit builds fail with overlay errors, not {other}"),
     })
 }
 
@@ -173,7 +159,10 @@ pub fn render_implicit_scale_table(points: &[ImplicitScalePoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_overlay::{ChordOverlay, KademliaOverlay, PlaxtonOverlay, SymphonyOverlay};
+    use dht_overlay::{
+        ChordOverlay, ChordVariant, ImplicitOverlay, KademliaOverlay, PlaxtonOverlay,
+        SymphonyOverlay,
+    };
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -43,17 +43,20 @@ use crate::sparse_population::{render_sparse_table, sparse_population_resilience
 use crate::symphony_ablation::{self, AblationCell};
 use dht_markov::{ChainError, ChainFamily};
 use dht_mathkit::percent_grid;
+use dht_overlay::can::CanStrategy;
+use dht_overlay::chord::ChordStrategy;
+use dht_overlay::kademlia::KademliaStrategy;
+use dht_overlay::plaxton::PlaxtonStrategy;
+use dht_overlay::symphony::SymphonyStrategy;
 use dht_overlay::{
-    CanOverlay, ChordOverlay, ChordVariant, FailurePlan, KademliaOverlay, Overlay, OverlayError,
-    PlaxtonOverlay, SymphonyOverlay,
+    ChordVariant, FailurePlan, GeometryOverlay, GeometryStrategy, ImplicitOverlay, Overlay,
+    OverlayError,
 };
 use dht_rcm_core::{classify, routability, Geometry, RcmError, ScalabilityReport, SystemSize};
 use dht_sim::{
     sweep_failure_grid, SeedSequence, SimError, SimulationRecord, StaticResilienceConfig,
     StaticResilienceResult,
 };
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
@@ -1198,16 +1201,8 @@ pub fn run_spec(
             pairs,
             trials,
         } => {
-            let overlay = match spec.backend() {
-                Backend::Materialized => build_full_overlay(geometry, *bits, spec.seed)?,
-                // Same construction stream (SeedSequence child 0) as the
-                // materialized builders, so the backends agree bit for bit.
-                Backend::Implicit => crate::implicit_scale::build_implicit_overlay(
-                    geometry,
-                    *bits,
-                    SeedSequence::new(spec.seed).child(0),
-                )?,
-            };
+            let stream_seed = SeedSequence::new(spec.seed).child(0);
+            let overlay = build_overlay(geometry, *bits, stream_seed, spec.backend(), threads)?;
             let report = static_resilience_report_with(
                 geometry,
                 *bits,
@@ -1273,33 +1268,85 @@ pub struct StaticResilienceReport {
     pub scalability: ScalabilityReport,
 }
 
-/// Builds the fully populated overlay for a geometry name. Construction
-/// randomness comes from `SeedSequence` child 0 of `seed` (child 1 is the
-/// measurement root — see the module docs). Symphony uses the paper's basic
-/// `(k_n, k_s) = (1, 1)` parameters.
+/// Builds the overlay of a geometry name over the full `bits`-bit
+/// population on `backend`, from the construction stream `stream_seed`
+/// (`SeedSequence` child 0 of a spec's seed — see the module docs). Symphony
+/// uses the paper's basic `(k_n, k_s) = (1, 1)` parameters.
+///
+/// This is the one geometry-name → overlay map. Neither backend builds a
+/// table up front, and both replay the same stream, so they route bit for
+/// bit alike. A materialized overlay ([`GeometryOverlay::seeded`]) compiles
+/// its plan from the stream on `threads` threads on its first
+/// [`Overlay::kernel`] call — the ring and the hypercube route in closed
+/// form and compile nothing — and replays its `NodeId` arena only when a
+/// scalar caller reads it. An implicit overlay regenerates rows on demand
+/// and ignores `threads`.
 ///
 /// # Errors
 ///
-/// Returns [`SpecError::Invalid`] for unknown geometry names and
-/// [`SpecError::Overlay`] if construction fails.
+/// Returns [`SpecError::Overlay`] if construction fails (e.g.
+/// [`OverlayError::UnsupportedBits`] beyond the backend's ceiling). An
+/// unknown geometry name is [`SpecError::Invalid`] on the materialized
+/// backend and an [`OverlayError::InvalidParameter`] on the implicit one,
+/// as [`build_full_overlay`] and [`build_implicit_overlay`] report it.
+///
+/// [`build_implicit_overlay`]: crate::implicit_scale::build_implicit_overlay
+pub fn build_overlay(
+    geometry: &str,
+    bits: u32,
+    stream_seed: u64,
+    backend: Backend,
+    threads: usize,
+) -> Result<Box<dyn Overlay>, SpecError> {
+    fn build<S: GeometryStrategy + Clone + 'static>(
+        strategy: S,
+        (bits, stream_seed, backend, threads): (u32, u64, Backend, usize),
+    ) -> Result<Box<dyn Overlay>, OverlayError> {
+        Ok(match backend {
+            Backend::Materialized => Box::new(GeometryOverlay::seeded(
+                bits,
+                strategy,
+                stream_seed,
+                threads,
+            )?),
+            Backend::Implicit => Box::new(ImplicitOverlay::over(bits, strategy, stream_seed)?),
+        })
+    }
+    let args = (bits, stream_seed, backend, threads);
+    let built = match geometry {
+        "ring" => build(ChordStrategy::new(ChordVariant::Deterministic), args),
+        "xor" => build(KademliaStrategy, args),
+        "tree" => build(PlaxtonStrategy, args),
+        "hypercube" => build(CanStrategy, args),
+        "symphony" => build(SymphonyStrategy::new(1, 1), args),
+        other => {
+            let message = format!(
+                "unknown geometry {other:?} (expected ring, xor, tree, hypercube or symphony)"
+            );
+            return Err(match backend {
+                Backend::Materialized => SpecError::Invalid(message),
+                Backend::Implicit => OverlayError::InvalidParameter { message }.into(),
+            });
+        }
+    };
+    Ok(built?)
+}
+
+/// [`build_overlay`] on the materialized backend from the root `seed`
+/// (construction stream: `SeedSequence` child 0; child 1 is the measurement
+/// root), compiling its plan on one thread.
+///
+/// # Errors
+///
+/// As [`build_overlay`]: [`SpecError::Invalid`] for unknown geometry names
+/// and [`SpecError::Overlay`] if construction fails.
 pub fn build_full_overlay(
     geometry: &str,
     bits: u32,
     seed: u64,
 ) -> Result<Box<dyn Overlay>, SpecError> {
-    let mut rng = ChaCha8Rng::seed_from_u64(SeedSequence::new(seed).child(0));
-    Ok(match geometry {
-        "ring" => Box::new(ChordOverlay::build(bits, ChordVariant::Deterministic)?),
-        "xor" => Box::new(KademliaOverlay::build(bits, &mut rng)?),
-        "tree" => Box::new(PlaxtonOverlay::build(bits, &mut rng)?),
-        "hypercube" => Box::new(CanOverlay::build(bits)?),
-        "symphony" => Box::new(SymphonyOverlay::build(bits, 1, 1, &mut rng)?),
-        other => {
-            return Err(SpecError::Invalid(format!(
-                "unknown geometry {other:?} (expected ring, xor, tree, hypercube or symphony)"
-            )))
-        }
-    })
+    let stream_seed = SeedSequence::new(seed).child(0);
+    build_overlay(geometry, bits, stream_seed, Backend::Materialized, 1)
 }
 
 /// The analytical geometry model matching an overlay geometry name
@@ -1703,6 +1750,63 @@ mod tests {
             assert_eq!(overlay.geometry_name(), geometry);
         }
         assert!(build_full_overlay("moebius", 6, 1).is_err());
+    }
+
+    #[test]
+    fn built_materialized_overlays_hold_their_plans_and_no_arena() {
+        for geometry in ["ring", "xor", "tree", "hypercube", "symphony"] {
+            for threads in [1, 2] {
+                let overlay =
+                    build_overlay(geometry, 12, 7, Backend::Materialized, threads).unwrap();
+                // Nothing is built before the kernel, and counting edges
+                // builds nothing either.
+                let width = if geometry == "symphony" { 2 } else { 12 };
+                assert_eq!(overlay.edge_count(), (1 << 12) * width, "{geometry}");
+                assert_eq!(overlay.resident_bytes(), 0, "{geometry}");
+                let plan = overlay
+                    .kernel()
+                    .expect("every geometry has a kernel")
+                    .plan_bytes();
+                assert_eq!(
+                    overlay.resident_bytes(),
+                    plan,
+                    "{geometry} on {threads} threads"
+                );
+                // The closed forms compile nothing at all.
+                let closed = matches!(geometry, "ring" | "hypercube");
+                assert_eq!(plan == 0, closed, "{geometry}");
+            }
+        }
+    }
+
+    #[test]
+    fn builder_errors_keep_each_backends_variant() {
+        let error = |geometry, bits, backend| {
+            build_overlay(geometry, bits, 1, backend, 2)
+                .err()
+                .expect("the build fails")
+        };
+        let unknown = error("moebius", 6, Backend::Materialized);
+        assert!(matches!(unknown, SpecError::Invalid(_)), "{unknown}");
+        let unknown = error("moebius", 6, Backend::Implicit);
+        assert!(
+            matches!(
+                unknown,
+                SpecError::Overlay(OverlayError::InvalidParameter { .. })
+            ),
+            "{unknown}"
+        );
+        for (backend, bits, max_bits) in
+            [(Backend::Materialized, 25, 24), (Backend::Implicit, 31, 30)]
+        {
+            let SpecError::Overlay(unsupported) = error("xor", bits, backend) else {
+                panic!("{backend} at {bits} bits fails as an overlay error");
+            };
+            assert_eq!(
+                unsupported,
+                OverlayError::UnsupportedBits { bits, max_bits }
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Frozen node-failure patterns (the static resilience model).
 
+use crate::fanout;
 use dht_id::{KeySpace, NodeId, Population};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -180,37 +181,29 @@ impl FailureMask {
             rng.set_word_pos(2 * rank);
             rng
         };
+        // `rank` counts the occupied identifiers before each chunk; the last
+        // chunk's count is never needed.
         let words = mask.alive.len();
-        let chunks = threads.min(words / MIN_CHUNK_WORDS).max(1);
-        mask.failed_count = if chunks == 1 {
-            fail_words(&mut mask.alive, threshold, &mut stream(0))
-        } else {
-            // Balanced cut: each chunk holds `words / chunks` words or one
-            // more, so none falls below the floor. `rank` counts the occupied
-            // identifiers before the chunk.
-            std::thread::scope(|scope| {
-                let mut rest = mask.alive.as_mut_slice();
-                let mut rank = 0u64;
-                let mut workers = Vec::with_capacity(chunks);
-                for chunk in 0..chunks {
-                    let len = words / chunks + usize::from(chunk < words % chunks);
-                    let (piece, tail) = rest.split_at_mut(len);
-                    let first = rank;
+        let mut rest = mask.alive.as_mut_slice();
+        let mut rank = 0u64;
+        let pieces: Vec<_> = fanout::balanced(words, threads, MIN_CHUNK_WORDS)
+            .map(|range| {
+                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                let first = rank;
+                if !rest.is_empty() {
                     rank += piece
                         .iter()
                         .map(|word| u64::from(word.count_ones()))
                         .sum::<u64>();
-                    workers.push(
-                        scope.spawn(move || fail_words(piece, threshold, &mut stream(first))),
-                    );
-                    rest = tail;
                 }
-                workers
-                    .into_iter()
-                    .map(|worker| worker.join().expect("mask sampling worker panicked"))
-                    .sum()
+                (piece, first)
             })
-        };
+            .collect();
+        let failed = fanout::on_threads(pieces, |(piece, first)| {
+            fail_words(piece, threshold, &mut stream(first))
+        });
+        mask.failed_count = failed.into_iter().sum();
         mask
     }
 

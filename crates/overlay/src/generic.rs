@@ -3,9 +3,10 @@
 use crate::arena::RoutingArena;
 use crate::failure::FailureMask;
 use crate::kernel::{KernelRule, RoutingKernel, RowForm};
-use crate::traits::{validate_population, Overlay, OverlayError};
+use crate::traits::{validate_bits, validate_population, Overlay, OverlayError};
 use dht_id::{NodeId, Population};
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::sync::{Arc, OnceLock};
 
 /// One routing geometry: how tables are built and how the greedy hop is
@@ -75,8 +76,12 @@ pub trait GeometryStrategy: Send + Sync {
     /// be regenerated bit-identically by seeking a counter-mode RNG — no
     /// table ever needs to stay resident. Returning `Some(words)` asserts
     /// exactly that: *every* node consumes exactly `words` 32-bit words, in
-    /// rank order, independent of what the draws produce. The cross-backend
-    /// equivalence suite holds implementations to this bit-for-bit.
+    /// rank order, independent of what the draws produce, and builds a table
+    /// of exactly [`GeometryStrategy::table_len_hint`] entries. The
+    /// cross-backend equivalence suite holds implementations to this
+    /// bit-for-bit. A [seeded](GeometryOverlay::seeded) overlay relies on it
+    /// too: its kernel compiles rank chunks from positioned streams, and it
+    /// counts its edges without building its tables.
     ///
     /// The default is `None`: the geometry (or this population shape) cannot
     /// be routed implicitly. Implementations typically return `Some` only for
@@ -191,6 +196,18 @@ pub trait GeometryStrategy: Send + Sync {
 /// `build_over`) and table accessors; use them unless you are adding a new
 /// geometry.
 ///
+/// # When the arena exists
+///
+/// [`GeometryOverlay::over`] (and every typed constructor) draws the tables
+/// from the caller's RNG and stores them at once. A
+/// [`seeded`](GeometryOverlay::seeded) overlay over a full population stores
+/// nothing up front: its kernel compiles the plan straight from the
+/// construction stream (or routes in closed form), and its arena is
+/// replayed from the stream only when [`Overlay::neighbors`], the scalar
+/// oracle or [`GeometryOverlay::arena`] first reads it — bit for bit the
+/// arena `over` would have stored from the same seed. At 2^20 nodes that
+/// arena is 324 MiB of `NodeId`s, twice an XOR plan.
+///
 /// # Example
 ///
 /// ```rust
@@ -208,6 +225,13 @@ pub trait GeometryStrategy: Send + Sync {
 ///     &mut rng,
 /// )?;
 /// assert_eq!(overlay.edge_count(), 256 * 8);
+/// // The same overlay from its stream seed: the plan compiles on two
+/// // threads, and no arena is built on the way.
+/// let strategy = ChordStrategy::new(ChordVariant::Randomized);
+/// let seeded = GeometryOverlay::seeded(8, strategy, 1, 2)?;
+/// let plan = seeded.kernel().expect("ring compiles");
+/// assert_eq!(seeded.resident_bytes(), plan.plan_bytes());
+/// assert_eq!(plan.plan_digest(), overlay.kernel().unwrap().plan_digest());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -217,11 +241,24 @@ pub struct GeometryOverlay<S> {
     /// dense rank table is the size of the identifier space.
     population: Arc<Population>,
     strategy: S,
-    arena: RoutingArena,
+    /// Filled at construction by [`GeometryOverlay::over`]; replayed from
+    /// `stream` on first read for a seeded overlay.
+    arena: OnceLock<RoutingArena>,
+    /// The construction stream of a seeded overlay, `None` for one built
+    /// from a caller's RNG.
+    stream: Option<Stream>,
     /// Lazily compiled rank-space kernel (see [`crate::kernel`]); only
     /// geometries whose strategy exports a [`KernelRule`] ever initialise it,
     /// and closed-form geometries initialise it without a plan.
     kernel: OnceLock<RoutingKernel>,
+}
+
+/// The construction stream a seeded overlay replays, and the thread budget
+/// its kernel compiles with.
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    seed: u64,
+    threads: usize,
 }
 
 impl<S: GeometryStrategy> GeometryOverlay<S> {
@@ -242,19 +279,55 @@ impl<S: GeometryStrategy> GeometryOverlay<S> {
         rng: &mut R,
     ) -> Result<Self, OverlayError> {
         validate_population(&population)?;
-        let nodes = population.node_count() as usize;
-        let mut arena =
-            RoutingArena::with_capacity(nodes, nodes * strategy.table_len_hint(&population));
-        let mut table = Vec::with_capacity(strategy.table_len_hint(&population));
-        for node in population.iter_nodes() {
-            table.clear();
-            strategy.build_table(&population, node, rng, &mut table);
-            arena.push_table(&table);
+        let arena = build_arena(&population, &strategy, rng);
+        Ok(GeometryOverlay {
+            population: Arc::new(population),
+            strategy,
+            arena: OnceLock::from(arena),
+            stream: None,
+            kernel: OnceLock::new(),
+        })
+    }
+
+    /// The overlay [`GeometryOverlay::over`] builds over the full `bits`-bit
+    /// population from `ChaCha8Rng::seed_from_u64(stream_seed)`, with nothing
+    /// built yet.
+    ///
+    /// Its [`Overlay::kernel`] compiles the plan from the replayed stream, in
+    /// rank chunks on up to `threads` threads, and the plan's bytes do not
+    /// depend on `threads` (closed-form geometries compile nothing). The
+    /// arena is replayed on first read (see the [type docs](Self)), and
+    /// [`Overlay::edge_count`] does not read it.
+    ///
+    /// # Errors
+    ///
+    /// As [`GeometryOverlay::over`], plus [`OverlayError::InvalidParameter`]
+    /// when the strategy declares no fixed per-node stream stride
+    /// ([`GeometryStrategy::implicit_stream_words`]) over the population.
+    pub fn seeded(
+        bits: u32,
+        strategy: S,
+        stream_seed: u64,
+        threads: usize,
+    ) -> Result<Self, OverlayError> {
+        let population = Population::full(validate_bits(bits)?);
+        validate_population(&population)?;
+        if strategy.implicit_stream_words(&population).is_none() {
+            return Err(OverlayError::InvalidParameter {
+                message: format!(
+                    "geometry `{}` declares no fixed per-node stream stride",
+                    strategy.geometry_name()
+                ),
+            });
         }
         Ok(GeometryOverlay {
             population: Arc::new(population),
             strategy,
-            arena,
+            arena: OnceLock::new(),
+            stream: Some(Stream {
+                seed: stream_seed,
+                threads,
+            }),
             kernel: OnceLock::new(),
         })
     }
@@ -265,11 +338,36 @@ impl<S: GeometryStrategy> GeometryOverlay<S> {
         &self.strategy
     }
 
-    /// The CSR arena holding every routing table.
+    /// The CSR arena holding every routing table, replayed from the
+    /// construction stream on first call for a seeded overlay.
     #[must_use]
     pub fn arena(&self) -> &RoutingArena {
-        &self.arena
+        self.arena.get_or_init(|| {
+            let stream = self.stream.expect("unseeded overlays store their arena");
+            let mut rng = ChaCha8Rng::seed_from_u64(stream.seed);
+            build_arena(&self.population, &self.strategy, &mut rng)
+        })
     }
+}
+
+/// Builds every occupied node's table in rank order, drawing from `rng` —
+/// the one construction loop behind [`GeometryOverlay::over`] and a seeded
+/// overlay's replayed arena.
+fn build_arena<S: GeometryStrategy, R: Rng + ?Sized>(
+    population: &Population,
+    strategy: &S,
+    rng: &mut R,
+) -> RoutingArena {
+    let nodes = population.node_count() as usize;
+    let width = strategy.table_len_hint(population);
+    let mut arena = RoutingArena::with_capacity(nodes, nodes * width);
+    let mut table = Vec::with_capacity(width);
+    for node in population.iter_nodes() {
+        table.clear();
+        strategy.build_table(population, node, rng, &mut table);
+        arena.push_table(&table);
+    }
+    arena
 }
 
 impl<S: GeometryStrategy> Overlay for GeometryOverlay<S> {
@@ -289,7 +387,7 @@ impl<S: GeometryStrategy> Overlay for GeometryOverlay<S> {
         );
         let node = self.population.space().wrap(node.value());
         match self.population.index_of(node) {
-            Some(rank) => self.arena.neighbors(rank as usize),
+            Some(rank) => self.arena().neighbors(rank as usize),
             None => &[],
         }
     }
@@ -299,25 +397,39 @@ impl<S: GeometryStrategy> Overlay for GeometryOverlay<S> {
             .next_hop(self.neighbors(current), current, target, alive)
     }
 
+    /// The arena's entry count, or — before a seeded overlay's arena is
+    /// built — `node_count × table_len_hint`, the fixed row width a stream
+    /// stride implies (the implicit backend's formula).
     fn edge_count(&self) -> u64 {
-        self.arena.entry_count()
+        match self.arena.get() {
+            Some(arena) => arena.entry_count(),
+            None => {
+                self.population.node_count() * self.strategy.table_len_hint(&self.population) as u64
+            }
+        }
     }
 
+    /// Compiled on first call: closed-form geometries compile no plan, a
+    /// seeded overlay compiles its plan from the construction stream on its
+    /// thread budget, and any other overlay lowers its arena.
     fn kernel(&self) -> Option<&RoutingKernel> {
         let rule = self.strategy.kernel_rule()?;
-        Some(
-            self.kernel
-                .get_or_init(|| match self.strategy.row_form(&self.population) {
-                    RowForm::ClosedForm => RoutingKernel::closed_form(rule, &self.population),
-                    RowForm::Rows | RowForm::PositionedPrefix => {
-                        RoutingKernel::compile(rule, &self.population, &self.arena)
-                    }
-                }),
-        )
+        Some(self.kernel.get_or_init(|| {
+            let population = &self.population;
+            match (self.strategy.row_form(population), self.stream) {
+                (RowForm::ClosedForm, _) => RoutingKernel::closed_form(rule, population),
+                (_, Some(Stream { seed, threads })) => {
+                    RoutingKernel::compile_stream(rule, population, &self.strategy, seed, threads)
+                }
+                (_, None) => RoutingKernel::compile(rule, population, self.arena()),
+            }
+        }))
     }
 
+    /// The arena and the plan, each counted only once it exists.
     fn resident_bytes(&self) -> usize {
-        self.arena.resident_bytes() + self.kernel.get().map_or(0, RoutingKernel::plan_bytes)
+        self.arena.get().map_or(0, RoutingArena::resident_bytes)
+            + self.kernel.get().map_or(0, RoutingKernel::plan_bytes)
     }
 }
 
@@ -453,6 +565,99 @@ mod tests {
                 overlay.geometry_name()
             );
         }
+    }
+
+    /// `strategy` over the full 2^11 population, built from a seeded RNG and
+    /// from its seed on three threads.
+    fn eager_and_seeded<S: GeometryStrategy + Clone>(
+        strategy: S,
+    ) -> (GeometryOverlay<S>, GeometryOverlay<S>) {
+        let seed = 41;
+        let full = Population::full(space(11));
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let eager = GeometryOverlay::over(full, strategy.clone(), &mut rng).unwrap();
+        (
+            eager,
+            GeometryOverlay::seeded(11, strategy, seed, 3).unwrap(),
+        )
+    }
+
+    /// Asserts that `seeded` counts its edges without building its arena,
+    /// then that the arena it replays equals `eager`'s row for row.
+    fn assert_lazy_arena_matches<S: GeometryStrategy>(
+        eager: &GeometryOverlay<S>,
+        seeded: &GeometryOverlay<S>,
+    ) {
+        let name = seeded.geometry_name();
+        assert_eq!(seeded.edge_count(), eager.edge_count(), "{name}");
+        assert!(
+            seeded.arena.get().is_none(),
+            "{name}: edge_count built the arena"
+        );
+        assert_eq!(seeded.resident_bytes(), 0, "{name}: nothing is built yet");
+        for (rank, node) in eager.population().iter_nodes().enumerate() {
+            assert_eq!(
+                seeded.neighbors(node),
+                eager.arena().neighbors(rank),
+                "{name}, rank {rank}"
+            );
+        }
+        assert_eq!(seeded.arena(), eager.arena(), "{name}");
+        assert_eq!(seeded.resident_bytes(), eager.arena().resident_bytes());
+    }
+
+    #[test]
+    fn seeded_overlays_replay_the_eager_arena_on_first_read() {
+        use crate::chord::{ChordStrategy, ChordVariant};
+        for variant in [ChordVariant::Deterministic, ChordVariant::Randomized] {
+            let (eager, seeded) = eager_and_seeded(ChordStrategy::new(variant));
+            assert_lazy_arena_matches(&eager, &seeded);
+        }
+        let (eager, seeded) = eager_and_seeded(crate::kademlia::KademliaStrategy);
+        assert_lazy_arena_matches(&eager, &seeded);
+        let (eager, seeded) = eager_and_seeded(crate::plaxton::PlaxtonStrategy);
+        assert_lazy_arena_matches(&eager, &seeded);
+        let (eager, seeded) = eager_and_seeded(crate::can::CanStrategy);
+        assert_lazy_arena_matches(&eager, &seeded);
+        let (eager, seeded) = eager_and_seeded(crate::symphony::SymphonyStrategy::new(2, 3));
+        assert_lazy_arena_matches(&eager, &seeded);
+    }
+
+    #[test]
+    fn seeded_kernels_compile_without_the_arena() {
+        let (eager, seeded) = eager_and_seeded(crate::kademlia::KademliaStrategy);
+        let plan = seeded.kernel().unwrap();
+        assert!(
+            seeded.arena.get().is_none(),
+            "the stream compile reads no arena"
+        );
+        assert_eq!(seeded.resident_bytes(), plan.plan_bytes());
+        assert_eq!(plan.plan_digest(), eager.kernel().unwrap().plan_digest());
+        // A scalar caller still gets its tables, and they are counted.
+        let node = seeded.key_space().wrap(7);
+        assert_eq!(seeded.neighbors(node), eager.neighbors(node));
+        assert_eq!(
+            seeded.resident_bytes(),
+            plan.plan_bytes() + eager.arena().resident_bytes()
+        );
+    }
+
+    #[test]
+    fn seeded_overlays_validate_like_over() {
+        assert_eq!(
+            GeometryOverlay::seeded(25, crate::can::CanStrategy, 0, 1).unwrap_err(),
+            OverlayError::UnsupportedBits {
+                bits: 25,
+                max_bits: crate::MAX_OVERLAY_BITS
+            }
+        );
+        assert!(matches!(
+            GeometryOverlay::seeded(0, crate::can::CanStrategy, 0, 1),
+            Err(OverlayError::UnsupportedBits { bits: 0, .. })
+        ));
+        // Without a stream stride there is no stream to compile from.
+        let err = GeometryOverlay::seeded(4, SuccessorStrategy, 0, 1).unwrap_err();
+        assert!(err.to_string().contains("stream stride"), "{err}");
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! The compiled rank-space routing kernel.
 //!
 //! Scalar routing ([`crate::route_with_limit`]) asks the overlay's
-//! [`GeometryStrategy`](crate::generic::GeometryStrategy) for a greedy hop,
-//! and every strategy answers the same way: linearly scan the full neighbour
-//! table, recompute the geometry's distance metric for each entry, and probe
-//! the failure mask through a per-identifier lookup. That is flexible — it is
+//! [`GeometryStrategy`] for a greedy hop, and every strategy answers the same
+//! way: linearly scan the full neighbour table, recompute the geometry's
+//! distance metric for each entry, and probe the failure mask through a
+//! per-identifier lookup. That is flexible — it is
 //! the reference semantics — but it pays O(d) distance recomputations per hop
 //! for work that is knowable at *build* time: a finger's clockwise advance
 //! never changes, a bucket contact's position in the table *is* its XOR
 //! bucket, a hypercube link always corrects the same bit.
 //!
-//! [`RoutingKernel`] lowers a built overlay into a plan that precomputes all
-//! of it, in **rank space** (nodes addressed by their occupied rank, exactly
-//! like the [`crate::RoutingArena`]):
+//! [`RoutingKernel`] lowers an overlay's rows — read from its arena, or
+//! replayed from its construction stream for a
+//! [seeded](crate::GeometryOverlay::seeded) overlay — into a plan that
+//! precomputes all of it, in **rank space** (nodes addressed by their
+//! occupied rank, exactly like the [`crate::RoutingArena`]):
 //!
 //! * neighbour tables become dense `u32` rank indices, packed with their hop
 //!   keys into 8-byte entries (half the scalar arena's `NodeId`) behind a
@@ -34,9 +36,8 @@
 //! Rank-space routing is written once, over a crate-private *row source*:
 //! something that hands a hop the entries of a rank's row it probes, in
 //! greedy-preference order. Each geometry strategy declares which form its
-//! rows take over a population
-//! ([`GeometryStrategy::row_form`](crate::generic::GeometryStrategy::row_form)),
-//! and the kernel picks the source from it:
+//! rows take over a population ([`GeometryStrategy::row_form`]), and the
+//! kernel picks the source from it:
 //!
 //! * **plan rows** — the materialized source slices the row out of this
 //!   kernel's CSR plan and prefetches the next one;
@@ -98,9 +99,14 @@ pub mod implicit;
 
 use crate::arena::RoutingArena;
 use crate::failure::FailureMask;
+use crate::fanout;
+use crate::generic::GeometryStrategy;
+use crate::kademlia::prefix_contact;
 use crate::router::RouteOutcome;
 use batch::prefetch_read;
 use dht_id::{KeySpace, NodeId, Population};
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 pub use batch::{RouteBatch, DEFAULT_BATCH_WIDTH};
@@ -113,9 +119,9 @@ const NO_ENTRY: u32 = u32::MAX;
 /// Which hop key a geometry precomputes per entry, and which dispatch rule
 /// the kernel's next-hop uses over it.
 ///
-/// Each [`GeometryStrategy`](crate::generic::GeometryStrategy) exports its
-/// rule through `kernel_rule`; strategies that return `None` cannot be
-/// lowered and route only through the scalar reference path.
+/// Each [`GeometryStrategy`] exports its rule through `kernel_rule`;
+/// strategies that return `None` cannot be lowered and route only through
+/// the scalar reference path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelRule {
     /// Greedy non-overshooting ring forwarding (Chord, Symphony). Hop key:
@@ -142,8 +148,7 @@ pub enum KernelRule {
 }
 
 /// How a kernel reads the entries a hop probes: the answer of
-/// [`GeometryStrategy::row_form`](crate::generic::GeometryStrategy::row_form)
-/// for a population.
+/// [`GeometryStrategy::row_form`] for a population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowForm {
     /// Lowered rows: compiled into the materialized plan, regenerated into
@@ -254,7 +259,7 @@ struct PlanEntry {
 
 impl RoutingKernel {
     /// Lowers `arena`'s routing tables over `population` into a plan for
-    /// `rule`, one [`lower_static_row`] per rank.
+    /// `rule`, one [`lower_static_row`] per rank, on the calling thread.
     ///
     /// Ranks follow the arena/population convention (occupied identifiers in
     /// ascending order). Construction is O(edges) plus, for the ring rule, a
@@ -265,9 +270,77 @@ impl RoutingKernel {
         population: &Arc<Population>,
         arena: &RoutingArena,
     ) -> Self {
-        let mut ring_scratch = Vec::new();
-        Self::compile_rows(rule, population, arena, |node, table, entries| {
-            lower_static_row(rule, population, node, table, &mut ring_scratch, entries);
+        debug_assert_eq!(arena.node_count() as u64, population.node_count());
+        Self::compile_rows(rule, population, 1, None, arena.entry_count(), |_| {
+            let mut ring_scratch = Vec::new();
+            move |rank, entries| {
+                let node = population.node_at(rank as u64);
+                let table = arena.neighbors(rank);
+                lower_static_row(rule, population, node, table, &mut ring_scratch, entries);
+            }
+        })
+    }
+
+    /// Lowers the rows `strategy` builds from its construction stream — the
+    /// stream a `ChaCha8Rng::seed_from_u64(stream_seed)` build draws — into
+    /// the plan [`RoutingKernel::compile`] makes of the built arena, byte for
+    /// byte, without building the arena.
+    ///
+    /// Rank chunks compile on up to `threads` threads. Each replays its own
+    /// stretch of the stream: its generator starts at word `first ×
+    /// words_per_node` of its first rank, as [`FailureMask::sample_seeded`]
+    /// positions its chunks, and runs `build_table` and [`lower_static_row`]
+    /// per rank — except that a strategy declaring
+    /// [`RowForm::PositionedPrefix`] has its row drawn bucket by bucket, as
+    /// the implicit backend draws it, with no table built. The prefix rules'
+    /// rows are `d` entries wide and fill their slices of one preallocated
+    /// plan; ring rows, which lose zero and duplicate advances in the
+    /// lowering, fill a buffer per chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the strategy declares no
+    /// [`implicit_stream_words`](GeometryStrategy::implicit_stream_words) over
+    /// `population`.
+    #[must_use]
+    pub(crate) fn compile_stream<S: GeometryStrategy>(
+        rule: KernelRule,
+        population: &Arc<Population>,
+        strategy: &S,
+        stream_seed: u64,
+        threads: usize,
+    ) -> Self {
+        let words_per_node = strategy
+            .implicit_stream_words(population)
+            .expect("stream compiles need a fixed per-node stream stride");
+        let width = strategy.table_len_hint(population);
+        let fixed = match rule {
+            KernelRule::PrefixXor | KernelRule::PrefixTree | KernelRule::HypercubeBit => {
+                Some(width)
+            }
+            KernelRule::RingAdvance => None,
+        };
+        let capacity = population.node_count() * width as u64;
+        let bits = population.space().bits();
+        let positioned = strategy.row_form(population) == RowForm::PositionedPrefix;
+        debug_assert!(!positioned || words_per_node == 2 * u64::from(bits));
+        Self::compile_rows(rule, population, threads, fixed, capacity, |first| {
+            let mut rng = ChaCha8Rng::seed_from_u64(stream_seed);
+            rng.set_word_pos(first as u64 * words_per_node);
+            let mut table = Vec::with_capacity(width);
+            let mut ring_scratch = Vec::with_capacity(width);
+            move |rank, entries| {
+                let node = population.node_at(rank as u64);
+                if positioned {
+                    let value = node.value();
+                    let entry = |bucket| drawn_prefix_entry(bits, value, bucket, rng.next_u64());
+                    entries.extend((0..bits).map(entry));
+                } else {
+                    table.clear();
+                    strategy.build_table(population, node, &mut rng, &mut table);
+                    lower_static_row(rule, population, node, &table, &mut ring_scratch, entries);
+                }
+            }
         })
     }
 
@@ -286,33 +359,104 @@ impl RoutingKernel {
         population: &Arc<Population>,
         arena: &RoutingArena,
     ) -> Self {
-        Self::compile_rows(rule, population, arena, |node, table, entries| {
-            lower_live_row(rule, population, node, table, entries);
+        Self::compile_rows(rule, population, 1, None, arena.entry_count(), |_| {
+            move |rank, entries| {
+                let node = population.node_at(rank as u64);
+                lower_live_row(rule, population, node, arena.neighbors(rank), entries);
+            }
         })
     }
 
-    /// The CSR plan both compilers share: `lower_row` appends the entries of
-    /// each occupied node's table, in rank order.
-    fn compile_rows(
+    /// The CSR plan every compiler shares, whatever its rows come from.
+    ///
+    /// The ranks are cut into at most `threads` balanced chunks of at least
+    /// [`MIN_CHUNK_RANKS`] ranks, and each chunk runs on a scoped thread of
+    /// its own (a single chunk runs inline).
+    /// `chunk_rows(first)` makes the row lowering of the chunk that starts at
+    /// rank `first`; it appends the lowered entries of each rank it is
+    /// called with, in rank order. When every row is `width` entries wide the
+    /// chunks write into disjoint slices of one preallocated plan; otherwise
+    /// each chunk fills a buffer of its own, presized from `capacity` (the
+    /// expected plan entries), and the buffers join in rank order. Either
+    /// way the plan does not depend on `threads`.
+    fn compile_rows<R>(
         rule: KernelRule,
         population: &Arc<Population>,
-        arena: &RoutingArena,
-        mut lower_row: impl FnMut(NodeId, &[NodeId], &mut Vec<PlanEntry>),
-    ) -> Self {
+        threads: usize,
+        width: Option<usize>,
+        capacity: u64,
+        chunk_rows: impl Fn(usize) -> R + Sync,
+    ) -> Self
+    where
+        R: FnMut(usize, &mut Vec<PlanEntry>),
+    {
         let space = population.space();
         let full = population.is_full();
         let node_count = usize::try_from(population.node_count()).expect("overlay sizes fit usize");
-        debug_assert_eq!(arena.node_count(), node_count);
+        let chunks = fanout::balanced(node_count, threads, MIN_CHUNK_RANKS);
+        let plan_offset =
+            |end: usize| u32::try_from(end).expect("kernel plans hold at most u32::MAX entries");
 
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut entries: Vec<PlanEntry> = Vec::with_capacity(arena.entry_count() as usize);
-        offsets.push(0u32);
-        for (rank, node) in population.iter_nodes().enumerate() {
-            lower_row(node, arena.neighbors(rank), &mut entries);
-            let end =
-                u32::try_from(entries.len()).expect("kernel plans hold at most u32::MAX entries");
-            offsets.push(end);
-        }
+        let (offsets, entries) = match width {
+            Some(width) => {
+                let mut entries = vec![INERT_ENTRY; node_count * width];
+                let mut rest = entries.as_mut_slice();
+                let pieces: Vec<_> = chunks
+                    .map(|ranks| {
+                        let (piece, tail) =
+                            std::mem::take(&mut rest).split_at_mut(ranks.len() * width);
+                        rest = tail;
+                        (ranks, piece)
+                    })
+                    .collect();
+                fanout::on_threads(pieces, |(ranks, piece)| {
+                    let mut lower = chunk_rows(ranks.start);
+                    let mut row = Vec::with_capacity(width);
+                    for (rank, slot) in ranks.zip(piece.chunks_exact_mut(width)) {
+                        row.clear();
+                        lower(rank, &mut row);
+                        assert_eq!(row.len(), width, "rank {rank} lowers to a fixed-width row");
+                        slot.copy_from_slice(&row);
+                    }
+                });
+                let offsets = (0..=node_count).map(|rank| plan_offset(rank * width));
+                (offsets.collect(), entries)
+            }
+            None => {
+                let parts = fanout::on_threads(chunks.collect(), |ranks| {
+                    let mut lower = chunk_rows(ranks.start);
+                    // The chunk's share of `capacity`, all of it for a
+                    // single chunk (the product stays below 2^56: at most
+                    // 2^32 entries times 2^24 ranks).
+                    let share = capacity * ranks.len() as u64 / node_count as u64;
+                    let mut entries = Vec::with_capacity(share as usize);
+                    // Row ends relative to the chunk; the first chunk's are
+                    // the plan's offsets, leading zero included.
+                    let mut ends = if ranks.start == 0 {
+                        let mut offsets = Vec::with_capacity(node_count + 1);
+                        offsets.push(0);
+                        offsets
+                    } else {
+                        Vec::with_capacity(ranks.len())
+                    };
+                    for rank in ranks {
+                        lower(rank, &mut entries);
+                        ends.push(plan_offset(entries.len()));
+                    }
+                    (entries, ends)
+                });
+                let total = parts.iter().map(|(part, _)| part.len()).sum::<usize>();
+                let mut parts = parts.into_iter();
+                let (mut entries, mut offsets) = parts.next().expect("a compile has a chunk");
+                entries.reserve_exact(total - entries.len());
+                for (part, ends) in parts {
+                    let base = entries.len();
+                    offsets.extend(ends.iter().map(|&end| plan_offset(base + end as usize)));
+                    entries.extend_from_slice(&part);
+                }
+                (offsets, entries)
+            }
+        };
 
         let stride = uniform_stride(&offsets);
         RoutingKernel {
@@ -994,6 +1138,18 @@ const INERT_ENTRY: PlanEntry = PlanEntry {
     target: NO_ENTRY,
 };
 
+/// The entry of prefix bucket `bucket` of rank `node` over a full population
+/// whose stream draw for that bucket is `draw` — the positioned form of
+/// [`prefix_entry`]: rank == value, and a bucket contact is never the owner.
+#[inline]
+fn drawn_prefix_entry(bits: u32, node: u64, bucket: u32, draw: u64) -> PlanEntry {
+    let contact = prefix_contact(bits, node, bucket, draw) as u32;
+    PlanEntry {
+        key: contact,
+        target: contact,
+    }
+}
+
 /// A positional prefix-rule entry: the contact's value and rank, or
 /// [`INERT_ENTRY`] for the owner itself.
 fn prefix_entry(node: NodeId, entry: NodeId, rank_of: impl Fn(NodeId) -> u32) -> PlanEntry {
@@ -1073,6 +1229,11 @@ fn ring_distance_raw(from: u64, to: u64, space: KeySpace) -> u64 {
     to.wrapping_sub(from) & space.max_value()
 }
 
+/// The fewest ranks a plan-compile chunk holds, so that small plans compile
+/// on one thread: 512 rows of a 2^20 XOR overlay are ~10 000 stream draws,
+/// about what the 512-word floor of [`FailureMask::sample_seeded`] draws.
+const MIN_CHUNK_RANKS: usize = 512;
+
 /// The common row width when every CSR row is equally wide (always the case
 /// over full populations), or `None` for ragged rows.
 fn uniform_stride(offsets: &[u32]) -> Option<u32> {
@@ -1089,8 +1250,7 @@ mod tests {
     use crate::router::{default_route_hop_limit, route_with_limit};
     use crate::traits::Overlay;
     use crate::{CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay, SymphonyOverlay};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use proptest::prelude::*;
 
     /// Routes `pairs` through one default-width [`RoutingKernel::route_batch`].
     fn route_all(
@@ -1143,55 +1303,58 @@ mod tests {
         }
     }
 
-    /// Routes arbitrary pairs through `overlay`'s closed-form kernel and
-    /// through a plan compiled from its arena, at every failure probability,
-    /// hop limit and frontier width of the closed-form coverage, and asserts
-    /// identical outcomes pair by pair.
+    /// Routes `pairs` through `overlay`'s closed-form kernel and through a
+    /// plan compiled from its arena, under a `q` mask drawn from `rng`, at
+    /// one hop limit and frontier width, and asserts identical outcomes pair
+    /// by pair.
     fn assert_closed_form_matches_plan<S: crate::GeometryStrategy>(
         overlay: &crate::GeometryOverlay<S>,
+        pairs: &[(u64, u64)],
+        (q, limit, width): (f64, u32, usize),
         rng: &mut ChaCha8Rng,
-    ) {
+    ) -> Result<(), TestCaseError> {
         let name = overlay.geometry_name();
-        let bits = overlay.key_space().bits();
         let closed = overlay.kernel().expect("closed forms are kernels");
-        assert_eq!(
-            closed.plan_bytes(),
-            0,
-            "{name} at {bits} bits holds no plan"
-        );
+        prop_assert_eq!(closed.plan_bytes(), 0, "{} holds no plan", name);
         let population = Arc::new(overlay.population().clone());
         let plan = RoutingKernel::compile(closed.rule(), &population, overlay.arena());
-        assert!(plan.entry_count() > 0);
-        let space = overlay.key_space();
-        let pairs: Vec<(u64, u64)> = (0..200)
-            .map(|_| (space.random_id(rng).value(), space.random_id(rng).value()))
-            .collect();
-        for q in [0.0, 0.3, 1.0] {
-            let mask = FailureMask::sample(space, q, rng);
-            let words = closed.compile_mask(&mask).words().to_vec();
-            for limit in [default_route_hop_limit(overlay), 0, 1, 2] {
-                for width in [1, 128] {
-                    let mut closed_outcomes = Vec::new();
-                    let mut plan_outcomes = Vec::new();
-                    let mut batch = RouteBatch::new(width);
-                    closed.route_batch(&mut batch, &words, &pairs, limit, &mut closed_outcomes);
-                    plan.route_batch(&mut batch, &words, &pairs, limit, &mut plan_outcomes);
-                    assert_eq!(
-                        closed_outcomes, plan_outcomes,
-                        "{name} at {bits} bits, q {q}, limit {limit}, width {width}"
-                    );
-                }
-            }
-        }
+        prop_assert!(plan.entry_count() > 0);
+        let mask = FailureMask::sample(overlay.key_space(), q, rng);
+        let words = closed.compile_mask(&mask).words().to_vec();
+        let mut batch = RouteBatch::new(width);
+        let mut closed_outcomes = Vec::new();
+        let mut plan_outcomes = Vec::new();
+        closed.route_batch(&mut batch, &words, pairs, limit, &mut closed_outcomes);
+        plan.route_batch(&mut batch, &words, pairs, limit, &mut plan_outcomes);
+        prop_assert_eq!(closed_outcomes, plan_outcomes, "{}", name);
+        Ok(())
     }
 
-    #[test]
-    fn closed_form_kernels_route_like_their_compiled_plans() {
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
-        for bits in 1..=12 {
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The closed form is the only way either backend routes ring and
+        /// hypercube over a full population, so it is held to the plan its
+        /// rows would compile to: any size up to 2^14, any failure
+        /// probability, frontier width and hop limit (limits up to 64 both
+        /// cut routes short and let them finish).
+        #[test]
+        fn closed_form_kernels_route_like_their_compiled_plans(
+            bits in 1u32..=14,
+            q in 0.0f64..=1.0,
+            width in 1usize..=256,
+            limit in 0u32..=64,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let space = KeySpace::new(bits).unwrap();
+            let pairs: Vec<(u64, u64)> = (0..200)
+                .map(|_| (space.random_id(&mut rng).value(), space.random_id(&mut rng).value()))
+                .collect();
             let ring = ChordOverlay::build(bits, ChordVariant::Deterministic).unwrap();
-            assert_closed_form_matches_plan(&ring, &mut rng);
-            assert_closed_form_matches_plan(&CanOverlay::build(bits).unwrap(), &mut rng);
+            assert_closed_form_matches_plan(&ring, &pairs, (q, limit, width), &mut rng)?;
+            let cube = CanOverlay::build(bits).unwrap();
+            assert_closed_form_matches_plan(&cube, &pairs, (q, limit, width), &mut rng)?;
         }
     }
 

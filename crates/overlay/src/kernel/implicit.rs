@@ -43,11 +43,12 @@
 //! The [`ImplicitRowCache`] is a direct-mapped cache of lowered rows, owned
 //! by the *caller* (one per worker thread), so the kernel itself stays
 //! shareable and its resident set stays constant; it also holds the seeking
-//! RNG the positioned draws use. At scale it rarely hits: lanes route
-//! independent uniform pairs, so a hop finds its row cached with a
-//! probability near slots / nodes (1024 / 2^26 ≈ 1.5·10⁻⁵; the end-to-end
-//! benchmark measured ~2·10⁻⁵ at 2^26 and ~2·10⁻⁶ at 2^28), and nearly
-//! every hop through it regenerates its row. Each cache is stamped with its
+//! RNG the positioned draws use, and only kernels that read whole rows get
+//! its slots. At scale it rarely hits: lanes route independent uniform
+//! pairs, so a hop finds its row cached with a probability near slots /
+//! nodes (1024 / 2^26 ≈ 1.5·10⁻⁵; the end-to-end benchmark measured
+//! ~2·10⁻⁵ at 2^26 and ~2·10⁻⁶ at 2^28), and nearly every hop through it
+//! regenerates its row. Each cache is stamped with its
 //! kernel's workspace-unique id, and every call that takes a cache checks
 //! the stamp, whichever source routes, so a cache cannot silently serve
 //! rows of another kernel.
@@ -80,12 +81,11 @@
 
 use super::batch::route_batch_rows;
 use super::{
-    check_mask, leading_level, lower_static_row, row_entries, ClosedForm, KernelMask, KernelRule,
-    PlanEntry, RouteBatch, RowForm, RowSource, INERT_ENTRY, NO_ENTRY,
+    check_mask, drawn_prefix_entry, leading_level, lower_static_row, row_entries, ClosedForm,
+    KernelMask, KernelRule, PlanEntry, RouteBatch, RowForm, RowSource, INERT_ENTRY, NO_ENTRY,
 };
 use crate::failure::FailureMask;
 use crate::generic::GeometryStrategy;
-use crate::kademlia::prefix_contact;
 use crate::router::RouteOutcome;
 use crate::traits::{validate_implicit_bits, Overlay, OverlayError};
 use dht_id::{KeySpace, NodeId, Population};
@@ -277,19 +277,27 @@ impl ImplicitKernel {
 
     /// A fresh row cache with `slots` direct-mapped slots (rounded up to a
     /// power of two, at least 1), stamped as this kernel's.
+    ///
+    /// Only a kernel that reads whole rows ([`RowForm::Rows`]: randomized
+    /// Chord, Symphony) gets the slots and row scratch. For the closed form
+    /// and the positioned draws the cache is just the stamp and the seeking
+    /// RNG: it holds no slot and [`ImplicitRowCache::resident_bytes`] reads 0.
     #[must_use]
     pub fn row_cache_with_slots(&self, slots: usize) -> ImplicitRowCache {
-        let slots = slots.max(1).next_power_of_two();
+        let (slots, row_width) = match self.form {
+            RowForm::Rows => (slots.max(1).next_power_of_two(), self.row_width),
+            RowForm::ClosedForm | RowForm::PositionedPrefix => (0, 0),
+        };
         ImplicitRowCache {
             kernel_id: self.id,
-            row_width: self.row_width,
-            slot_mask: (slots - 1) as u32,
+            row_width,
+            slot_mask: slots.saturating_sub(1) as u32,
             ranks: vec![NO_ENTRY; slots],
             lens: vec![0; slots],
-            entries: vec![INERT_ENTRY; slots * self.row_width],
+            entries: vec![INERT_ENTRY; slots * row_width],
             rng: ChaCha8Rng::seed_from_u64(self.stream_seed),
-            ids: Vec::with_capacity(self.row_width),
-            ring_scratch: Vec::with_capacity(self.row_width),
+            ids: Vec::with_capacity(row_width),
+            ring_scratch: Vec::with_capacity(row_width),
             hits: 0,
             misses: 0,
         }
@@ -487,13 +495,7 @@ impl RowSource for PositionedPrefix<'_> {
         self.rng
             .set_word_pos(node * self.kernel.words_per_node + 2 * u64::from(level));
         let rng = &mut *self.rng;
-        (level..bits).map(move |bucket| {
-            let contact = prefix_contact(bits, node, bucket, rng.next_u64()) as u32;
-            PlanEntry {
-                key: contact,
-                target: contact,
-            }
-        })
+        (level..bits).map(move |bucket| drawn_prefix_entry(bits, node, bucket, rng.next_u64()))
     }
 }
 
@@ -544,7 +546,7 @@ pub struct ImplicitRowCache {
 }
 
 impl ImplicitRowCache {
-    /// Number of direct-mapped slots.
+    /// Number of direct-mapped slots (0 for a kernel that reads no rows).
     #[must_use]
     pub fn slots(&self) -> usize {
         self.ranks.len()
@@ -975,6 +977,32 @@ mod tests {
             );
             let symphony = ImplicitOverlay::symphony(bits, 1, 1, 0).unwrap();
             assert_eq!(symphony.resident_bytes(), 80);
+        }
+    }
+
+    #[test]
+    fn only_row_reading_kernels_get_cache_slots() {
+        // The closed form reads nothing of the cache and the positioned
+        // draws only its RNG.
+        let slotless: [Box<dyn Overlay>; 4] = [
+            Box::new(ImplicitOverlay::ring(12, ChordVariant::Deterministic, 3).unwrap()),
+            Box::new(ImplicitOverlay::hypercube(12).unwrap()),
+            Box::new(ImplicitOverlay::xor(12, 3).unwrap()),
+            Box::new(ImplicitOverlay::tree(12, 3).unwrap()),
+        ];
+        for overlay in &slotless {
+            let cache = overlay.implicit_kernel().unwrap().row_cache();
+            let name = overlay.geometry_name();
+            assert_eq!((cache.slots(), cache.resident_bytes()), (0, 0), "{name}");
+        }
+        let cached: [Box<dyn Overlay>; 2] = [
+            Box::new(ImplicitOverlay::symphony(12, 1, 1, 3).unwrap()),
+            Box::new(ImplicitOverlay::ring(12, ChordVariant::Randomized, 3).unwrap()),
+        ];
+        for overlay in &cached {
+            let cache = overlay.implicit_kernel().unwrap().row_cache();
+            assert_eq!(cache.slots(), DEFAULT_ROW_CACHE_SLOTS);
+            assert!(cache.resident_bytes() > 0, "{}", overlay.geometry_name());
         }
     }
 

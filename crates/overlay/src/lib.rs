@@ -23,7 +23,10 @@
 //! per-geometry [`generic::GeometryStrategy`] (table construction plus the
 //! greedy next-hop rule) with a [`dht_id::Population`] and stores every
 //! routing table in a single flat CSR [`RoutingArena`] — `neighbors()` is a
-//! slice into that arena and the edge count is O(1). The alias adds only
+//! slice into that arena and the edge count is O(1). A
+//! [seeded](GeometryOverlay::seeded) overlay builds that arena only when a
+//! scalar caller first reads it, and compiles its kernel straight from the
+//! construction stream instead. The alias adds only
 //! its constructors and table accessors; the one [`Overlay`] impl is
 //! generic. Populations may be full (`N = 2^d`, the paper's model) or
 //! sparse (`n < 2^d` occupied identifiers), in which case fingers, bucket
@@ -85,6 +88,7 @@ pub mod arena;
 pub mod can;
 pub mod chord;
 pub mod failure;
+mod fanout;
 pub mod faults;
 pub mod generic;
 pub mod kademlia;

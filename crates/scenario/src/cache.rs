@@ -1,8 +1,7 @@
 //! The server's cross-query caches: built overlays (with their compiled
 //! routing kernels) and observable hit counters.
 
-use dht_experiments::implicit_scale::build_implicit_overlay;
-use dht_experiments::spec::{build_full_overlay, Backend, SpecError};
+use dht_experiments::spec::{build_overlay, Backend, SpecError};
 use dht_overlay::Overlay;
 use dht_sim::SeedSequence;
 use serde::{Deserialize, Serialize};
@@ -17,10 +16,14 @@ use std::sync::Arc;
 /// For the materialized backend the kernel is forced at insert time (where
 /// available), so a cache hit hands back an overlay whose plan is already
 /// compiled: routing it never pays the lowering again, which
-/// [`ServerStats::kernel_compiles`] makes observable. Implicit overlays
-/// ([`Backend::Implicit`]) carry no materialized plan — their cache entry is
-/// a few hundred bytes of generator state — but caching them still saves the
-/// construction-parameter validation and keeps the two backends symmetric.
+/// [`ServerStats::kernel_compiles`] makes observable. The plan compiles
+/// straight from the construction stream on the server's thread budget, so
+/// a cached materialized overlay holds its plan and no `NodeId` arena (the
+/// ring and the hypercube route in closed form and hold neither). Implicit
+/// overlays ([`Backend::Implicit`]) carry no materialized plan — their
+/// cache entry is a few hundred bytes of generator state — but caching
+/// them still saves the construction-parameter validation and keeps the
+/// two backends symmetric.
 #[derive(Default)]
 pub struct OverlayCache {
     overlays: HashMap<(String, u32, u64, Backend), Arc<dyn Overlay>>,
@@ -37,9 +40,10 @@ impl OverlayCache {
     }
 
     /// Returns the cached overlay for `(geometry, bits, seed, backend)`,
-    /// building (and compiling the kernel of) a new one on first use. Both
-    /// backends consume the same construction stream (`SeedSequence` child 0
-    /// of `seed`), so they route bit-identically.
+    /// building (and compiling the kernel of, on `threads` threads) a new
+    /// one on first use. Both backends consume the same construction stream
+    /// (`SeedSequence` child 0 of `seed`), so they route bit-identically;
+    /// `threads` changes only how fast a plan compiles.
     ///
     /// # Errors
     ///
@@ -51,20 +55,21 @@ impl OverlayCache {
         bits: u32,
         seed: u64,
         backend: Backend,
+        threads: usize,
     ) -> Result<Arc<dyn Overlay>, SpecError> {
         let key = (geometry.to_owned(), bits, seed, backend);
         if let Some(overlay) = self.overlays.get(&key) {
             self.hits += 1;
             return Ok(Arc::clone(overlay));
         }
-        let overlay: Arc<dyn Overlay> = match backend {
-            Backend::Materialized => Arc::from(build_full_overlay(geometry, bits, seed)?),
-            Backend::Implicit => Arc::from(build_implicit_overlay(
-                geometry,
-                bits,
-                SeedSequence::new(seed).child(0),
-            )?),
-        };
+        let stream_seed = SeedSequence::new(seed).child(0);
+        let overlay: Arc<dyn Overlay> = Arc::from(build_overlay(
+            geometry,
+            bits,
+            stream_seed,
+            backend,
+            threads,
+        )?);
         if overlay.kernel().is_some() {
             self.kernel_compiles += 1;
         }
@@ -139,10 +144,10 @@ mod tests {
     fn repeated_keys_hit_without_rebuilding() {
         let mut cache = OverlayCache::new();
         let first = cache
-            .get_or_build("ring", 6, 1, Backend::Materialized)
+            .get_or_build("ring", 6, 1, Backend::Materialized, 1)
             .unwrap();
         let second = cache
-            .get_or_build("ring", 6, 1, Backend::Materialized)
+            .get_or_build("ring", 6, 1, Backend::Materialized, 1)
             .unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.builds(), 1);
@@ -155,19 +160,21 @@ mod tests {
     fn distinct_keys_build_distinct_overlays() {
         let mut cache = OverlayCache::new();
         cache
-            .get_or_build("ring", 6, 1, Backend::Materialized)
+            .get_or_build("ring", 6, 1, Backend::Materialized, 1)
             .unwrap();
         cache
-            .get_or_build("ring", 7, 1, Backend::Materialized)
+            .get_or_build("ring", 7, 1, Backend::Materialized, 1)
             .unwrap();
         cache
-            .get_or_build("xor", 6, 1, Backend::Materialized)
+            .get_or_build("xor", 6, 1, Backend::Materialized, 1)
             .unwrap();
         cache
-            .get_or_build("ring", 6, 2, Backend::Materialized)
+            .get_or_build("ring", 6, 2, Backend::Materialized, 1)
             .unwrap();
         // The backend is part of the key: the implicit twin is a new build.
-        cache.get_or_build("ring", 6, 1, Backend::Implicit).unwrap();
+        cache
+            .get_or_build("ring", 6, 1, Backend::Implicit, 1)
+            .unwrap();
         assert_eq!(cache.builds(), 5);
         assert_eq!(cache.hits(), 0);
     }
@@ -176,7 +183,7 @@ mod tests {
     fn unknown_geometries_error_and_are_not_cached() {
         let mut cache = OverlayCache::new();
         for backend in [Backend::Materialized, Backend::Implicit] {
-            assert!(cache.get_or_build("moebius", 6, 1, backend).is_err());
+            assert!(cache.get_or_build("moebius", 6, 1, backend, 1).is_err());
         }
         assert!(cache.is_empty());
         assert_eq!(cache.builds(), 0);
@@ -186,7 +193,7 @@ mod tests {
     fn cached_overlays_come_back_with_kernels_compiled() {
         let mut cache = OverlayCache::new();
         let overlay = cache
-            .get_or_build("hypercube", 6, 1, Backend::Materialized)
+            .get_or_build("hypercube", 6, 1, Backend::Materialized, 1)
             .unwrap();
         assert!(overlay.kernel().is_some());
         assert_eq!(cache.kernel_compiles(), 1);
@@ -195,7 +202,9 @@ mod tests {
     #[test]
     fn implicit_builds_carry_the_implicit_kernel_and_stay_tiny() {
         let mut cache = OverlayCache::new();
-        let overlay = cache.get_or_build("xor", 10, 1, Backend::Implicit).unwrap();
+        let overlay = cache
+            .get_or_build("xor", 10, 1, Backend::Implicit, 1)
+            .unwrap();
         assert!(overlay.kernel().is_none());
         assert!(overlay.implicit_kernel().is_some());
         assert!(overlay.resident_bytes() < 1024);

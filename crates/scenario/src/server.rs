@@ -199,9 +199,13 @@ impl ReportServer {
             trials,
         } = &spec.experiment
         {
-            let overlay = self
-                .overlays
-                .get_or_build(geometry, *bits, spec.seed, spec.backend())?;
+            let overlay = self.overlays.get_or_build(
+                geometry,
+                *bits,
+                spec.seed,
+                spec.backend(),
+                self.threads,
+            )?;
             let chains = &mut self.chains;
             let report = static_resilience_report_with(
                 geometry,
