@@ -139,11 +139,17 @@ impl FailureMask {
     /// Samples a mask in which every *occupied* node fails independently with
     /// probability `q` (unoccupied identifiers read as failed regardless).
     ///
-    /// Each occupied identifier, in ascending order, consumes exactly one
-    /// `next_u64` and fails exactly when `rng.gen_bool(q)` would have
-    /// returned `true` on that draw, so the caller's stream stays in step
-    /// with a per-node `gen_bool` loop. Over a full population this draws the
-    /// identical mask (and RNG stream) as [`FailureMask::sample`].
+    /// Each occupied identifier, in ascending order, consumes one draw of
+    /// the `next_u64` stream and fails exactly when `rng.gen_bool(q)` would
+    /// have returned `true` on that draw, so the caller's stream stays in
+    /// step with a per-node `gen_bool` loop. Over a full population this
+    /// draws the identical mask (and RNG stream) as [`FailureMask::sample`].
+    ///
+    /// A fully occupied 64-identifier word takes its 64 draws with one
+    /// `fill_bytes` of 512 bytes. That relies on `rng`'s `fill_bytes`
+    /// emitting its `next_u64` stream little-endian, as every
+    /// [`RngCore`] in this workspace does (the vendored ChaCha generators
+    /// and proptest's `TestRng`, which wraps one).
     ///
     /// # Panics
     ///
@@ -510,14 +516,24 @@ fn fail_threshold(q: f64) -> u64 {
 /// [`fail_threshold`]). Nothing is shortcut at `q = 0` or `q = 1`: every
 /// occupied identifier consumes its draw, as `gen_bool` does. The dead bits
 /// build in a register and each word is stored once.
+///
+/// A fully occupied word takes its 64 draws with one `fill_bytes` of 512
+/// bytes, read back as little-endian `u64`s: the same draws, in the same
+/// order, as 64 `next_u64` calls (see [`FailureMask::sample_over`] for the
+/// contract this relies on). The vendored ChaCha computes such a fill eight
+/// blocks at a time where the target has AVX2. Partly occupied words draw
+/// bit by bit.
 fn fail_words<R: RngCore + ?Sized>(words: &mut [u64], threshold: u64, rng: &mut R) -> u64 {
     let mut failed = 0u64;
+    let mut draws = [0u8; 8 * WORD_BITS as usize];
     for word in words {
         let occupied = *word;
         let mut dead = 0u64;
         if occupied == u64::MAX {
-            for bit in 0..WORD_BITS {
-                dead |= u64::from(rng.next_u64() >> 11 < threshold) << bit;
+            rng.fill_bytes(&mut draws);
+            for (bit, draw) in draws.chunks_exact(8).enumerate() {
+                let draw = u64::from_le_bytes(draw.try_into().expect("8-byte chunk"));
+                dead |= u64::from(draw >> 11 < threshold) << bit;
             }
         } else {
             let mut rest = occupied;
@@ -739,6 +755,68 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn sampling_is_one_gen_bool_per_occupied_identifier() {
+        // 0..2048 fills 32 words, which take the bulk draw; every third value
+        // above leaves the other 32 words with 21 or 22 occupied bits.
+        let s = space(12);
+        let full = Population::full(s);
+        let sparse = Population::sparse(
+            s,
+            (0..2048).chain((2048..4096).step_by(3)).map(|v| s.wrap(v)),
+        )
+        .unwrap();
+        for population in [&full, &sparse] {
+            for q in [0.0, 0.3, 1.0] {
+                // Skipped words start the bulk draws inside a block.
+                for skipped in [0, 1, 3, 17] {
+                    let mut rng = ChaCha8Rng::seed_from_u64(2006);
+                    for _ in 0..skipped {
+                        rng.next_u32();
+                    }
+                    let mut oracle = rng.clone();
+                    let mask = FailureMask::sample_over(population, q, &mut rng);
+                    let mut expected = FailureMask::none_over(population);
+                    for node in population.iter_nodes() {
+                        if oracle.gen_bool(q) {
+                            expected.fail_node(node);
+                        }
+                    }
+                    let case = format!("{population}, q = {q}, {skipped} words skipped");
+                    assert_eq!(mask, expected, "{case}");
+                    assert_eq!(rng.next_u64(), oracle.next_u64(), "{case}");
+                }
+            }
+        }
+    }
+
+    /// FNV-1a 64 of the little-endian words of
+    /// `sample_seeded(full 2^20, 0.25, 2006, t)`, and its failed count, as
+    /// the per-draw kernel sampled them before full words drew in bulk.
+    const MASK_DIGEST: u64 = 0x14d0_5b06_8957_4280;
+    const MASK_FAILED: u64 = 261_850;
+
+    #[test]
+    fn seeded_full_masks_keep_their_digests() {
+        fn fnv1a64(words: &[u64]) -> u64 {
+            words
+                .iter()
+                .flat_map(|word| word.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+                })
+        }
+        let population = Population::full(space(20));
+        for threads in [1, 2, 3] {
+            let mask = FailureMask::sample_seeded(&population, 0.25, 2006, threads);
+            assert_eq!(
+                (fnv1a64(mask.words()), mask.failed_count()),
+                (MASK_DIGEST, MASK_FAILED),
+                "threads = {threads}"
+            );
         }
     }
 
