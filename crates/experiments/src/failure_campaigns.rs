@@ -16,7 +16,7 @@
 use crate::spec::{build_overlay, Backend, SpecError};
 use dht_overlay::{FailurePlan, Overlay};
 use dht_percolation::connected_components;
-use dht_sim::{CampaignTally, SeedSequence, TrialEngine};
+use dht_sim::{map_ordered, CampaignTally, SeedSequence, TrialEngine};
 use serde::{Deserialize, Serialize};
 
 /// One measured grid point: a geometry under one plan at one target failed
@@ -113,53 +113,59 @@ pub fn default_plan_templates() -> Vec<FailurePlan> {
     ]
 }
 
-/// Runs one grid point: `plan` re-targeted at `fraction`, lowered
-/// `patterns` times over `overlay`, each pattern routing `pairs` pairs and
-/// its alive graph decomposed into components.
-///
-/// Pattern `t` lowers its mask from child `2t` and routes its pairs from
-/// child `2t + 1` of a [`SeedSequence`] rooted at `seed`, so mask and
-/// traffic streams never collide and every pattern is independent.
-///
-/// # Panics
-///
-/// Panics if the re-targeted plan is invalid (`run_grid` validates its
-/// plans first).
-#[must_use]
-pub fn run_point(
+/// One failure pattern's measurements: its realized failed fraction, its
+/// alive graph's giant-component fraction and, when at least two nodes
+/// survive, the tally of its routed pairs.
+type PatternOutcome = (f64, f64, Option<CampaignTally>);
+
+/// Measures one failure pattern of a grid point: lowers `plan` over
+/// `overlay` from child `2 * pattern` of `point_seeds`, decomposes the alive
+/// graph into components, and routes `pairs` pairs from child
+/// `2 * pattern + 1` on `engine` — so mask and traffic streams never collide
+/// and every pattern is independent.
+fn run_pattern(
     overlay: &dyn Overlay,
     plan: &FailurePlan,
-    fraction: f64,
+    pattern: u64,
     pairs: u64,
-    patterns: u32,
-    seed: u64,
-    threads: usize,
+    point_seeds: &SeedSequence,
+    engine: &TrialEngine,
+) -> PatternOutcome {
+    let mask = plan.lower(overlay, point_seeds.child(2 * pattern));
+    let realized = mask.failed_count() as f64 / mask.population_size().max(1) as f64;
+    let giant = connected_components(overlay, &mask).giant_component_fraction();
+    let tally =
+        engine.run_campaign_trial(overlay, &mask, pairs, point_seeds.child(2 * pattern + 1));
+    (realized, giant, tally)
+}
+
+/// Folds the pattern outcomes of one grid point — `plan`, already
+/// re-targeted at the point's fraction — in pattern order into its averaged
+/// report row.
+fn fold_point(
+    overlay: &dyn Overlay,
+    plan: &FailurePlan,
+    outcomes: &[PatternOutcome],
 ) -> FailureCampaignPoint {
-    let plan = plan.with_fraction(fraction);
-    let engine = TrialEngine::new(threads);
-    let seeds = SeedSequence::new(seed);
     let mut merged = CampaignTally::default();
     let mut patterns_measured = 0u32;
     let mut realized_sum = 0.0;
     let mut giant_sum = 0.0;
-    for pattern in 0..u64::from(patterns) {
-        let mask = plan.lower(overlay, seeds.child(2 * pattern));
-        realized_sum += mask.failed_count() as f64 / mask.population_size().max(1) as f64;
-        giant_sum += connected_components(overlay, &mask).giant_component_fraction();
-        if let Some(tally) =
-            engine.run_campaign_trial(overlay, &mask, pairs, seeds.child(2 * pattern + 1))
-        {
-            merged.merge(&tally);
+    for (realized, giant, tally) in outcomes {
+        realized_sum += realized;
+        giant_sum += giant;
+        if let Some(tally) = tally {
+            merged.merge(tally);
             patterns_measured += 1;
         }
     }
-    let patterns = f64::from(patterns);
+    let patterns = outcomes.len() as f64;
     let attempted = merged.trial.attempted;
     FailureCampaignPoint {
         geometry: overlay.geometry_name().to_owned(),
         bits: overlay.key_space().bits(),
         plan: plan.name().to_owned(),
-        target_fraction: fraction,
+        target_fraction: plan.target_fraction(),
         realized_failed_fraction: realized_sum / patterns,
         delivered_fraction: merged.trial.routability(),
         dropped_fraction: if attempted == 0 {
@@ -184,13 +190,22 @@ pub fn run_point(
 /// patterns of `pairs` pairs each.
 ///
 /// Each geometry's overlay is built once from `seed` (child 0, the
-/// repository-wide convention — see [`build_overlay`], which compiles its
-/// plan on the `threads` budget), so every plan and fraction attacks the
+/// repository-wide convention — see [`build_overlay`]), and its kernel is
+/// compiled on the `threads` budget, so every plan and fraction attacks the
 /// *same* overlay instance and differences are attributable to the fault
-/// structure alone. Grid point `k` (in sweep
-/// order) is seeded with child `k + 1` of a [`SeedSequence`] rooted at
-/// `seed`; child 0 stays reserved for overlay construction. Results are
-/// invariant under the `threads` budget.
+/// structure alone. Grid point `k` (in sweep order) is seeded with child
+/// `k + 1` of a [`SeedSequence`] rooted at `seed`; child 0 stays reserved
+/// for overlay construction. Pattern `t` of a point lowers its mask from
+/// child `2t` and routes its pairs from child `2t + 1` of the point's own
+/// sequence.
+///
+/// The thread budget (clamped to `1..=256`, as [`TrialEngine::new`] clamps
+/// it) is spent on whole patterns: a geometry's (plan, fraction, pattern)
+/// units run on `min(threads, units)` workers of one ordered queue
+/// ([`map_ordered`]), each routing on a `threads / workers`-thread engine,
+/// and every point folds its patterns in pattern order. One geometry's
+/// overlay is alive at a time. Results are invariant under the `threads`
+/// budget.
 ///
 /// # Errors
 ///
@@ -209,22 +224,43 @@ pub fn run_grid(
     validate(geometries, plans, failed_fractions, pairs, patterns)?;
     let seeds = SeedSequence::new(seed);
     let stream_seed = seeds.child(0);
+    // One geometry's sweep, in sweep order: each plan at each fraction.
+    let sweep: Vec<FailurePlan> = plans
+        .iter()
+        .flat_map(|plan| {
+            failed_fractions
+                .iter()
+                .map(|&fraction| plan.with_fraction(fraction))
+        })
+        .collect();
+    let patterns = patterns as usize;
+    let units = sweep.len() * patterns;
+    // No campaign starts more workers than one engine would.
+    let threads = TrialEngine::new(threads).threads();
+    let workers = threads.min(units);
+    let engine = TrialEngine::new(threads / workers);
     let mut points = Vec::new();
     for geometry in geometries {
         let overlay = build_overlay(geometry, bits, stream_seed, Backend::Materialized, threads)?;
-        for plan in plans {
-            for &fraction in failed_fractions {
-                let point_seed = seeds.child(points.len() as u64 + 1);
-                points.push(run_point(
-                    overlay.as_ref(),
-                    plan,
-                    fraction,
-                    pairs,
-                    patterns,
-                    point_seed,
-                    threads,
-                ));
-            }
+        let overlay = overlay.as_ref();
+        // Compile the kernel here, on the whole budget, so no unit compiles
+        // it on threads of its own.
+        let _ = overlay.kernel();
+        let first_point = points.len();
+        let outcomes = map_ordered(units, workers, |unit| {
+            let (point, pattern) = (unit / patterns, unit % patterns);
+            let point_seeds = SeedSequence::new(seeds.child((first_point + point) as u64 + 1));
+            run_pattern(
+                overlay,
+                &sweep[point],
+                pattern as u64,
+                pairs,
+                &point_seeds,
+                &engine,
+            )
+        });
+        for (plan, outcomes) in sweep.iter().zip(outcomes.chunks(patterns)) {
+            points.push(fold_point(overlay, plan, outcomes));
         }
     }
     Ok(points)
@@ -387,10 +423,36 @@ mod tests {
 
     #[test]
     fn campaign_grids_are_invariant_under_thread_count() {
+        // Three workers split each geometry's 20 units unevenly, and eight
+        // leave some workers a single unit.
         let reference = smoke(1);
-        for threads in [2, 8] {
+        for threads in [2, 3, 8] {
             assert_eq!(reference, smoke(threads), "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn a_grid_with_fewer_units_than_threads_routes_on_every_thread() {
+        // One unit: a single worker routes it on a four-thread engine.
+        let single = |threads| {
+            let geometries = ["xor".to_owned()];
+            let plans = [FailurePlan::Uniform { fraction: 0.0 }];
+            run_grid(
+                SMOKE_BITS,
+                &geometries,
+                &plans,
+                &[0.3],
+                9_000,
+                1,
+                2006,
+                threads,
+            )
+            .unwrap()
+        };
+        let reference = single(1);
+        assert_eq!(reference.len(), 1);
+        assert_eq!(reference[0].attempted, 9_000);
+        assert_eq!(reference, single(4));
     }
 
     #[test]

@@ -82,20 +82,34 @@ pub fn sparse_population_resilience(
         .with_seed(seed)
         .with_threads(threads);
 
+    // Each overlay lives only for its own sweep (a temporary dropped at the
+    // end of its statement), so at most one arena and plan are resident.
     let mut records = Vec::new();
     for population in populations {
-        let ring = ChordOverlay::build_over(
-            population.clone(),
-            ChordVariant::Deterministic,
-            // The deterministic variant draws no randomness; reuse the master
-            // stream for the geometries that do.
-            &mut rng,
+        measure(
+            &ChordOverlay::build_over(
+                population.clone(),
+                ChordVariant::Deterministic,
+                // The deterministic variant draws no randomness; reuse the
+                // master stream for the geometries that do.
+                &mut rng,
+            )?,
+            &base_config,
+            grid,
+            &mut records,
         )?;
-        measure(&ring, &base_config, grid, &mut records)?;
-        let xor = KademliaOverlay::build_over(population.clone(), &mut rng)?;
-        measure(&xor, &base_config, grid, &mut records)?;
-        let hypercube = CanOverlay::build_over(population)?;
-        measure(&hypercube, &base_config, grid, &mut records)?;
+        measure(
+            &KademliaOverlay::build_over(population.clone(), &mut rng)?,
+            &base_config,
+            grid,
+            &mut records,
+        )?;
+        measure(
+            &CanOverlay::build_over(population)?,
+            &base_config,
+            grid,
+            &mut records,
+        )?;
     }
     Ok(records)
 }

@@ -9,7 +9,8 @@
 //! * [`Population::full`] — every identifier of the space is a node; all
 //!   queries are O(1) arithmetic and nothing is materialised.
 //! * [`Population::sparse`] — an explicit occupied set, kept sorted, plus a
-//!   dense rank table for O(1) membership and index lookups.
+//!   prefix-count table (how many nodes lie below each identifier), so
+//!   membership, rank, successor and range queries are all O(1) reads.
 //!
 //! Ranks are the bridge between the two: occupied nodes are numbered
 //! `0..node_count()` in ascending identifier order, and for a full population
@@ -42,9 +43,9 @@ use rand::Rng;
 
 /// The largest identifier length a sparse population will index.
 ///
-/// Sparse populations keep a dense rank table with one entry per identifier
-/// of the space, so the ceiling matches [`KeySpace::iter_ids`]'s enumeration
-/// limit.
+/// Sparse populations keep a prefix-count table with one entry per
+/// identifier of the space, so the ceiling matches [`KeySpace::iter_ids`]'s
+/// enumeration limit.
 pub const MAX_SPARSE_BITS: u32 = 32;
 
 /// Which identifiers of a [`KeySpace`] are occupied by nodes.
@@ -55,18 +56,31 @@ pub struct Population {
     sparse: Option<SparseIndex>,
 }
 
-/// Sorted occupied set plus a dense value-to-rank table.
+/// Sorted occupied set plus its prefix counts.
+///
+/// `lower[v]` is the number of occupied identifiers below `v`, for every `v`
+/// in `0..=2^d`, so `lower[2^d]` is the node count. That is the rank of the
+/// first node at or after `v`: `v` is occupied exactly when
+/// `lower[v + 1] > lower[v]`, and the nodes of a value range `[lo, hi]` are
+/// `nodes[lower[lo]..lower[hi + 1]]`. A sparse population holds fewer than
+/// `2^d ≤ 2^32` nodes (a full one collapses to [`Population::full`]), so
+/// every count fits a `u32`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SparseIndex {
     /// Occupied identifiers in ascending order.
     nodes: Vec<NodeId>,
-    /// `rank[value]` is the rank of the occupied identifier `value`, or
-    /// [`UNOCCUPIED`] when the identifier has no node.
-    rank: Vec<u32>,
+    /// `2^d + 1` prefix counts, non-decreasing from 0 to `nodes.len()`.
+    lower: Vec<u32>,
 }
 
-/// Sentinel in the dense rank table for identifiers without a node.
-const UNOCCUPIED: u32 = u32::MAX;
+impl SparseIndex {
+    /// The rank of the first node at or after `value` (`nodes.len()` past
+    /// the last node); `value` must be at most `2^d`.
+    #[inline]
+    fn lower(&self, value: u64) -> usize {
+        self.lower[value as usize] as usize
+    }
+}
 
 impl Population {
     /// The fully populated space: every identifier is a node.
@@ -84,7 +98,7 @@ impl Population {
     /// # Errors
     ///
     /// * [`IdError::InvalidWidth`] if `space` is wider than
-    ///   [`MAX_SPARSE_BITS`] (the dense rank table would not fit).
+    ///   [`MAX_SPARSE_BITS`] (the prefix-count table would not fit).
     /// * [`IdError::ValueOutOfRange`] if a node belongs to a different space.
     /// * [`IdError::EmptyPopulation`] if no node remains after deduplication.
     pub fn sparse<I>(space: KeySpace, nodes: I) -> Result<Self, IdError>
@@ -113,15 +127,18 @@ impl Population {
             // Every identifier occupied: collapse to the full representation.
             return Ok(Population::full(space));
         }
-        let mut rank = vec![UNOCCUPIED; space.population() as usize];
-        for (index, node) in occupied.iter().enumerate() {
-            rank[node.value() as usize] = index as u32;
+        // Each node's rank fills the counts from just past the previous node
+        // up to its own value; the node count fills the rest.
+        let mut lower = Vec::with_capacity(space.population() as usize + 1);
+        for (rank, node) in occupied.iter().enumerate() {
+            lower.resize(node.value() as usize + 1, rank as u32);
         }
+        lower.resize(space.population() as usize + 1, occupied.len() as u32);
         Ok(Population {
             space,
             sparse: Some(SparseIndex {
                 nodes: occupied,
-                rank,
+                lower,
             }),
         })
     }
@@ -236,7 +253,7 @@ impl Population {
     /// drivers that move identifiers around as raw `u64`s (the compiled
     /// routing kernel of `dht-overlay`) map value → rank without
     /// materialising an identifier. For a full population the rank *is* the
-    /// value; for a sparse one this is a dense-table read, O(1).
+    /// value; for a sparse one it is two adjacent prefix-count reads, O(1).
     #[inline]
     #[must_use]
     pub fn rank_of_value(&self, value: u64) -> Option<u64> {
@@ -245,10 +262,10 @@ impl Population {
         }
         match &self.sparse {
             None => Some(value),
-            Some(index) => match index.rank[value as usize] {
-                UNOCCUPIED => None,
-                rank => Some(u64::from(rank)),
-            },
+            Some(index) => {
+                let rank = index.lower(value);
+                (index.lower(value + 1) > rank).then_some(rank as u64)
+            }
         }
     }
 
@@ -272,19 +289,16 @@ impl Population {
     /// exceed the space and is wrapped first).
     ///
     /// For a full population this is simply `value mod 2^d`; for a sparse one
-    /// it is the Chord-style successor.
+    /// it is the Chord-style successor, one prefix-count read.
     #[must_use]
     pub fn successor(&self, value: u64) -> NodeId {
         let wrapped = value & self.space.max_value();
         match &self.sparse {
             None => self.space.wrap(wrapped),
             Some(sparse) => {
-                let index = sparse.nodes.partition_point(|n| n.value() < wrapped);
-                if index == sparse.nodes.len() {
-                    sparse.nodes[0]
-                } else {
-                    sparse.nodes[index]
-                }
+                let index = sparse.lower(wrapped);
+                // Past the last node the ring wraps to the first.
+                sparse.nodes.get(index).copied().unwrap_or(sparse.nodes[0])
             }
         }
     }
@@ -298,7 +312,9 @@ impl Population {
     }
 
     /// Draws an occupied identifier uniformly from the inclusive value range
-    /// `[lo, hi]`, or returns `None` when the range contains no node.
+    /// `[lo, hi]`, or returns `None` when the range contains no node (and
+    /// then draws nothing). A sparse population finds the range's nodes with
+    /// two prefix-count reads.
     pub fn random_in_range<R: Rng + ?Sized>(
         &self,
         lo: u64,
@@ -322,8 +338,7 @@ impl Population {
                 Some(self.space.wrap(lo + offset))
             }
             Some(sparse) => {
-                let start = sparse.nodes.partition_point(|n| n.value() < lo);
-                let end = sparse.nodes.partition_point(|n| n.value() <= hi);
+                let (start, end) = (sparse.lower(lo), sparse.lower(hi + 1));
                 if start == end {
                     None
                 } else {

@@ -236,9 +236,9 @@ pub trait GeometryStrategy: Send + Sync {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GeometryOverlay<S> {
-    /// Shared with the compiled kernel (which needs the rank tables for
+    /// Shared with the compiled kernel (which needs the population for
     /// value↔rank mapping) instead of cloned into it — a sparse population's
-    /// dense rank table is the size of the identifier space.
+    /// prefix-count table is the size of the identifier space.
     population: Arc<Population>,
     strategy: S,
     /// Filled at construction by [`GeometryOverlay::over`]; replayed from

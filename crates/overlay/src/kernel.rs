@@ -227,7 +227,7 @@ pub struct RoutingKernel {
     bits: u32,
     full: bool,
     /// Shared with the owning overlay (value↔rank mapping for sparse
-    /// populations), not cloned — the sparse rank table is space-sized.
+    /// populations), not cloned — the sparse prefix-count table is space-sized.
     population: Arc<Population>,
     /// `offsets[r]..offsets[r + 1]` delimits the plan entries of rank `r`.
     offsets: Vec<u32>,

@@ -32,6 +32,7 @@
 //! therefore bit-identical for any thread count.
 
 use crate::config::SimError;
+use crate::queue::map_ordered;
 use crate::rng::{splitmix64, SeedSequence};
 use dht_mathkit::RunningStats;
 use dht_overlay::{
@@ -661,36 +662,17 @@ impl LiveChurnExperiment {
         S: GeometryStrategy + Clone,
         F: Fn(u64) -> LiveOverlay<S> + Sync,
     {
-        let replica_count = self.config.replicas as usize;
         let replica_seeds = SeedSequence::new(self.config.seed);
-        let run_replica =
-            |replica: usize| self.run_replica(replica_seeds.child(replica as u64), &build);
-
-        // The same deterministic sharding mold as `TrialEngine`: fixed
-        // replica→slot assignment, merge in replica order.
+        let tallies = map_ordered(
+            self.config.replicas as usize,
+            self.config.threads,
+            |replica| self.run_replica(replica_seeds.child(replica as u64), &build),
+        );
+        // Replica order, not completion order: the merged floating-point
+        // statistics are the same for every thread count.
         let mut merged = LiveChurnTally::default();
-        let threads = self.config.threads.min(replica_count);
-        if threads <= 1 {
-            for replica in 0..replica_count {
-                merged.merge(&run_replica(replica));
-            }
-            return merged;
-        }
-        let mut tallies: Vec<Option<LiveChurnTally>> = vec![None; replica_count];
-        let chunk = replica_count.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (worker, slots) in tallies.chunks_mut(chunk).enumerate() {
-                let run_replica = &run_replica;
-                let base = worker * chunk;
-                scope.spawn(move || {
-                    for (offset, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(run_replica(base + offset));
-                    }
-                });
-            }
-        });
         for tally in &tallies {
-            merged.merge(tally.as_ref().expect("every replica ran"));
+            merged.merge(tally);
         }
         merged
     }

@@ -44,6 +44,7 @@ pub mod config;
 pub mod engine;
 pub mod events;
 pub mod pair_sampler;
+pub mod queue;
 pub mod report;
 pub mod rng;
 pub mod static_resilience;
@@ -56,6 +57,7 @@ pub use events::{
     CalendarQueue, LifetimeDistribution, LiveChurnConfig, LiveChurnExperiment, LiveChurnTally,
 };
 pub use pair_sampler::PairSampler;
+pub use queue::map_ordered;
 pub use report::{write_csv, SimulationRecord};
 pub use rng::SeedSequence;
 pub use static_resilience::{StaticResilienceExperiment, StaticResilienceResult};

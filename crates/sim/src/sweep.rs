@@ -2,6 +2,7 @@
 //! Fig. 6).
 
 use crate::config::{SimError, StaticResilienceConfig};
+use crate::queue::map_ordered;
 use crate::rng::SeedSequence;
 use crate::static_resilience::{StaticResilienceExperiment, StaticResilienceResult};
 use dht_overlay::Overlay;
@@ -25,13 +26,12 @@ pub struct FailureSweepPoint {
 /// share a root seed never share or correlate per-point RNG streams. The
 /// whole sweep is reproducible while points remain independent
 /// — which is also what lets the points run concurrently: grid points are
-/// measured on scoped threads (the overlay is only read), batched so that
-/// concurrent points times the per-point [`crate::TrialEngine`] workers
-/// (`base_config.threads()`) stay within
-/// [`std::thread::available_parallelism`]. Batches are a barrier (a batch
-/// waits for its slowest point); for the short grids the experiments use
-/// that costs little and keeps the code queue-free. The returned points are
-/// in grid order regardless of completion order, and — like every
+/// pulled from one ordered work queue ([`crate::map_ordered`]) by
+/// `available_parallelism / base_config.threads()` workers (at least one),
+/// so concurrent points times the per-point [`crate::TrialEngine`] workers
+/// stay within [`std::thread::available_parallelism`], and a worker that
+/// finishes a point starts the next at once. The returned points are in
+/// grid order regardless of completion order, and — like every
 /// engine-backed measurement — bit-identical for any thread budget.
 ///
 /// # Errors
@@ -78,22 +78,9 @@ where
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4);
     let max_in_flight = (cores / base_config.threads().max(1)).max(1);
-    let mut results: Vec<StaticResilienceResult> = Vec::with_capacity(configs.len());
-    for batch in configs.chunks(max_in_flight) {
-        let batch_results: Vec<StaticResilienceResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .iter()
-                .map(|&config| {
-                    scope.spawn(move || StaticResilienceExperiment::new(config).run(overlay))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("sweep worker panicked"))
-                .collect()
-        });
-        results.extend(batch_results);
-    }
+    let results = map_ordered(configs.len(), max_in_flight, |point| {
+        StaticResilienceExperiment::new(configs[point]).run(overlay)
+    });
     Ok(grid
         .iter()
         .zip(results)
