@@ -164,7 +164,8 @@ impl FailureMask {
 
     /// Samples the mask that [`FailureMask::sample_over`] draws from a fresh
     /// `ChaCha8Rng::seed_from_u64(seed)`, bit for bit at every `threads`,
-    /// splitting the draws across up to `threads` scoped threads.
+    /// splitting the draws across up to `threads` threads: the caller and
+    /// scoped workers.
     ///
     /// The mask's words are cut into at most `threads` contiguous chunks of
     /// at least 512 words (2^15 identifiers) each; a mask too small to cut
@@ -317,10 +318,11 @@ impl FailureMask {
 
     /// The raw bitset words, 64 identifiers per word in ascending order.
     ///
-    /// Samplers build rank indices over this slice (one cumulative popcount
-    /// per 512-identifier block of eight words) to draw surviving nodes by
-    /// rank in O(log words); see [`FailureMask::select_alive`] for the
-    /// index-free variant.
+    /// Samplers build rank indices over this slice to draw surviving nodes by
+    /// rank: `dht_sim::PairSampler` keeps one cumulative popcount per
+    /// 512-identifier block of eight words and one select hint per 1024
+    /// survivors, so a draw reads a few cache lines of index. See
+    /// [`FailureMask::select_alive`] for the index-free variant.
     #[must_use]
     pub fn words(&self) -> &[u64] {
         &self.alive
@@ -387,8 +389,9 @@ impl FailureMask {
     /// `None` when `rank >= alive_count()`.
     ///
     /// This is a linear word scan, O(population / 64); samplers that select
-    /// repeatedly should build a cumulative popcount index over blocks of
-    /// [`FailureMask::words`] instead (as `dht_sim::PairSampler` does).
+    /// repeatedly should build an index over [`FailureMask::words`] instead:
+    /// `dht_sim::PairSampler` keeps block popcounts and select hints, and
+    /// its property tests pin it to this scan's order at every rank.
     #[must_use]
     pub fn select_alive(&self, rank: u64) -> Option<NodeId> {
         if rank >= self.alive_count() {
@@ -520,9 +523,11 @@ fn fail_threshold(q: f64) -> u64 {
 /// A fully occupied word takes its 64 draws with one `fill_bytes` of 512
 /// bytes, read back as little-endian `u64`s: the same draws, in the same
 /// order, as 64 `next_u64` calls (see [`FailureMask::sample_over`] for the
-/// contract this relies on). The vendored ChaCha computes such a fill eight
-/// blocks at a time where the target has AVX2. Partly occupied words draw
-/// bit by bit.
+/// contract this relies on). Where the target has AVX2, the vendored ChaCha
+/// computes such a fill as one group of eight blocks when its one-block
+/// buffer is used up, as after another full word; after partly occupied
+/// words or a seek, the buffered words go first and the rest is computed one
+/// block at a time. Partly occupied words draw bit by bit.
 fn fail_words<R: RngCore + ?Sized>(words: &mut [u64], threshold: u64, rng: &mut R) -> u64 {
     let mut failed = 0u64;
     let mut draws = [0u8; 8 * WORD_BITS as usize];

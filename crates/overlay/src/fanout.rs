@@ -22,27 +22,34 @@ pub(crate) fn balanced(
     })
 }
 
-/// Runs `work` on every item and returns the results in item order: inline
-/// for a single item, else on one scoped thread per item. A worker's panic
-/// resurfaces on the calling thread.
+/// Runs `work` on every item and returns the results in item order: the
+/// calling thread runs the first item, and every other item runs on a
+/// scoped thread of its own. A worker's panic resurfaces on the calling
+/// thread.
+///
+/// The caller works rather than waits, so `n` items keep `n` threads busy
+/// with `n - 1` spawns. What the first item allocates comes from the
+/// caller's allocator: the stream compile's first chunk becomes the plan,
+/// and with per-thread arenas (glibc) it stays out of short-lived workers'
+/// arenas, which two workers would otherwise claim in whichever order they
+/// first allocate.
 pub(crate) fn on_threads<T: Send, U: Send>(items: Vec<T>, work: impl Fn(T) -> U + Sync) -> Vec<U> {
     if items.len() <= 1 {
         return items.into_iter().map(work).collect();
     }
     let work = &work;
+    let mut items = items.into_iter();
+    let first = items.next().expect("at least two items");
     std::thread::scope(|scope| {
-        let workers: Vec<_> = items
-            .into_iter()
-            .map(|item| scope.spawn(move || work(item)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|worker| {
-                worker
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
+        let workers: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        let mut results = Vec::with_capacity(workers.len() + 1);
+        results.push(work(first));
+        results.extend(workers.into_iter().map(|worker| {
+            worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        results
     })
 }
 
@@ -77,5 +84,14 @@ mod tests {
         });
         let message = panicked.unwrap_err();
         assert!(format!("{:?}", message.downcast_ref::<String>()).contains("worker two fails"));
+    }
+
+    #[test]
+    fn the_calling_thread_runs_the_first_item() {
+        let caller = std::thread::current().id();
+        let on_caller = on_threads((0..3u32).collect(), |item| {
+            (item, std::thread::current().id() == caller)
+        });
+        assert_eq!(on_caller, [(0, true), (1, false), (2, false)]);
     }
 }

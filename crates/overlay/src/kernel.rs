@@ -370,8 +370,8 @@ impl RoutingKernel {
     /// The CSR plan every compiler shares, whatever its rows come from.
     ///
     /// The ranks are cut into at most `threads` balanced chunks of at least
-    /// [`MIN_CHUNK_RANKS`] ranks, and each chunk runs on a scoped thread of
-    /// its own (a single chunk runs inline).
+    /// [`MIN_CHUNK_RANKS`] ranks; the calling thread runs the first chunk and
+    /// every other chunk runs on a scoped thread of its own.
     /// `chunk_rows(first)` makes the row lowering of the chunk that starts at
     /// rank `first`; it appends the lowered entries of each rank it is
     /// called with, in rank order. When every row is `width` entries wide the

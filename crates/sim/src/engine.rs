@@ -12,8 +12,9 @@
 //!   ([`TrialEngine::pairs_per_shard`], independent of the thread count);
 //! * shard `s` draws its pairs from its own ChaCha8 stream, derived from the
 //!   trial's pair seed via [`SeedSequence`];
-//! * worker threads (std scoped threads) each execute a contiguous range of
-//!   shards, and the per-shard [`TrialTally`]s are merged **in shard order**.
+//! * worker threads (the calling thread and std scoped threads) each execute
+//!   a contiguous range of shards, and the per-shard [`TrialTally`]s are
+//!   merged **in shard order**.
 //!
 //! Because both the shard boundaries and the shard streams are functions of
 //! the configuration alone, the merged tally is bit-identical for any thread
@@ -315,17 +316,23 @@ impl TrialEngine {
         } else {
             let mut tallies: Vec<T> = vec![T::default(); shard_count];
             let chunk = shard_count.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (worker, slots) in tallies.chunks_mut(chunk).enumerate() {
-                    let run_shard = &run_shard;
-                    let base = worker * chunk;
-                    scope.spawn(move || {
-                        let mut scratch = Scratch::default();
-                        for (offset, slot) in slots.iter_mut().enumerate() {
-                            *slot = run_shard(base + offset, &mut scratch);
-                        }
-                    });
+            let run_range = |base: usize, slots: &mut [T]| {
+                let mut scratch = Scratch::default();
+                for (offset, slot) in slots.iter_mut().enumerate() {
+                    *slot = run_shard(base + offset, &mut scratch);
                 }
+            };
+            // The calling thread runs the first range itself (see
+            // `map_ordered`): one spawn fewer, and its scratch comes from
+            // the caller's allocator.
+            std::thread::scope(|scope| {
+                let mut ranges = tallies.chunks_mut(chunk).enumerate();
+                let (_, first) = ranges.next().expect("at least one shard");
+                for (worker, slots) in ranges {
+                    let run_range = &run_range;
+                    scope.spawn(move || run_range(worker * chunk, slots));
+                }
+                run_range(0, first);
             });
             // Shard order, not completion order: keeps the floating-point
             // hop statistics identical for every thread count.

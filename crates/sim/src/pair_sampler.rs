@@ -7,6 +7,9 @@ use rand::Rng;
 /// Mask words per rank-index block: 512 identifiers, one cache line of mask.
 const BLOCK_WORDS: usize = 8;
 
+/// `log2` of the survivors per select hint: one hint per 1024 survivors.
+const HINT_SHIFT: u32 = 10;
+
 /// Samples ordered source/destination pairs uniformly among the surviving
 /// nodes of a failure pattern.
 ///
@@ -16,14 +19,18 @@ const BLOCK_WORDS: usize = 8;
 /// sparse [`dht_id::Population`] report unoccupied identifiers as failed, so
 /// the sampler automatically draws only occupied survivors.
 ///
-/// The sampler draws by *rank* directly into the mask's bitset: construction
-/// builds one cumulative popcount per 512-identifier block of eight words
-/// (8 bytes per 512 nodes, one eighth of the mask), and each draw
-/// binary-searches that index, popcount-scans at most eight words of the
-/// block and then selects within a single word
-/// ([`dht_overlay::select_in_word`]); this is the block layer of Vigna's
-/// rank9. Because the sampler borrows the mask, the mask cannot be mutated
-/// out from under the index.
+/// The sampler draws by *rank* directly into the mask's bitset. Construction
+/// builds one cumulative popcount per 512-identifier block of eight words (a
+/// `u32`; the block layer of Vigna's rank9) and one select hint per 1024
+/// survivors: the block that holds each survivor whose rank is a multiple of
+/// 1024 (the sampled-select layer of rank/select dictionaries). That is at
+/// most 6 bytes per 512 identifiers, under a tenth of the mask. A draw reads
+/// its rank's hint and the next one, which bound the block that holds it,
+/// and binary-searches the block counts between them: a few cache lines,
+/// unless a dead run makes the stride wide. It then popcount-scans at most
+/// eight words of the block and selects within a single word
+/// ([`dht_overlay::select_in_word`]). Because the sampler borrows the mask,
+/// the mask cannot be mutated out from under the index.
 ///
 /// # Example
 ///
@@ -47,8 +54,13 @@ const BLOCK_WORDS: usize = 8;
 pub struct PairSampler<'mask> {
     mask: &'mask FailureMask,
     /// `block_ranks[b]` is the number of alive nodes in words
-    /// `0..BLOCK_WORDS * b` of the mask, one count per block of words.
-    block_ranks: Vec<u64>,
+    /// `0..BLOCK_WORDS * b` of the mask, one count per block of words. A mask
+    /// holds at most 2^32 identifiers and its last block 512 of them, so
+    /// every count fits a `u32`.
+    block_ranks: Vec<u32>,
+    /// `hints[k]` is the block that holds the alive node of rank
+    /// `k << HINT_SHIFT`; a mask has at most 2^23 blocks.
+    hints: Vec<u32>,
 }
 
 impl<'mask> PairSampler<'mask> {
@@ -62,15 +74,25 @@ impl<'mask> PairSampler<'mask> {
         }
         let blocks = mask.words().chunks(BLOCK_WORDS);
         let mut block_ranks = Vec::with_capacity(blocks.len());
+        let hint_count = mask.alive_count().div_ceil(1 << HINT_SHIFT);
+        let mut hints = Vec::with_capacity(usize::try_from(hint_count).expect("hints fit usize"));
         let mut total = 0u64;
-        for block in blocks {
-            block_ranks.push(total);
-            for word in block {
-                total += u64::from(word.count_ones());
+        for (index, block) in blocks.enumerate() {
+            block_ranks.push(u32::try_from(total).expect("masks hold at most 2^32 identifiers"));
+            total += block
+                .iter()
+                .map(|word| u64::from(word.count_ones()))
+                .sum::<u64>();
+            while (hints.len() as u64) << HINT_SHIFT < total {
+                hints.push(index as u32);
             }
         }
         debug_assert_eq!(total, mask.alive_count(), "mask counters match the bitset");
-        Some(PairSampler { mask, block_ranks })
+        Some(PairSampler {
+            mask,
+            block_ranks,
+            hints,
+        })
     }
 
     /// Number of surviving nodes the sampler draws from.
@@ -80,7 +102,7 @@ impl<'mask> PairSampler<'mask> {
     }
 
     /// The surviving node of the given rank (ascending identifier order), via
-    /// the block rank index.
+    /// the select hints and the block rank index.
     ///
     /// # Panics
     ///
@@ -103,11 +125,19 @@ impl<'mask> PairSampler<'mask> {
             "rank {rank} out of range for {} survivors",
             self.mask.alive_count()
         );
-        // Last block whose count is <= rank: the block holding the rank-th
-        // survivor (empty blocks share their successor's count, so the last
-        // of equal counts is the one that holds it).
-        let block = self.block_ranks.partition_point(|&count| count <= rank) - 1;
-        let mut within = rank - self.block_ranks[block];
+        // The hints of this rank's stride and the next one bound the block
+        // holding the rank-th survivor: the last block between them whose
+        // count is <= rank (empty blocks share their successor's count, so
+        // the last of equal counts is the one that holds it).
+        let stride = (rank >> HINT_SHIFT) as usize;
+        let low = self.hints[stride] as usize;
+        let high = self
+            .hints
+            .get(stride + 1)
+            .map_or(self.block_ranks.len() - 1, |&block| block as usize);
+        let block = low
+            + self.block_ranks[low + 1..=high].partition_point(|&count| u64::from(count) <= rank);
+        let mut within = rank - u64::from(self.block_ranks[block]);
         let first = block * BLOCK_WORDS;
         let words = self.mask.words()[first..].iter().take(BLOCK_WORDS);
         for (index, &word) in (first..).zip(words) {
@@ -225,7 +255,7 @@ mod tests {
             FailureMask::none(space(5)),
             // Exactly one block.
             FailureMask::sample(space(9), 0.5, &mut rng),
-            // Three empty leading blocks: equal counts meet the binary search.
+            // Three empty leading blocks: equal counts meet the block search.
             FailureMask::from_failed_nodes(s12, (0..1536).map(|v| s12.wrap(v))),
             FailureMask::sample(space(13), 0.5, &mut rng),
             FailureMask::sample_over(&population, 0.3, &mut rng),
@@ -234,6 +264,31 @@ mod tests {
             let sampler = PairSampler::new(mask).unwrap();
             for rank in 0..mask.alive_count() {
                 assert_eq!(Some(sampler.select(rank)), mask.select_alive(rank));
+            }
+        }
+    }
+
+    #[test]
+    fn the_index_holds_at_most_six_bytes_per_block() {
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        for bits in [1, 6, 9, 10, 15] {
+            let full = FailureMask::none(space(bits));
+            let sampled = FailureMask::sample(space(bits), 0.3, &mut rng);
+            for mask in [full, sampled] {
+                let sampler = PairSampler::new(&mask).unwrap();
+                let blocks = mask.words().len().div_ceil(BLOCK_WORDS);
+                let hints = mask.alive_count().div_ceil(1 << HINT_SHIFT) as usize;
+                assert_eq!(sampler.block_ranks.capacity(), blocks);
+                assert_eq!(sampler.hints.capacity(), hints);
+                // A block holds at most 512 survivors, so there are at most
+                // `(blocks + 1) / 2` hints: 6 bytes per block, give or take
+                // one hint.
+                let bytes = std::mem::size_of_val(sampler.block_ranks.as_slice())
+                    + std::mem::size_of_val(sampler.hints.as_slice());
+                assert!(
+                    bytes <= 6 * blocks + 4,
+                    "{bytes} index bytes for {blocks} blocks"
+                );
             }
         }
     }
