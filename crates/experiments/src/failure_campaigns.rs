@@ -14,9 +14,10 @@
 //! connectivity-vs-routability contrast of the paper, now per fault shape.
 
 use crate::spec::{build_overlay, Backend, SpecError};
+use dht_overlay::fanout::{self, map_ordered};
 use dht_overlay::{FailurePlan, Overlay};
 use dht_percolation::connected_components;
-use dht_sim::{map_ordered, CampaignTally, SeedSequence, TrialEngine};
+use dht_sim::{CampaignTally, SeedSequence, TrialEngine};
 use serde::{Deserialize, Serialize};
 
 /// One measured grid point: a geometry under one plan at one target failed
@@ -199,13 +200,13 @@ fn fold_point(
 /// child `2t` and routes its pairs from child `2t + 1` of the point's own
 /// sequence.
 ///
-/// The thread budget (clamped to `1..=256`, as [`TrialEngine::new`] clamps
-/// it) is spent on whole patterns: a geometry's (plan, fraction, pattern)
-/// units run on `min(threads, units)` workers of one ordered queue
-/// ([`map_ordered`]), each routing on a `threads / workers`-thread engine,
-/// and every point folds its patterns in pattern order. One geometry's
-/// overlay is alive at a time. Results are invariant under the `threads`
-/// budget.
+/// The thread budget (clamped to `1..=`[`fanout::MAX_THREADS`]) is spent on
+/// whole patterns: a geometry's (plan, fraction, pattern) units run on
+/// `min(threads, units)` workers of one ordered queue ([`map_ordered`]),
+/// each routing on a `threads / workers`-thread engine, so the nested loops
+/// together stay within the one clamped budget; every point folds its
+/// patterns in pattern order. One geometry's overlay is alive at a time.
+/// Results are invariant under the `threads` budget.
 ///
 /// # Errors
 ///
@@ -235,8 +236,7 @@ pub fn run_grid(
         .collect();
     let patterns = patterns as usize;
     let units = sweep.len() * patterns;
-    // No campaign starts more workers than one engine would.
-    let threads = TrialEngine::new(threads).threads();
+    let threads = threads.clamp(1, fanout::MAX_THREADS);
     let workers = threads.min(units);
     let engine = TrialEngine::new(threads / workers);
     let mut points = Vec::new();
@@ -247,7 +247,7 @@ pub fn run_grid(
         // it on threads of its own.
         let _ = overlay.kernel();
         let first_point = points.len();
-        let outcomes = map_ordered(units, workers, |unit| {
+        let outcomes = map_ordered((0..units).collect(), workers, |unit| {
             let (point, pattern) = (unit / patterns, unit % patterns);
             let point_seeds = SeedSequence::new(seeds.child((first_point + point) as u64 + 1));
             run_pattern(

@@ -121,18 +121,18 @@ fn measure<O>(
     records: &mut Vec<SparsePopulationRecord>,
 ) -> Result<(), SpecError>
 where
-    O: Overlay + Sync,
+    O: Overlay,
 {
     let points = sweep_failure_grid(overlay, base_config, grid)?;
     records.extend(points.into_iter().map(|point| SparsePopulationRecord {
-        geometry: point.result.geometry.clone(),
-        bits: point.result.bits,
-        occupied: point.result.occupied_nodes,
+        geometry: point.geometry,
+        bits: point.bits,
+        occupied: point.occupied_nodes,
         occupancy: overlay.population().occupancy(),
         failure_probability: point.failure_probability,
-        routability: point.result.routability,
-        failed_path_percent: point.result.failed_path_percent,
-        mean_hops: point.result.mean_hops,
+        routability: point.routability,
+        failed_path_percent: point.failed_path_percent,
+        mean_hops: point.mean_hops,
     }));
     Ok(())
 }
@@ -248,9 +248,9 @@ mod tests {
             .with_seed(7)
             .with_threads(2);
         let points = sweep_failure_grid(&overlay, &base, &[0.0, 0.3]).unwrap();
-        assert_eq!(points[0].result.occupied_nodes, 1 << 18);
-        assert_eq!(points[0].result.routability, 1.0);
-        assert!(points[1].result.routability > 0.5);
+        assert_eq!(points[0].occupied_nodes, 1 << 18);
+        assert_eq!(points[0].routability, 1.0);
+        assert!(points[1].routability > 0.5);
         assert_eq!(overlay.edge_count(), (1 << 18) * 20);
     }
 }

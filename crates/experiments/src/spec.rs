@@ -1418,7 +1418,7 @@ where
             analytical_routability: analytical.map(|(routable, _)| routable),
             analytical_failed_percent: analytical.map(|(_, failed)| failed),
             chain_predicted_routability: chain_predicted,
-            simulated: point.result,
+            simulated: point,
         });
     }
     let probe_q = grid.iter().copied().find(|&q| q > 0.0).unwrap_or(0.1);

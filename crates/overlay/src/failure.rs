@@ -167,11 +167,12 @@ impl FailureMask {
     /// splitting the draws across up to `threads` threads: the caller and
     /// scoped workers.
     ///
-    /// The mask's words are cut into at most `threads` contiguous chunks of
-    /// at least 512 words (2^15 identifiers) each; a mask too small to cut
-    /// samples inline, with no spawn. ChaCha is a counter-based stream, so a
-    /// chunk replays its own stretch of it: it seeds its own generator and
-    /// [positions](ChaCha8Rng::set_word_pos) it two stream words (one
+    /// The mask's words are cut into at most `threads` (and at most
+    /// [`fanout::MAX_THREADS`]) contiguous chunks of at least 512 words
+    /// (2^15 identifiers) each, one worker per chunk; a mask too small to
+    /// cut samples inline, with no spawn. ChaCha is a counter-based stream,
+    /// so a chunk replays its own stretch of it: it seeds its own generator
+    /// and [positions](ChaCha8Rng::set_word_pos) it two stream words (one
     /// `next_u64`) per occupied identifier before the chunk's first word. A
     /// generic [`Rng`] cannot be positioned, which is why
     /// [`FailureMask::sample_over`] does not split.
@@ -207,7 +208,8 @@ impl FailureMask {
                 (piece, first)
             })
             .collect();
-        let failed = fanout::on_threads(pieces, |(piece, first)| {
+        let workers = pieces.len();
+        let failed = fanout::map_ordered(pieces, workers, |(piece, first)| {
             fail_words(piece, threshold, &mut stream(first))
         });
         mask.failed_count = failed.into_iter().sum();

@@ -370,8 +370,9 @@ impl RoutingKernel {
     /// The CSR plan every compiler shares, whatever its rows come from.
     ///
     /// The ranks are cut into at most `threads` balanced chunks of at least
-    /// [`MIN_CHUNK_RANKS`] ranks; the calling thread runs the first chunk and
-    /// every other chunk runs on a scoped thread of its own.
+    /// [`MIN_CHUNK_RANKS`] ranks ([`fanout::balanced`]), which run through
+    /// [`fanout::map_ordered`] with one worker per chunk, the calling thread
+    /// running the first.
     /// `chunk_rows(first)` makes the row lowering of the chunk that starts at
     /// rank `first`; it appends the lowered entries of each rank it is
     /// called with, in rank order. When every row is `width` entries wide the
@@ -409,7 +410,8 @@ impl RoutingKernel {
                         (ranks, piece)
                     })
                     .collect();
-                fanout::on_threads(pieces, |(ranks, piece)| {
+                let workers = pieces.len();
+                fanout::map_ordered(pieces, workers, |(ranks, piece)| {
                     let mut lower = chunk_rows(ranks.start);
                     let mut row = Vec::with_capacity(width);
                     for (rank, slot) in ranks.zip(piece.chunks_exact_mut(width)) {
@@ -423,7 +425,9 @@ impl RoutingKernel {
                 (offsets.collect(), entries)
             }
             None => {
-                let parts = fanout::on_threads(chunks.collect(), |ranks| {
+                let chunks: Vec<_> = chunks.collect();
+                let workers = chunks.len();
+                let parts = fanout::map_ordered(chunks, workers, |ranks| {
                     let mut lower = chunk_rows(ranks.start);
                     // The chunk's share of `capacity`, all of it for a
                     // single chunk (the product stays below 2^56: at most

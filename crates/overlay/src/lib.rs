@@ -88,7 +88,7 @@ pub mod arena;
 pub mod can;
 pub mod chord;
 pub mod failure;
-mod fanout;
+pub mod fanout;
 pub mod faults;
 pub mod generic;
 pub mod kademlia;

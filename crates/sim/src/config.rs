@@ -1,5 +1,6 @@
 //! Experiment configuration and validation.
 
+use dht_overlay::fanout;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -124,10 +125,11 @@ impl StaticResilienceConfig {
         self
     }
 
-    /// Sets the number of worker threads used to evaluate sampled pairs.
+    /// Sets the number of worker threads used to evaluate sampled pairs
+    /// (clamped to `1..=`[`fanout::MAX_THREADS`]).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.clamp(1, 256);
+        self.threads = threads.clamp(1, fanout::MAX_THREADS);
         self
     }
 
@@ -188,6 +190,8 @@ mod tests {
         assert_eq!(config.trials(), 4);
         assert_eq!(config.seed(), 99);
         assert_eq!(config.threads(), 8);
+        let unbounded = config.with_threads(usize::MAX);
+        assert_eq!(unbounded.threads(), fanout::MAX_THREADS);
     }
 
     #[test]

@@ -43,8 +43,8 @@ use crate::pair_sampler::PairSampler;
 use crate::rng::SeedSequence;
 use dht_mathkit::stats::RunningStats;
 use dht_overlay::{
-    default_route_hop_limit, FailureMask, ImplicitKernel, ImplicitRowCache, KernelMask, Overlay,
-    RouteBatch, RouteOutcome, RoutingKernel,
+    default_route_hop_limit, fanout, FailureMask, ImplicitKernel, ImplicitRowCache, KernelMask,
+    Overlay, RouteBatch, RouteOutcome, RoutingKernel,
 };
 use serde::{Deserialize, Serialize};
 
@@ -126,7 +126,7 @@ impl TrialTally {
 /// order — the seam that lets plain trials and campaigns (the stuck-depth
 /// histograms of [`crate::campaign`]) share one shard body, preserving the
 /// thread-count-invariance contract for every tally type.
-pub(crate) trait ShardTally: Default + Clone + Send {
+pub(crate) trait ShardTally: Default + Send {
     /// Records one route outcome, in draw order.
     fn record(&mut self, outcome: RouteOutcome);
 
@@ -180,11 +180,12 @@ pub struct TrialEngine {
 
 impl TrialEngine {
     /// Creates an engine running on up to `threads` scoped worker threads
-    /// (clamped to `1..=256`), with the default shard size.
+    /// (clamped to `1..=`[`fanout::MAX_THREADS`]), with the default shard
+    /// size.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         TrialEngine {
-            threads: threads.clamp(1, 256),
+            threads: threads.clamp(1, fanout::MAX_THREADS),
             pairs_per_shard: DEFAULT_PAIRS_PER_SHARD,
         }
     }
@@ -306,39 +307,18 @@ impl TrialEngine {
             tally
         };
 
-        let threads = self.threads.min(shard_count);
-        let mut merged = T::default();
-        if threads <= 1 {
+        let ranges = fanout::balanced(shard_count, self.threads, 1).collect();
+        let tallies = fanout::map_ordered(ranges, self.threads, |shards| {
             let mut scratch = Scratch::default();
-            for shard in 0..shard_count {
-                merged.fold(&run_shard(shard, &mut scratch));
-            }
-        } else {
-            let mut tallies: Vec<T> = vec![T::default(); shard_count];
-            let chunk = shard_count.div_ceil(threads);
-            let run_range = |base: usize, slots: &mut [T]| {
-                let mut scratch = Scratch::default();
-                for (offset, slot) in slots.iter_mut().enumerate() {
-                    *slot = run_shard(base + offset, &mut scratch);
-                }
-            };
-            // The calling thread runs the first range itself (see
-            // `map_ordered`): one spawn fewer, and its scratch comes from
-            // the caller's allocator.
-            std::thread::scope(|scope| {
-                let mut ranges = tallies.chunks_mut(chunk).enumerate();
-                let (_, first) = ranges.next().expect("at least one shard");
-                for (worker, slots) in ranges {
-                    let run_range = &run_range;
-                    scope.spawn(move || run_range(worker * chunk, slots));
-                }
-                run_range(0, first);
-            });
-            // Shard order, not completion order: keeps the floating-point
-            // hop statistics identical for every thread count.
-            for tally in &tallies {
-                merged.fold(tally);
-            }
+            shards
+                .map(|shard| run_shard(shard, &mut scratch))
+                .collect::<Vec<T>>()
+        });
+        // Shard order, not completion order: keeps the floating-point hop
+        // statistics identical for every thread count.
+        let mut merged = T::default();
+        for tally in tallies.iter().flatten() {
+            merged.fold(tally);
         }
         Some(merged)
     }

@@ -3,13 +3,14 @@
 //! concurrently over the (optionally self-repairing) overlay.
 //!
 //! The paper analyses one *static snapshot*: a frozen failure pattern over
-//! frozen routing tables. This module lets that pattern move in time: a
-//! calendar-queue scheduler drives per-node alternating-renewal sessions
-//! (up for a [`LifetimeDistribution`] draw, down for a downtime draw) and,
-//! in repair mode, every departure and return is *delta-patched* into the
-//! [`LiveOverlay`] — arena rows rewritten in place and kernel plan ranks
-//! re-lowered, exactly the incremental repair proven equivalent to a full
-//! rebuild by the `incremental_equivalence` property suite in `dht-overlay`.
+//! frozen routing tables. This module lets that pattern move in time: an
+//! event calendar (a binary heap) drives per-node alternating-renewal
+//! sessions (up for a [`LifetimeDistribution`] draw, down for a downtime
+//! draw) and, in repair mode, every departure and return is
+//! *delta-patched* into the [`LiveOverlay`] — arena rows rewritten in place
+//! and kernel plan ranks re-lowered, exactly the incremental repair proven
+//! equivalent to a full rebuild by the `incremental_equivalence` property
+//! suite in `dht-overlay`.
 //!
 //! The failure pattern and the routing tables only move on churn events, so
 //! the Poisson lookups that arrive between two consecutive events all observe
@@ -32,128 +33,20 @@
 //! therefore bit-identical for any thread count.
 
 use crate::config::SimError;
-use crate::queue::map_ordered;
 use crate::rng::{splitmix64, SeedSequence};
 use dht_mathkit::RunningStats;
 use dht_overlay::{
-    default_route_hop_limit, GeometryStrategy, LiveOverlay, Overlay, RouteBatch, RouteOutcome,
+    default_route_hop_limit, fanout, GeometryStrategy, LiveOverlay, Overlay, RouteBatch,
+    RouteOutcome,
 };
 use rand::Rng;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Initial value of the state-digest fold (the FNV-1a offset basis, shared
 /// with `LiveOverlay::state_digest`).
 const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// A calendar queue: a bucketed priority queue for discrete-event
-/// simulation, ordered by `(time, insertion sequence)`.
-///
-/// Events are hashed into fixed-width time buckets kept in a [`BTreeMap`];
-/// the earliest event always lives in the first non-empty bucket, so a pop
-/// is a linear scan of one bucket rather than of the whole calendar. The
-/// monotone insertion sequence makes simultaneous events pop in insertion
-/// order — a deterministic total order with no dependence on allocation or
-/// iteration quirks.
-///
-/// # Example
-///
-/// ```rust
-/// use dht_sim::CalendarQueue;
-///
-/// let mut queue = CalendarQueue::new(1.0);
-/// queue.push(2.5, "late");
-/// queue.push(0.5, "early");
-/// queue.push(2.5, "late, but after");
-/// assert_eq!(queue.pop(), Some((0.5, "early")));
-/// assert_eq!(queue.pop(), Some((2.5, "late")));
-/// assert_eq!(queue.pop(), Some((2.5, "late, but after")));
-/// assert_eq!(queue.pop(), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CalendarQueue<T> {
-    buckets: BTreeMap<u64, Vec<(f64, u64, T)>>,
-    width: f64,
-    next_seq: u64,
-    len: usize,
-}
-
-impl<T> CalendarQueue<T> {
-    /// Creates an empty calendar with the given bucket width (simulated
-    /// time units per bucket).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is not finite and positive.
-    #[must_use]
-    pub fn new(bucket_width: f64) -> Self {
-        assert!(
-            bucket_width.is_finite() && bucket_width > 0.0,
-            "bucket width must be finite and positive"
-        );
-        CalendarQueue {
-            buckets: BTreeMap::new(),
-            width: bucket_width,
-            next_seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Schedules `payload` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is negative or not finite — the simulated clock
-    /// never runs backwards past zero and NaN would poison the ordering.
-    pub fn push(&mut self, time: f64, payload: T) {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "event time must be finite and non-negative"
-        );
-        let bucket = (time / self.width) as u64;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.buckets
-            .entry(bucket)
-            .or_default()
-            .push((time, seq, payload));
-        self.len += 1;
-    }
-
-    /// Removes and returns the earliest event, ties broken by insertion
-    /// order.
-    pub fn pop(&mut self) -> Option<(f64, T)> {
-        let bucket = *self.buckets.keys().next()?;
-        let entries = self
-            .buckets
-            .get_mut(&bucket)
-            .expect("first bucket key exists");
-        let mut best = 0;
-        for index in 1..entries.len() {
-            if (entries[index].0, entries[index].1) < (entries[best].0, entries[best].1) {
-                best = index;
-            }
-        }
-        let (time, _, payload) = entries.swap_remove(best);
-        if entries.is_empty() {
-            self.buckets.remove(&bucket);
-        }
-        self.len -= 1;
-        Some((time, payload))
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the calendar is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
 
 /// A session-length (or downtime) distribution for the churn model.
 ///
@@ -321,11 +214,12 @@ impl LiveChurnConfig {
         self
     }
 
-    /// Worker-thread budget; replicas are the unit of parallelism and the
-    /// merged tally does not depend on this.
+    /// Worker-thread budget (clamped to `1..=`[`fanout::MAX_THREADS`]);
+    /// replicas are the unit of parallelism and the merged tally does not
+    /// depend on this.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.clamp(1, 256);
+        self.threads = threads.clamp(1, fanout::MAX_THREADS);
         self
     }
 
@@ -527,7 +421,7 @@ impl LiveChurnTally {
 }
 
 /// One scheduled occurrence in a replica's calendar.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// The rank-`r` node's session ends.
     Depart(u64),
@@ -535,6 +429,38 @@ enum Event {
     Arrive(u64),
     /// A lookup arrives (the Poisson traffic process).
     Lookup,
+}
+
+/// A replica's event calendar: a min-heap ordered by `(time, insertion
+/// sequence)`, so simultaneous events pop in insertion order.
+#[derive(Default)]
+struct Calendar {
+    heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
+    next_seq: u64,
+}
+
+impl Calendar {
+    /// Schedules `event` at `time`, which is finite and non-negative.
+    ///
+    /// Such times order as their bit patterns do once `-0.0` (a session or
+    /// gap drawn from a uniform draw of exactly 0) is mapped onto `0.0` by
+    /// adding `0.0`, so the two tie and pop in insertion order.
+    fn push(&mut self, time: f64, event: Event) {
+        assert!(
+            time.is_finite() && time >= 0.0,
+            "event time must be finite and non-negative, got {time}"
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap
+            .push(Reverse(((time + 0.0).to_bits(), seq, event)));
+    }
+
+    /// Removes and returns the earliest event.
+    fn pop(&mut self) -> Option<(f64, Event)> {
+        let Reverse((time, _, event)) = self.heap.pop()?;
+        Some((f64::from_bits(time), event))
+    }
 }
 
 /// Scratch state for the batched lookup drain.
@@ -663,10 +589,10 @@ impl LiveChurnExperiment {
         F: Fn(u64) -> LiveOverlay<S> + Sync,
     {
         let replica_seeds = SeedSequence::new(self.config.seed);
-        let tallies = map_ordered(
-            self.config.replicas as usize,
+        let tallies = fanout::map_ordered(
+            (0..u64::from(self.config.replicas)).collect(),
             self.config.threads,
-            |replica| self.run_replica(replica_seeds.child(replica as u64), &build),
+            |replica| self.run_replica(replica_seeds.child(replica), &build),
         );
         // Replica order, not completion order: the merged floating-point
         // statistics are the same for every thread count.
@@ -697,12 +623,7 @@ impl LiveChurnExperiment {
             .collect();
         let hop_limit = default_route_hop_limit(&overlay);
 
-        // Bucket width tuned so a bucket holds a handful of events in
-        // expectation; correctness never depends on it.
-        let event_rate =
-            node_count as f64 / config.lifetime.mean().max(f64::MIN_POSITIVE) + config.lookup_rate;
-        let width = (4.0_f64 / event_rate.max(f64::MIN_POSITIVE)).min(config.duration);
-        let mut queue = CalendarQueue::new(width.max(f64::MIN_POSITIVE));
+        let mut queue = Calendar::default();
 
         // Everyone starts alive with a fresh session; lookups are Poisson.
         for rank in 0..node_count {
@@ -850,29 +771,22 @@ mod tests {
 
     #[test]
     fn calendar_queue_orders_by_time_then_insertion() {
-        let mut queue = CalendarQueue::new(0.75);
-        let times = [5.0, 0.25, 3.5, 0.25, 9.75, 3.5, 0.0];
-        for (index, &time) in times.iter().enumerate() {
-            queue.push(time, index);
+        let mut queue = Calendar::default();
+        let times = [5.0, 0.25, 3.5, 0.0, 0.25, 9.75, -0.0, 3.5, 0.0];
+        for (rank, &time) in times.iter().enumerate() {
+            queue.push(time, Event::Depart(rank as u64));
         }
-        assert_eq!(queue.len(), times.len());
         let mut drained = Vec::new();
-        while let Some(popped) = queue.pop() {
-            drained.push(popped);
+        while let Some((time, event)) = queue.pop() {
+            drained.push((time, event));
         }
-        assert!(queue.is_empty());
-        assert_eq!(
-            drained,
-            vec![
-                (0.0, 6),
-                (0.25, 1),
-                (0.25, 3),
-                (3.5, 2),
-                (3.5, 5),
-                (5.0, 0),
-                (9.75, 4)
-            ]
-        );
+        // `-0.0` ties with `0.0` and keeps its insertion place between them.
+        let order = [3, 6, 8, 1, 4, 2, 7, 0, 5];
+        let expected: Vec<_> = order
+            .iter()
+            .map(|&rank| (times[rank], Event::Depart(rank as u64)))
+            .collect();
+        assert_eq!(drained, expected);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod config;
 pub mod engine;
 pub mod events;
 pub mod pair_sampler;
-pub mod queue;
 pub mod report;
 pub mod rng;
 pub mod static_resilience;
@@ -53,12 +52,9 @@ pub mod sweep;
 pub use campaign::{CampaignTally, StuckDepthHistogram};
 pub use config::{SimError, StaticResilienceConfig};
 pub use engine::{TrialEngine, TrialTally, DEFAULT_PAIRS_PER_SHARD};
-pub use events::{
-    CalendarQueue, LifetimeDistribution, LiveChurnConfig, LiveChurnExperiment, LiveChurnTally,
-};
+pub use events::{LifetimeDistribution, LiveChurnConfig, LiveChurnExperiment, LiveChurnTally};
 pub use pair_sampler::PairSampler;
-pub use queue::map_ordered;
 pub use report::{write_csv, SimulationRecord};
 pub use rng::SeedSequence;
 pub use static_resilience::{StaticResilienceExperiment, StaticResilienceResult};
-pub use sweep::{sweep_failure_grid, FailureSweepPoint};
+pub use sweep::sweep_failure_grid;

@@ -2,37 +2,23 @@
 //! Fig. 6).
 
 use crate::config::{SimError, StaticResilienceConfig};
-use crate::queue::map_ordered;
 use crate::rng::SeedSequence;
 use crate::static_resilience::{StaticResilienceExperiment, StaticResilienceResult};
 use dht_overlay::Overlay;
-use serde::{Deserialize, Serialize};
-
-/// One measured point of a failure-probability sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FailureSweepPoint {
-    /// The failure probability of this grid point.
-    pub failure_probability: f64,
-    /// The measured result.
-    pub result: StaticResilienceResult,
-}
 
 /// Measures the overlay at every failure probability of `grid`, using
-/// `base_config` for the pair count, trial count, seed and threading.
+/// `base_config` for the pair count, trial count, seed and threading, and
+/// returns one result per grid value, in grid order (each carries its
+/// `failure_probability`).
 ///
 /// The seed of grid point `k` is child `k` of a [`SeedSequence`] rooted at
 /// the base seed — the repository-wide convention for deriving per-point
 /// seeds from one root (live-churn grids use the same rule), so grids that
 /// share a root seed never share or correlate per-point RNG streams. The
-/// whole sweep is reproducible while points remain independent
-/// — which is also what lets the points run concurrently: grid points are
-/// pulled from one ordered work queue ([`crate::map_ordered`]) by
-/// `available_parallelism / base_config.threads()` workers (at least one),
-/// so concurrent points times the per-point [`crate::TrialEngine`] workers
-/// stay within [`std::thread::available_parallelism`], and a worker that
-/// finishes a point starts the next at once. The returned points are in
-/// grid order regardless of completion order, and — like every
-/// engine-backed measurement — bit-identical for any thread budget.
+/// points run one after another, each on the whole thread budget of
+/// `base_config` (its [`crate::TrialEngine`] splits every trial's shards),
+/// and — like every engine-backed measurement — are bit-identical for any
+/// thread budget.
 ///
 /// # Errors
 ///
@@ -49,16 +35,16 @@ pub struct FailureSweepPoint {
 /// let config = StaticResilienceConfig::new(0.0)?.with_pairs(500).with_seed(1);
 /// let points = sweep_failure_grid(&overlay, &config, &[0.0, 0.2, 0.4])?;
 /// assert_eq!(points.len(), 3);
-/// assert!(points[0].result.routability >= points[2].result.routability);
+/// assert!(points[0].routability >= points[2].routability);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn sweep_failure_grid<O>(
     overlay: &O,
     base_config: &StaticResilienceConfig,
     grid: &[f64],
-) -> Result<Vec<FailureSweepPoint>, SimError>
+) -> Result<Vec<StaticResilienceResult>, SimError>
 where
-    O: Overlay + Sync + ?Sized,
+    O: Overlay + ?Sized,
 {
     let seeds = SeedSequence::new(base_config.seed());
     let configs = grid
@@ -72,22 +58,9 @@ where
                 .with_seed(seeds.child(index as u64)))
         })
         .collect::<Result<Vec<_>, SimError>>()?;
-    // Each point may itself spawn `threads()` routing workers, so budget the
-    // concurrent points such that points × inner workers ≈ the core count.
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
-    let max_in_flight = (cores / base_config.threads().max(1)).max(1);
-    let results = map_ordered(configs.len(), max_in_flight, |point| {
-        StaticResilienceExperiment::new(configs[point]).run(overlay)
-    });
-    Ok(grid
-        .iter()
-        .zip(results)
-        .map(|(&q, result)| FailureSweepPoint {
-            failure_probability: q,
-            result,
-        })
+    Ok(configs
+        .into_iter()
+        .map(|config| StaticResilienceExperiment::new(config).run(overlay))
         .collect())
 }
 
@@ -110,7 +83,6 @@ mod tests {
         assert_eq!(points.len(), 4);
         for (point, &q) in points.iter().zip(grid.iter()) {
             assert_eq!(point.failure_probability, q);
-            assert_eq!(point.result.failure_probability, q);
         }
     }
 
@@ -123,8 +95,8 @@ mod tests {
             .with_pairs(2_000)
             .with_seed(9);
         let points = sweep_failure_grid(&overlay, &config, &[0.0, 0.3, 0.6]).unwrap();
-        assert!(points[0].result.routability >= points[1].result.routability);
-        assert!(points[1].result.routability >= points[2].result.routability);
+        assert!(points[0].routability >= points[1].routability);
+        assert!(points[1].routability >= points[2].routability);
     }
 
     #[test]

@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 overlay.geometry_name(),
                 overlay.node_count(),
                 100.0 * overlay.population().occupancy(),
-                100.0 * points[0].result.routability,
-                100.0 * points[1].result.routability,
+                100.0 * points[0].routability,
+                100.0 * points[1].routability,
             );
         }
         println!();

@@ -92,7 +92,7 @@ fn prelude_sweep_produces_a_grid_of_records() {
     assert_eq!(points.len(), grid.len());
     let mut previous = 1.1f64;
     for point in &points {
-        let routability = point.result.routability;
+        let routability = point.routability;
         assert!((0.0..=1.0).contains(&routability));
         assert!(routability <= previous + 0.05, "roughly monotone");
         previous = routability;
