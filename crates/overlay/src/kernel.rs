@@ -17,8 +17,11 @@
 //! occupied rank, exactly like the [`crate::RoutingArena`]):
 //!
 //! * neighbour tables become dense `u32` rank indices, packed with their hop
-//!   keys into 8-byte entries (half the scalar arena's `NodeId`) behind a
-//!   CSR `offsets` array;
+//!   keys into 8-byte entries (half the scalar arena's `NodeId`), in rows of
+//!   one fixed width: rank `r`'s row is entries `r × width..(r + 1) × width`,
+//!   with no per-node offset. The width is the geometry's table size (`d`,
+//!   or `k_n + k_s` for Symphony); only a sparse hypercube, whose unoccupied
+//!   flips have no link, pads short rows with inert entries;
 //! * each entry's **hop key** is precomputed per geometry — clockwise advance
 //!   for ring/Symphony (largest first), XOR-bucket position for
 //!   Kademlia/Plaxton, flipped-bit weight for the hypercube — and laid out in
@@ -27,9 +30,12 @@
 //!   entries (ring; the sorted layout also admits a plain binary search) or
 //!   a leading-zero dispatch (prefix geometries) plus a short alive-probe
 //!   scan, instead of an O(d) distance-recomputing pass;
-//! * alive probes are direct bit tests on the rank index
-//!   ([`KernelMask::is_alive_rank`]) — no sparse population-rank lookup per
-//!   probe.
+//! * alive probes are direct bit tests on the rank-indexed bitset
+//!   ([`KernelMask::words`]) — no sparse population-rank lookup per probe.
+//!
+//! One row lowering serves every plan — arena and stream compiles, live
+//! repairs and the implicit row cache — so a static plan and a live one
+//! differ only in the tables they lower.
 //!
 //! # One routing loop over four row sources
 //!
@@ -40,7 +46,7 @@
 //! kernel picks the source from it:
 //!
 //! * **plan rows** — the materialized source slices the row out of this
-//!   kernel's CSR plan and prefetches the next one;
+//!   kernel's plan and prefetches the next one;
 //! * **cached rows** — the implicit source ([`ImplicitKernel`]) regenerates
 //!   the row into the caller's [`ImplicitRowCache`] (randomized Chord,
 //!   Symphony);
@@ -56,8 +62,8 @@
 //! On top of the source sit one admission prelude, one per-hop step (the
 //! rule's dispatch over the entries) and the lockstep pass of [`batch`], the
 //! only way either kernel routes. The closed form and the positioned draws
-//! yield exactly the entries of the static row lowering that the hop would
-//! read, so no source can disagree with another on a hop.
+//! yield exactly the entries of the row lowering that the hop would read,
+//! so no source can disagree with another on a hop.
 //!
 //! The kernel's outcomes are **bit-identical** to the scalar path: every
 //! [`RouteOutcome`] of [`RoutingKernel::route_batch`] (including
@@ -180,16 +186,6 @@ pub enum KernelMask<'mask> {
 }
 
 impl KernelMask<'_> {
-    /// Returns `true` when the occupied node of the given rank survived.
-    ///
-    /// This is the kernel's only per-probe mask query: one shift and mask,
-    /// with no population-rank indirection.
-    #[inline]
-    #[must_use]
-    pub fn is_alive_rank(&self, rank: u32) -> bool {
-        alive_bit(self.words(), rank)
-    }
-
     /// The rank-indexed bitset words, resolved once so the lockstep pass
     /// probes a bare slice instead of re-matching the representation per
     /// hop.
@@ -229,16 +225,13 @@ pub struct RoutingKernel {
     /// Shared with the owning overlay (value↔rank mapping for sparse
     /// populations), not cloned — the sparse prefix-count table is space-sized.
     population: Arc<Population>,
-    /// `offsets[r]..offsets[r + 1]` delimits the plan entries of rank `r`.
-    offsets: Vec<u32>,
-    /// When every table has the same length (always true for full
-    /// populations), the common length: rank `r`'s entries start at
-    /// `r * stride` and the hot loops skip the `offsets` load entirely.
-    stride: Option<u32>,
-    /// The packed plan entries, tables back to back in rank order.
+    /// Entries per plan row: rank `r`'s row is `entries[r × width..(r + 1) ×
+    /// width]` (0 for a closed-form kernel).
+    width: usize,
+    /// The packed plan entries, rows back to back in rank order.
     entries: Vec<PlanEntry>,
     /// Routes through the closed-form source instead of a plan (then
-    /// `offsets` and `entries` are empty).
+    /// `entries` is empty).
     closed_form: bool,
 }
 
@@ -259,11 +252,13 @@ struct PlanEntry {
 
 impl RoutingKernel {
     /// Lowers `arena`'s routing tables over `population` into a plan for
-    /// `rule`, one [`lower_static_row`] per rank, on the calling thread.
+    /// `rule`, one [`lower_row`] per rank, on the calling thread — the
+    /// compile of static and live arenas alike.
     ///
     /// Ranks follow the arena/population convention (occupied identifiers in
-    /// ascending order). Construction is O(edges) plus, for the ring rule, a
-    /// per-table sort by advance.
+    /// ascending order). The plan width is the widest arena row (at least
+    /// 1). Construction is O(ranks × width) plus, for the ring rule, a
+    /// per-row sort by advance.
     #[must_use]
     pub(crate) fn compile(
         rule: KernelRule,
@@ -271,12 +266,12 @@ impl RoutingKernel {
         arena: &RoutingArena,
     ) -> Self {
         debug_assert_eq!(arena.node_count() as u64, population.node_count());
-        Self::compile_rows(rule, population, 1, None, arena.entry_count(), |_| {
-            let mut ring_scratch = Vec::new();
-            move |rank, entries| {
+        let widest = (0..arena.node_count()).map(|rank| arena.neighbors(rank).len());
+        let width = widest.max().unwrap_or(0).max(1);
+        Self::compile_rows(rule, population, 1, width, |_| {
+            move |rank, row| {
                 let node = population.node_at(rank as u64);
-                let table = arena.neighbors(rank);
-                lower_static_row(rule, population, node, table, &mut ring_scratch, entries);
+                lower_row(rule, population, node, arena.neighbors(rank), row);
             }
         })
     }
@@ -284,18 +279,17 @@ impl RoutingKernel {
     /// Lowers the rows `strategy` builds from its construction stream — the
     /// stream a `ChaCha8Rng::seed_from_u64(stream_seed)` build draws — into
     /// the plan [`RoutingKernel::compile`] makes of the built arena, byte for
-    /// byte, without building the arena.
+    /// byte, without building the arena. The plan width is the strategy's
+    /// [`table_len_hint`](GeometryStrategy::table_len_hint), every row's
+    /// table length over a full population.
     ///
     /// Rank chunks compile on up to `threads` threads. Each replays its own
     /// stretch of the stream: its generator starts at word `first ×
     /// words_per_node` of its first rank, as [`FailureMask::sample_seeded`]
-    /// positions its chunks, and runs `build_table` and [`lower_static_row`]
-    /// per rank — except that a strategy declaring
-    /// [`RowForm::PositionedPrefix`] has its row drawn bucket by bucket, as
-    /// the implicit backend draws it, with no table built. The prefix rules'
-    /// rows are `d` entries wide and fill their slices of one preallocated
-    /// plan; ring rows, which lose zero and duplicate advances in the
-    /// lowering, fill a buffer per chunk.
+    /// positions its chunks, and runs `build_table` and [`lower_row`] per
+    /// rank — except that a strategy declaring [`RowForm::PositionedPrefix`]
+    /// has its row drawn bucket by bucket, as the implicit backend draws it,
+    /// with no table built.
     ///
     /// # Panics
     ///
@@ -314,163 +308,74 @@ impl RoutingKernel {
             .implicit_stream_words(population)
             .expect("stream compiles need a fixed per-node stream stride");
         let width = strategy.table_len_hint(population);
-        let fixed = match rule {
-            KernelRule::PrefixXor | KernelRule::PrefixTree | KernelRule::HypercubeBit => {
-                Some(width)
-            }
-            KernelRule::RingAdvance => None,
-        };
-        let capacity = population.node_count() * width as u64;
         let bits = population.space().bits();
         let positioned = strategy.row_form(population) == RowForm::PositionedPrefix;
         debug_assert!(!positioned || words_per_node == 2 * u64::from(bits));
-        Self::compile_rows(rule, population, threads, fixed, capacity, |first| {
+        Self::compile_rows(rule, population, threads, width, |first| {
             let mut rng = ChaCha8Rng::seed_from_u64(stream_seed);
             rng.set_word_pos(first as u64 * words_per_node);
             let mut table = Vec::with_capacity(width);
-            let mut ring_scratch = Vec::with_capacity(width);
-            move |rank, entries| {
+            move |rank, row| {
                 let node = population.node_at(rank as u64);
                 if positioned {
                     let value = node.value();
-                    let entry = |bucket| drawn_prefix_entry(bits, value, bucket, rng.next_u64());
-                    entries.extend((0..bits).map(entry));
+                    for (bucket, entry) in (0..bits).zip(row) {
+                        *entry = drawn_prefix_entry(bits, value, bucket, rng.next_u64());
+                    }
                 } else {
                     table.clear();
                     strategy.build_table(population, node, &mut rng, &mut table);
-                    lower_static_row(rule, population, node, &table, &mut ring_scratch, entries);
+                    lower_row(rule, population, node, &table, row);
                 }
             }
         })
     }
 
-    /// Lowers a live overlay's fixed-width arena into a *repairable* plan.
-    ///
-    /// Unlike [`RoutingKernel::compile`], every plan row keeps exactly the
-    /// arena row's width: ring rows retain duplicate and zero-advance (self)
-    /// entries in descending-advance order (the zero guard of the ring hop
-    /// stops at the zero tail), and hypercube self placeholders lower to
-    /// inert [`NO_ENTRY`] slots. Fixed-width rows are what let
-    /// [`RoutingKernel::relower_rank`] repatch a single row in place after a
-    /// live repair instead of recompiling the whole plan.
-    #[must_use]
-    pub(crate) fn compile_live(
-        rule: KernelRule,
-        population: &Arc<Population>,
-        arena: &RoutingArena,
-    ) -> Self {
-        Self::compile_rows(rule, population, 1, None, arena.entry_count(), |_| {
-            move |rank, entries| {
-                let node = population.node_at(rank as u64);
-                lower_live_row(rule, population, node, arena.neighbors(rank), entries);
-            }
-        })
-    }
-
-    /// The CSR plan every compiler shares, whatever its rows come from.
+    /// The plan every compiler shares, whatever its rows come from: `width`
+    /// entries per rank, first filled with [`INERT_ENTRY`].
     ///
     /// The ranks are cut into at most `threads` balanced chunks of at least
     /// [`MIN_CHUNK_RANKS`] ranks ([`fanout::balanced`]), which run through
     /// [`fanout::map_ordered`] with one worker per chunk, the calling thread
-    /// running the first.
-    /// `chunk_rows(first)` makes the row lowering of the chunk that starts at
-    /// rank `first`; it appends the lowered entries of each rank it is
-    /// called with, in rank order. When every row is `width` entries wide the
-    /// chunks write into disjoint slices of one preallocated plan; otherwise
-    /// each chunk fills a buffer of its own, presized from `capacity` (the
-    /// expected plan entries), and the buffers join in rank order. Either
-    /// way the plan does not depend on `threads`.
+    /// running the first. `chunk_rows(first)` makes the row lowering of the
+    /// chunk that starts at rank `first`; it is called with each rank of the
+    /// chunk, in rank order, and that rank's row, a disjoint slice of the
+    /// one plan. The plan does not depend on `threads`.
     fn compile_rows<R>(
         rule: KernelRule,
         population: &Arc<Population>,
         threads: usize,
-        width: Option<usize>,
-        capacity: u64,
+        width: usize,
         chunk_rows: impl Fn(usize) -> R + Sync,
     ) -> Self
     where
-        R: FnMut(usize, &mut Vec<PlanEntry>),
+        R: FnMut(usize, &mut [PlanEntry]),
     {
         let space = population.space();
-        let full = population.is_full();
         let node_count = usize::try_from(population.node_count()).expect("overlay sizes fit usize");
-        let chunks = fanout::balanced(node_count, threads, MIN_CHUNK_RANKS);
-        let plan_offset =
-            |end: usize| u32::try_from(end).expect("kernel plans hold at most u32::MAX entries");
-
-        let (offsets, entries) = match width {
-            Some(width) => {
-                let mut entries = vec![INERT_ENTRY; node_count * width];
-                let mut rest = entries.as_mut_slice();
-                let pieces: Vec<_> = chunks
-                    .map(|ranks| {
-                        let (piece, tail) =
-                            std::mem::take(&mut rest).split_at_mut(ranks.len() * width);
-                        rest = tail;
-                        (ranks, piece)
-                    })
-                    .collect();
-                let workers = pieces.len();
-                fanout::map_ordered(pieces, workers, |(ranks, piece)| {
-                    let mut lower = chunk_rows(ranks.start);
-                    let mut row = Vec::with_capacity(width);
-                    for (rank, slot) in ranks.zip(piece.chunks_exact_mut(width)) {
-                        row.clear();
-                        lower(rank, &mut row);
-                        assert_eq!(row.len(), width, "rank {rank} lowers to a fixed-width row");
-                        slot.copy_from_slice(&row);
-                    }
-                });
-                let offsets = (0..=node_count).map(|rank| plan_offset(rank * width));
-                (offsets.collect(), entries)
+        let mut entries = vec![INERT_ENTRY; node_count * width];
+        let mut rest = entries.as_mut_slice();
+        let pieces: Vec<_> = fanout::balanced(node_count, threads, MIN_CHUNK_RANKS)
+            .map(|ranks| {
+                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(ranks.len() * width);
+                rest = tail;
+                (ranks, piece)
+            })
+            .collect();
+        let workers = pieces.len();
+        fanout::map_ordered(pieces, workers, |(ranks, piece)| {
+            let mut lower = chunk_rows(ranks.start);
+            for (rank, row) in ranks.zip(piece.chunks_exact_mut(width)) {
+                lower(rank, row);
             }
-            None => {
-                let chunks: Vec<_> = chunks.collect();
-                let workers = chunks.len();
-                let parts = fanout::map_ordered(chunks, workers, |ranks| {
-                    let mut lower = chunk_rows(ranks.start);
-                    // The chunk's share of `capacity`, all of it for a
-                    // single chunk (the product stays below 2^56: at most
-                    // 2^32 entries times 2^24 ranks).
-                    let share = capacity * ranks.len() as u64 / node_count as u64;
-                    let mut entries = Vec::with_capacity(share as usize);
-                    // Row ends relative to the chunk; the first chunk's are
-                    // the plan's offsets, leading zero included.
-                    let mut ends = if ranks.start == 0 {
-                        let mut offsets = Vec::with_capacity(node_count + 1);
-                        offsets.push(0);
-                        offsets
-                    } else {
-                        Vec::with_capacity(ranks.len())
-                    };
-                    for rank in ranks {
-                        lower(rank, &mut entries);
-                        ends.push(plan_offset(entries.len()));
-                    }
-                    (entries, ends)
-                });
-                let total = parts.iter().map(|(part, _)| part.len()).sum::<usize>();
-                let mut parts = parts.into_iter();
-                let (mut entries, mut offsets) = parts.next().expect("a compile has a chunk");
-                entries.reserve_exact(total - entries.len());
-                for (part, ends) in parts {
-                    let base = entries.len();
-                    offsets.extend(ends.iter().map(|&end| plan_offset(base + end as usize)));
-                    entries.extend_from_slice(&part);
-                }
-                (offsets, entries)
-            }
-        };
-
-        let stride = uniform_stride(&offsets);
+        });
         RoutingKernel {
             rule,
             space,
             bits: space.bits(),
-            full,
+            full: population.is_full(),
             population: Arc::clone(population),
-            offsets,
-            stride,
+            width,
             entries,
             closed_form: false,
         }
@@ -490,39 +395,29 @@ impl RoutingKernel {
             bits: space.bits(),
             full: true,
             population: Arc::clone(population),
-            offsets: Vec::new(),
-            stride: None,
+            width: 0,
             entries: Vec::new(),
             closed_form: true,
         }
     }
 
-    /// Repatches the plan row of `rank` in place from the node's rewritten
+    /// Relowers the plan row of `rank` in place from the node's rewritten
     /// live table — the kernel half of a live repair (dirty-rank
-    /// invalidation): only the repaired row is re-lowered, every other row
-    /// and the CSR layout stay untouched.
-    ///
-    /// Only valid on plans produced by [`RoutingKernel::compile_live`], whose
-    /// rows are fixed-width by construction.
+    /// invalidation): only the repaired row is rewritten, every other row
+    /// stays untouched.
     ///
     /// # Panics
     ///
-    /// Panics if the lowered row width differs from the stored row (a
-    /// violation of the live fixed-width contract).
+    /// Panics if `table` is wider than the plan's rows (live tables keep
+    /// the width they were compiled at).
     pub(crate) fn relower_rank(&mut self, rank: usize, node: NodeId, table: &[NodeId]) {
-        let (start, end) = self.bounds(rank as u32);
-        let mut row: Vec<PlanEntry> = Vec::with_capacity(end - start);
-        lower_live_row(self.rule, &self.population, node, table, &mut row);
-        assert_eq!(
-            row.len(),
-            end - start,
-            "live repairs preserve the row width"
-        );
-        self.entries[start..end].copy_from_slice(&row);
+        let start = rank * self.width;
+        let row = &mut self.entries[start..start + self.width];
+        lower_row(self.rule, &self.population, node, table, row);
     }
 
     /// `true` when `other` encodes entry-for-entry the same routing plan:
-    /// same rule, key space, CSR layout and packed hop keys/ranks.
+    /// same rule, key space, row width and packed hop keys/ranks.
     ///
     /// This is the kernel-level equality the incremental-equivalence property
     /// suite asserts between a delta-repaired plan and a from-scratch
@@ -533,8 +428,7 @@ impl RoutingKernel {
             && self.space == other.space
             && self.bits == other.bits
             && self.full == other.full
-            && self.offsets == other.offsets
-            && self.stride == other.stride
+            && self.width == other.width
             && self.entries == other.entries
     }
 
@@ -542,7 +436,8 @@ impl RoutingKernel {
     /// folded with SplitMix64. Plans that satisfy [`RoutingKernel::plan_eq`]
     /// digest identically; the live-churn engine folds this into its
     /// final-state hashes so thread-count determinism covers the compiled
-    /// plans, not just the tallies.
+    /// plans, not just the tallies. The layout is folded as every row start
+    /// `r × width` and the plan's end (nothing for a closed form).
     #[must_use]
     pub fn plan_digest(&self) -> u64 {
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
@@ -550,8 +445,10 @@ impl RoutingKernel {
         fold(self.rule as u64);
         fold(u64::from(self.bits));
         fold(u64::from(self.full));
-        for &offset in &self.offsets {
-            fold(u64::from(offset));
+        if !self.closed_form {
+            for rank in 0..=self.population.node_count() {
+                fold(rank * self.width as u64);
+            }
         }
         for entry in &self.entries {
             fold(u64::from(entry.key) << 32 | u64::from(entry.target));
@@ -571,21 +468,21 @@ impl RoutingKernel {
         self.space
     }
 
-    /// Number of plan entries (directed edges, placeholders included for the
-    /// positional prefix rules); 0 for a closed-form kernel.
+    /// Number of plan entries, `node_count × width` (directed edges, with
+    /// the placeholders and padding of fixed-width rows); 0 for a
+    /// closed-form kernel.
     #[must_use]
     pub fn entry_count(&self) -> u64 {
         self.entries.len() as u64
     }
 
-    /// Bytes of the plan's own storage (offsets and packed key/rank
-    /// entries) — the kernel's memory cost on top of the overlay it was
-    /// lowered from: 8 bytes per entry plus 4 per node, and 0 for a
-    /// closed-form kernel. The population is shared with the overlay, not
-    /// duplicated, and is not counted here.
+    /// Bytes of the plan's own storage (its packed key/rank entries) — the
+    /// kernel's memory cost on top of the overlay it was lowered from: 8
+    /// bytes per entry, and 0 for a closed-form kernel. The population is
+    /// shared with the overlay, not duplicated, and is not counted here.
     #[must_use]
     pub fn plan_bytes(&self) -> usize {
-        self.offsets.len() * 4 + self.entries.len() * std::mem::size_of::<PlanEntry>()
+        self.entries.len() * std::mem::size_of::<PlanEntry>()
     }
 
     /// Lowers `mask` into this kernel's rank space.
@@ -622,23 +519,7 @@ impl RoutingKernel {
         PlanRows {
             kernel: self,
             entries: &self.entries,
-            stride: self.stride,
-        }
-    }
-
-    /// The plan-entry range of rank `r`: a multiply for fixed-stride plans,
-    /// two `offsets` loads for ragged ones.
-    #[inline]
-    fn bounds(&self, rank: u32) -> (usize, usize) {
-        match self.stride {
-            Some(stride) => {
-                let start = rank as usize * stride as usize;
-                (start, start + stride as usize)
-            }
-            None => (
-                self.offsets[rank as usize] as usize,
-                self.offsets[rank as usize + 1] as usize,
-            ),
+            width: self.width,
         }
     }
 }
@@ -646,7 +527,7 @@ impl RoutingKernel {
 /// Where the shared route loops read the entries a hop probes from.
 ///
 /// Four implementations: a materialized [`RoutingKernel`] slices the row out
-/// of its CSR plan and prefetches the next one; an implicit kernel with the
+/// of its plan and prefetches the next one; an implicit kernel with the
 /// caller's [`ImplicitRowCache`] regenerates it on a miss (see [`implicit`]);
 /// the closed-form source computes ring and hypercube entries from the rank
 /// ([`ClosedForm`]); and the implicit prefix source draws one bucket at a
@@ -706,12 +587,12 @@ fn row_entries(
 }
 
 /// The materialized row source: rows are slices of the compiled plan. The
-/// entry slice and stride are copied out of the kernel, so the lockstep pass
+/// entry slice and width are copied out of the kernel, so the lockstep pass
 /// keeps them in registers across its stores to the frontier.
 struct PlanRows<'k> {
     kernel: &'k RoutingKernel,
     entries: &'k [PlanEntry],
-    stride: Option<u32>,
+    width: usize,
 }
 
 impl RowSource for PlanRows<'_> {
@@ -742,34 +623,25 @@ impl RowSource for PlanRows<'_> {
         rank: u32,
         cursor: u64,
     ) -> impl Iterator<Item = PlanEntry> {
-        let (start, end) = match self.stride {
-            Some(stride) => (
-                rank as usize * stride as usize,
-                (rank as usize + 1) * stride as usize,
-            ),
-            None => self.kernel.bounds(rank),
-        };
-        row_entries(&self.entries[start..end], rule, self.kernel.bits, cursor)
+        let start = rank as usize * self.width;
+        row_entries(
+            &self.entries[start..start + self.width],
+            rule,
+            self.kernel.bits,
+            cursor,
+        )
     }
 
-    /// Fixed-stride plans (every full population) know the row address
-    /// without a load, so the entry line itself is prefetched — two lines for
-    /// wide rows, because the ring scan reads deeper into the row as the
-    /// remaining distance shrinks. Ragged plans would need `offsets[rank]`
-    /// first, so only that offset line is prefetched and the entry row is
-    /// left to the demand load.
+    /// The row address is a multiply, so the entry line itself is
+    /// prefetched — two lines for wide rows, because the ring scan reads
+    /// deeper into the row as the remaining distance shrinks.
     #[inline]
     fn prefetch(&self, rank: u32) {
-        match self.stride {
-            Some(stride) => {
-                let start = rank as usize * stride as usize;
-                prefetch_read(self.entries, start);
-                if stride > 8 {
-                    // A PlanEntry is 8 bytes: lines hold 8 entries.
-                    prefetch_read(self.entries, start + 8);
-                }
-            }
-            None => prefetch_read(&self.kernel.offsets, rank as usize),
+        let start = rank as usize * self.width;
+        prefetch_read(self.entries, start);
+        if self.width > 8 {
+            // A PlanEntry is 8 bytes: lines hold 8 entries.
+            prefetch_read(self.entries, start + 8);
         }
     }
 }
@@ -795,10 +667,10 @@ impl RowSource for ClosedForm {
     }
 
     /// Ring: the fingers `rank + 2^i` for every `2^i` up to the remaining
-    /// distance's top bit, largest first — the static row's entries the
+    /// distance's top bit, largest first — the lowered row's entries the
     /// ring scan does not skip as overshooting. Hypercube: the links
     /// `rank ^ 2^i` for every bit still set in the XOR diff, most
-    /// significant first — the static row's entries whose bit the diff
+    /// significant first — the lowered row's entries whose bit the diff
     /// holds.
     #[inline(always)]
     fn entries(
@@ -969,7 +841,9 @@ fn check_mask(mask: &FailureMask, bits: u32, population: &Population) {
 /// skipped by the same walk. Over a plan row the scan is expected O(1)
 /// probes — the number of advances above the remaining distance is
 /// geometrically distributed (one per phase above the current one), which
-/// beats a branchy O(log d) binary search on real tables.
+/// beats a branchy O(log d) binary search on real tables. A duplicate
+/// advance follows its twin and names the same rank, so it is alive exactly
+/// when the twin is and never changes the hop.
 #[inline(always)]
 fn ring_hop(
     entries: impl Iterator<Item = PlanEntry>,
@@ -977,11 +851,9 @@ fn ring_hop(
     remaining: u64,
 ) -> Option<(u64, u32)> {
     for entry in entries {
-        // Live plans keep zero-advance self entries at the row tail
-        // (fixed-width rows, sorted descending); a zero advance never
-        // makes greedy progress, so reaching the tail means the hop
-        // fails. Static plans drop zero advances at compile time, so the
-        // guard is inert there.
+        // Rows keep their zero-advance self entries, and any padding, at
+        // the tail (sorted descending); a zero advance never makes greedy
+        // progress, so reaching the tail means the hop fails.
         if entry.key == 0 {
             return None;
         }
@@ -1072,50 +944,53 @@ fn rank_in(population: &Population, node: NodeId) -> u32 {
         .expect("routing tables only reference occupied identifiers") as u32
 }
 
-/// Lowers one node's raw routing table into static plan entries, appended
-/// to `entries` — the one row lowering behind both [`RoutingKernel::compile`]
-/// (every rank of an arena) and the implicit backend's row cache (one
-/// regenerated row per miss).
+/// Lowers one node's raw routing table into its plan row `row` — the one
+/// row lowering behind every plan ([`RoutingKernel::compile`],
+/// [`RoutingKernel::compile_stream`], [`RoutingKernel::relower_rank`]) and
+/// the implicit backend's row cache (one regenerated row per miss).
 ///
 /// Ring rows are sorted by greedy preference — largest clockwise advance
-/// first, so the hop scan reads forward from the row start. Self entries
-/// (advance 0, the sparse placeholder) never make greedy progress and are
-/// dropped, and duplicate advances are the same identifier, so one probe
-/// suffices. Prefix rows are positional: entry `j` sits at bucket/level `j`
-/// so the leading-zero dispatch can index directly, and placeholders keep
-/// their slot with a [`NO_ENTRY`] rank. Hypercube rows keep build order —
-/// bit 0 (most significant) downward — so the first entry whose bit
-/// survives in the XOR diff is the scalar rule's minimum.
-fn lower_static_row(
+/// first, so the hop scan reads forward from the row start; duplicate
+/// advances and zero-advance self entries stay (see [`ring_hop`]). Prefix
+/// rows are positional: entry `j` sits at bucket/level `j` so the
+/// leading-zero dispatch can index directly. Hypercube rows keep build
+/// order — bit 0 (most significant) downward — so the first entry whose
+/// bit survives in the XOR diff is the scalar rule's minimum. Owner
+/// placeholders of prefix and hypercube tables lower to [`INERT_ENTRY`],
+/// and so does every slot past the table: only a sparse hypercube's tables
+/// are shorter than their row.
+///
+/// # Panics
+///
+/// Panics if `table` is wider than `row`.
+fn lower_row(
     rule: KernelRule,
     population: &Population,
     node: NodeId,
     table: &[NodeId],
-    ring_scratch: &mut Vec<(u32, u32)>,
-    entries: &mut impl Extend<PlanEntry>,
+    row: &mut [PlanEntry],
 ) {
+    assert!(
+        table.len() <= row.len(),
+        "a {}-entry table does not fit a {}-entry plan row",
+        table.len(),
+        row.len()
+    );
     let space = population.space();
     let rank_of = |entry| rank_in(population, entry);
+    let (lowered, padding) = row.split_at_mut(table.len());
+    let slots = lowered.iter_mut().zip(table);
     match rule {
         KernelRule::RingAdvance => {
-            ring_scratch.clear();
-            for &entry in table {
+            for (slot, &entry) in slots {
                 let advance = ring_distance_raw(node.value(), entry.value(), space);
-                if advance > 0 {
-                    ring_scratch.push((advance as u32, rank_of(entry)));
-                }
+                *slot = PlanEntry {
+                    key: advance as u32,
+                    target: rank_of(entry),
+                };
             }
-            ring_scratch.sort_unstable();
-            ring_scratch.dedup_by_key(|&mut (advance, _)| advance);
-            entries.extend(
-                ring_scratch
-                    .iter()
-                    .rev()
-                    .map(|&(advance, target)| PlanEntry {
-                        key: advance,
-                        target,
-                    }),
-            );
+            // Equal advances name one identifier: tied entries are equal.
+            lowered.sort_unstable_by_key(|entry| std::cmp::Reverse(entry.key));
         }
         KernelRule::PrefixXor | KernelRule::PrefixTree => {
             debug_assert_eq!(
@@ -1123,20 +998,22 @@ fn lower_static_row(
                 space.bits() as usize,
                 "prefix tables hold d entries"
             );
-            entries.extend(
-                table
-                    .iter()
-                    .map(|&entry| prefix_entry(node, entry, rank_of)),
-            );
+            for (slot, &entry) in slots {
+                *slot = prefix_entry(node, entry, rank_of);
+            }
         }
         KernelRule::HypercubeBit => {
-            entries.extend(table.iter().map(|&entry| cube_entry(node, entry, rank_of)));
+            for (slot, &entry) in slots {
+                *slot = cube_entry(node, entry, rank_of);
+            }
         }
     }
+    padding.fill(INERT_ENTRY);
 }
 
 /// An entry that never routes (hop key 0, no target): what an owner's own
-/// slot lowers to, and what an empty row-cache slot holds.
+/// slot lowers to, what pads a row past its table, and what an empty
+/// row-cache slot holds.
 const INERT_ENTRY: PlanEntry = PlanEntry {
     key: 0,
     target: NO_ENTRY,
@@ -1180,52 +1057,6 @@ fn cube_entry(node: NodeId, entry: NodeId, rank_of: impl Fn(NodeId) -> u32) -> P
     }
 }
 
-/// Lowers one fixed-width live table row into plan entries.
-///
-/// The live lowering differs from the static one in exactly one way: the row
-/// width is preserved. Ring rows keep duplicate advances and zero-advance
-/// self entries (sorted descending so real advances come first and the
-/// ring hop's zero guard stops at the tail); prefix and hypercube rows are
-/// positional and already fixed-width, with self placeholders lowered to
-/// [`NO_ENTRY`]. Shared by [`RoutingKernel::compile_live`] (all rows) and
-/// [`RoutingKernel::relower_rank`] (one row).
-fn lower_live_row(
-    rule: KernelRule,
-    population: &Population,
-    node: NodeId,
-    table: &[NodeId],
-    entries: &mut Vec<PlanEntry>,
-) {
-    let space = population.space();
-    let rank_of = |entry| rank_in(population, entry);
-    match rule {
-        KernelRule::RingAdvance => {
-            let mut row: Vec<(u32, u32)> = table
-                .iter()
-                .map(|&entry| {
-                    let advance = ring_distance_raw(node.value(), entry.value(), space);
-                    (advance as u32, rank_of(entry))
-                })
-                .collect();
-            row.sort_unstable();
-            entries.extend(row.iter().rev().map(|&(advance, target)| PlanEntry {
-                key: advance,
-                target,
-            }));
-        }
-        KernelRule::PrefixXor | KernelRule::PrefixTree => {
-            entries.extend(
-                table
-                    .iter()
-                    .map(|&entry| prefix_entry(node, entry, rank_of)),
-            );
-        }
-        KernelRule::HypercubeBit => {
-            entries.extend(table.iter().map(|&entry| cube_entry(node, entry, rank_of)));
-        }
-    }
-}
-
 /// Clockwise ring distance over raw values (the kernel never constructs
 /// identifiers in its hot loops).
 #[inline]
@@ -1237,16 +1068,6 @@ fn ring_distance_raw(from: u64, to: u64, space: KeySpace) -> u64 {
 /// on one thread: 512 rows of a 2^20 XOR overlay are ~10 000 stream draws,
 /// about what the 512-word floor of [`FailureMask::sample_seeded`] draws.
 const MIN_CHUNK_RANKS: usize = 512;
-
-/// The common row width when every CSR row is equally wide (always the case
-/// over full populations), or `None` for ragged rows.
-fn uniform_stride(offsets: &[u32]) -> Option<u32> {
-    let first = offsets.get(1)? - offsets[0];
-    offsets
-        .windows(2)
-        .all(|pair| pair[1] - pair[0] == first)
-        .then_some(first)
-}
 
 #[cfg(test)]
 mod tests {
@@ -1296,10 +1117,8 @@ mod tests {
             ChordOverlay::build_randomized(6, &mut ChaCha8Rng::seed_from_u64(6)).unwrap();
         let kernel = randomized.kernel().expect("ring compiles");
         assert!(kernel.plan_bytes() > 0);
-        for rank in 0..64 {
-            let (start, end) = kernel.bounds(rank);
-            let row = &kernel.entries[start..end];
-            assert!(!row.is_empty() && row[row.len() - 1].key > 0);
+        for (rank, row) in kernel.entries.chunks_exact(kernel.width).enumerate() {
+            assert!(row[row.len() - 1].key > 0);
             assert!(
                 row.windows(2).all(|pair| pair[0].key > pair[1].key),
                 "row {rank} is sorted by descending advance"
@@ -1426,23 +1245,144 @@ mod tests {
         let lowered = kernel.compile_mask(&mask);
         assert!(matches!(lowered, KernelMask::Compressed(_)));
         for (rank, node) in overlay.population().iter_nodes().enumerate() {
-            assert_eq!(lowered.is_alive_rank(rank as u32), mask.is_alive(node));
+            assert_eq!(alive_bit(lowered.words(), rank as u32), mask.is_alive(node));
         }
     }
 
+    /// Asserts the one plan layout on `plan`, compiled from `arena`: every
+    /// rank's row is `width` entries of 8 bytes, its lowered table followed
+    /// by inert padding.
+    fn assert_fixed_width(plan: &RoutingKernel, arena: &RoutingArena, width: usize) {
+        let node_count = arena.node_count();
+        assert_eq!(plan.entry_count(), (node_count * width) as u64);
+        assert_eq!(plan.plan_bytes(), 8 * plan.entry_count() as usize);
+        for rank in 0..node_count {
+            let row = &plan.entries[rank * width..(rank + 1) * width];
+            let table = arena.neighbors(rank).len();
+            assert!(row[table..].iter().all(|&entry| entry == INERT_ENTRY));
+        }
+    }
+
+    /// Compiles `overlay`'s arena into a plan (closed forms included) and
+    /// asserts its layout at the widest arena row; returns the plan and
+    /// that width.
+    fn compiled_fixed_width<S: crate::GeometryStrategy>(
+        overlay: &crate::GeometryOverlay<S>,
+    ) -> (RoutingKernel, usize) {
+        let rule = overlay
+            .strategy()
+            .kernel_rule()
+            .expect("every geometry compiles");
+        let population = Arc::new(overlay.population().clone());
+        let arena = overlay.arena();
+        let plan = RoutingKernel::compile(rule, &population, arena);
+        let widest = (0..arena.node_count()).map(|rank| arena.neighbors(rank).len());
+        let width = widest.max().unwrap().max(1);
+        assert_fixed_width(&plan, arena, width);
+        (plan, width)
+    }
+
     #[test]
-    fn sparse_plan_bytes_are_offsets_and_entries() {
-        let space = dht_id::KeySpace::new(10).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let population = Population::sample_uniform(space, 200, &mut rng).unwrap();
-        let overlay =
-            ChordOverlay::build_over(population, ChordVariant::Randomized, &mut rng).unwrap();
-        let kernel = overlay.kernel().expect("ring compiles");
-        let node_count = overlay.population().node_count() as usize;
-        assert_eq!(
-            kernel.plan_bytes(),
-            (node_count + 1) * 4 + kernel.entry_count() as usize * 8
-        );
+    fn every_plan_is_fixed_width_rows_of_eight_byte_entries() {
+        // The five geometries (both Chord variants) over a full 2^12
+        // population, where every row is the geometry's table size, and
+        // over a sparse 2^12 one.
+        let mut rng = ChaCha8Rng::seed_from_u64(28);
+        let space = KeySpace::new(12).unwrap();
+        let sparse = Population::sample_uniform(space, 700, &mut rng).unwrap();
+        for population in [Population::full(space), sparse.clone()] {
+            let rng = &mut rng;
+            compiled_fixed_width(
+                &ChordOverlay::build_over(population.clone(), ChordVariant::Deterministic, rng)
+                    .unwrap(),
+            );
+            compiled_fixed_width(
+                &ChordOverlay::build_over(population.clone(), ChordVariant::Randomized, rng)
+                    .unwrap(),
+            );
+            compiled_fixed_width(&KademliaOverlay::build_over(population.clone(), rng).unwrap());
+            compiled_fixed_width(
+                &crate::PlaxtonOverlay::build_over(population.clone(), rng).unwrap(),
+            );
+            compiled_fixed_width(
+                &SymphonyOverlay::build_over(population.clone(), 1, 1, rng).unwrap(),
+            );
+            compiled_fixed_width(&CanOverlay::build_over(population).unwrap());
+        }
+
+        // A sparse hypercube row holds its occupied flips, most significant
+        // bit first, then inert padding up to the widest row.
+        let cube = CanOverlay::build_over(sparse.clone()).unwrap();
+        let (plan, width) = compiled_fixed_width(&cube);
+        for (rank, node) in sparse.iter_nodes().enumerate() {
+            let mut expected: Vec<PlanEntry> = (0..12)
+                .rev()
+                .map(|bit| 1u64 << bit)
+                .filter_map(|weight| {
+                    let rank = sparse.rank_of_value(node.value() ^ weight)?;
+                    Some(PlanEntry {
+                        key: weight as u32,
+                        target: rank as u32,
+                    })
+                })
+                .collect();
+            expected.resize(width, INERT_ENTRY);
+            let row = &plan.entries[rank * width..(rank + 1) * width];
+            assert_eq!(row, expected, "rank {rank}");
+        }
+
+        // A sparse hypercube whose nodes share no link compiles one inert
+        // entry per node and drops every route where it starts.
+        let linkless = [0b00_0000, 0b00_0011, 0b00_1100, 0b11_0000, 0b11_1111];
+        let space = KeySpace::new(6).unwrap();
+        let population =
+            Population::sparse(space, linkless.map(|value| space.wrap(value))).unwrap();
+        let cube = CanOverlay::build_over(population).unwrap();
+        let (plan, _) = compiled_fixed_width(&cube);
+        assert_eq!(plan.entries, [INERT_ENTRY; 5]);
+        let mask = FailureMask::none_over(cube.population());
+        let pairs: Vec<(u64, u64)> = linkless
+            .iter()
+            .flat_map(|&source| linkless.map(|target| (source, target)))
+            .filter(|(source, target)| source != target)
+            .collect();
+        let outcomes = route_all(&plan, plan.compile_mask(&mask).words(), &pairs, 6);
+        for (&(source, target), outcome) in pairs.iter().zip(&outcomes) {
+            let stuck_at = space.wrap(source);
+            assert_eq!(*outcome, RouteOutcome::Dropped { hops: 0, stuck_at });
+            let scalar = route_with_limit(&cube, stuck_at, space.wrap(target), &mask, 6);
+            assert_eq!(*outcome, scalar);
+        }
+
+        // A stream-compiled Symphony(1, 1) keeps its duplicate advances: two
+        // entries per row.
+        let seeded =
+            crate::GeometryOverlay::seeded(12, crate::symphony::SymphonyStrategy::new(1, 1), 7, 2)
+                .unwrap();
+        let plan = seeded.kernel().unwrap();
+        assert_fixed_width(plan, seeded.arena(), 2);
+        assert!(plan.entries.chunks_exact(2).any(|row| row[0] == row[1]));
+
+        // A live plan after churn: repairs relower rows in place, at the
+        // live table width.
+        let live_space = KeySpace::new(10).unwrap();
+        let mut live = crate::LiveOverlay::build(
+            Population::full(live_space),
+            crate::chord::ChordStrategy::new(ChordVariant::Randomized),
+            3,
+        )
+        .unwrap();
+        for value in (0..1024).step_by(7) {
+            live.leave(live_space.wrap(value));
+        }
+        for value in (0..1024).step_by(21) {
+            live.join(live_space.wrap(value));
+        }
+        assert!(live.repairs() > 0);
+        assert_fixed_width(live.routing_kernel(), live.arena(), 10);
+        assert!(live
+            .routing_kernel()
+            .plan_eq(live.rebuilt().routing_kernel()));
     }
 
     #[test]

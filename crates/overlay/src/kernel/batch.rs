@@ -2,7 +2,7 @@
 //! source.
 //!
 //! A lookup routed on its own is a dependent pointer chase: on DRAM-resident
-//! plans (2^20 nodes and up) each hop loads the CSR row, probes the alive
+//! plans (2^20 nodes and up) each hop loads the plan row, probes the alive
 //! bitset, and only then knows the next rank. A single in-flight lookup
 //! leaves the memory system idle for most of that latency.
 //!

@@ -33,8 +33,8 @@
 //!
 //! Routing itself is the kernel module's one admission prelude, per-hop
 //! step and lockstep pass, and every source yields exactly the entries of
-//! the static row lowering [`RoutingKernel`](super::RoutingKernel)'s
-//! compiler uses (with rank == value) that the hop reads. Outcomes —
+//! the row lowering [`RoutingKernel`](super::RoutingKernel)'s compiler uses
+//! (with rank == value) that the hop reads. Outcomes —
 //! [`RouteOutcome`] variants, hop counts, `stuck_at` identifiers, batch
 //! orderings — are therefore **bit-identical** to the materialized kernel
 //! built from the same seed, which the `implicit_equivalence` property suite
@@ -81,8 +81,8 @@
 
 use super::batch::route_batch_rows;
 use super::{
-    check_mask, drawn_prefix_entry, leading_level, lower_static_row, row_entries, ClosedForm,
-    KernelMask, KernelRule, PlanEntry, RouteBatch, RowForm, RowSource, INERT_ENTRY, NO_ENTRY,
+    check_mask, drawn_prefix_entry, leading_level, lower_row, row_entries, ClosedForm, KernelMask,
+    KernelRule, PlanEntry, RouteBatch, RowForm, RowSource, INERT_ENTRY, NO_ENTRY,
 };
 use crate::failure::FailureMask;
 use crate::generic::GeometryStrategy;
@@ -95,10 +95,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default slot count of [`ImplicitKernel::row_cache`]: at 8 bytes per entry
-/// and `d ≤ 30` entries per row the cache tops out around 250 KiB — resident
-/// in L2, negligible against the failure mask.
-pub const DEFAULT_ROW_CACHE_SLOTS: usize = 1024;
+/// Slot count of [`ImplicitKernel::row_cache`], a power of two: at 8 bytes
+/// per entry and `d ≤ 30` entries per row the cache tops out around 250 KiB
+/// — resident in L2, negligible against the failure mask.
+const ROW_CACHE_SLOTS: usize = 1024;
 
 /// Draws a workspace-unique kernel id, the stamp every row cache carries.
 fn next_kernel_id() -> u64 {
@@ -269,23 +269,17 @@ impl ImplicitKernel {
         std::mem::size_of::<Self>()
     }
 
-    /// A fresh row cache sized at [`DEFAULT_ROW_CACHE_SLOTS`].
-    #[must_use]
-    pub fn row_cache(&self) -> ImplicitRowCache {
-        self.row_cache_with_slots(DEFAULT_ROW_CACHE_SLOTS)
-    }
-
-    /// A fresh row cache with `slots` direct-mapped slots (rounded up to a
-    /// power of two, at least 1), stamped as this kernel's.
+    /// A fresh row cache, stamped as this kernel's.
     ///
     /// Only a kernel that reads whole rows ([`RowForm::Rows`]: randomized
-    /// Chord, Symphony) gets the slots and row scratch. For the closed form
-    /// and the positioned draws the cache is just the stamp and the seeking
-    /// RNG: it holds no slot and [`ImplicitRowCache::resident_bytes`] reads 0.
+    /// Chord, Symphony) gets the 1024 direct-mapped slots and the row
+    /// scratch. For the closed form and the positioned draws the cache is
+    /// just the stamp and the seeking RNG: it holds no slot and
+    /// [`ImplicitRowCache::resident_bytes`] reads 0.
     #[must_use]
-    pub fn row_cache_with_slots(&self, slots: usize) -> ImplicitRowCache {
+    pub fn row_cache(&self) -> ImplicitRowCache {
         let (slots, row_width) = match self.form {
-            RowForm::Rows => (slots.max(1).next_power_of_two(), self.row_width),
+            RowForm::Rows => (ROW_CACHE_SLOTS, self.row_width),
             RowForm::ClosedForm | RowForm::PositionedPrefix => (0, 0),
         };
         ImplicitRowCache {
@@ -293,11 +287,9 @@ impl ImplicitKernel {
             row_width,
             slot_mask: slots.saturating_sub(1) as u32,
             ranks: vec![NO_ENTRY; slots],
-            lens: vec![0; slots],
             entries: vec![INERT_ENTRY; slots * row_width],
             rng: ChaCha8Rng::seed_from_u64(self.stream_seed),
             ids: Vec::with_capacity(row_width),
-            ring_scratch: Vec::with_capacity(row_width),
             hits: 0,
             misses: 0,
         }
@@ -400,7 +392,7 @@ impl CachedRows<'_> {
         let kernel = self.kernel;
         let cache = &mut *self.cache;
         let slot = (rank & cache.slot_mask) as usize;
-        let start = slot * cache.row_width;
+        let row = slot * cache.row_width..(slot + 1) * cache.row_width;
         if cache.ranks[slot] == rank {
             cache.hits += 1;
         } else {
@@ -411,22 +403,11 @@ impl CachedRows<'_> {
                 .set_word_pos(u64::from(rank) * kernel.words_per_node);
             cache.ids.clear();
             (kernel.row_fn)(node, &mut cache.rng, &mut cache.ids);
-            let mut fill = SlotFill {
-                slot: &mut cache.entries[start..start + cache.row_width],
-                len: 0,
-            };
-            lower_static_row(
-                kernel.rule,
-                &kernel.population,
-                node,
-                &cache.ids,
-                &mut cache.ring_scratch,
-                &mut fill,
-            );
-            cache.lens[slot] = fill.len as u32;
+            let entries = &mut cache.entries[row.clone()];
+            lower_row(kernel.rule, &kernel.population, node, &cache.ids, entries);
             cache.ranks[slot] = rank;
         }
-        &cache.entries[start..start + cache.lens[slot] as usize]
+        &cache.entries[row]
     }
 }
 
@@ -475,7 +456,7 @@ impl RowSource for PositionedPrefix<'_> {
         self.kernel.space
     }
 
-    /// The static row's entries from the bucket of the cursor's leading bit
+    /// The lowered row's entries from the bucket of the cursor's leading bit
     /// on, drawn as the iterator is advanced. Over a full population no
     /// contact is the owner, so no entry is inert.
     #[inline(always)]
@@ -499,21 +480,6 @@ impl RowSource for PositionedPrefix<'_> {
     }
 }
 
-/// Collects a lowered row straight into its cache slot.
-struct SlotFill<'s> {
-    slot: &'s mut [PlanEntry],
-    len: usize,
-}
-
-impl Extend<PlanEntry> for SlotFill<'_> {
-    fn extend<I: IntoIterator<Item = PlanEntry>>(&mut self, entries: I) {
-        for entry in entries {
-            self.slot[self.len] = entry;
-            self.len += 1;
-        }
-    }
-}
-
 /// A direct-mapped cache of lowered plan rows for one [`ImplicitKernel`].
 ///
 /// Caller-owned scratch (the trial engine keeps one per worker thread): the
@@ -526,21 +492,20 @@ pub struct ImplicitRowCache {
     /// Stamp of the owning kernel, checked on every call that takes the
     /// cache.
     kernel_id: u64,
+    /// Entries per slot: the kernel's row width, every regenerated table's
+    /// length over the full population.
     row_width: usize,
     /// `slots - 1` for the power-of-two slot count.
     slot_mask: u32,
     /// Slot → cached rank, [`NO_ENTRY`] when empty (ranks stay below 2^30).
     ranks: Vec<u32>,
-    /// Slot → lowered row length (ring rows dedup below `row_width`).
-    lens: Vec<u32>,
-    /// Slot-major lowered entries, `row_width` per slot.
+    /// Slot-major lowered rows, `row_width` entries per slot, each one
+    /// plan row as [`RoutingKernel`](super::RoutingKernel) lowers it.
     entries: Vec<PlanEntry>,
     /// The seeking stream replayer, seeded once from the kernel's seed.
     rng: ChaCha8Rng,
     /// Scratch for the regenerated identifier table.
     ids: Vec<NodeId>,
-    /// Scratch for the ring lowering's advance sort.
-    ring_scratch: Vec<(u32, u32)>,
     hits: u64,
     misses: u64,
 }
@@ -570,9 +535,7 @@ impl ImplicitRowCache {
     pub fn resident_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<PlanEntry>()
             + self.ranks.capacity() * std::mem::size_of::<u32>()
-            + self.lens.capacity() * std::mem::size_of::<u32>()
             + self.ids.capacity() * std::mem::size_of::<NodeId>()
-            + self.ring_scratch.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -850,7 +813,7 @@ mod tests {
         kernel: &ImplicitKernel,
         materialized: &dyn Overlay,
     ) -> ImplicitRowCache {
-        let mut cache = kernel.row_cache_with_slots(64);
+        let mut cache = kernel.row_cache();
         let space = kernel.key_space();
         let mut sampler = rng(77);
         let mask = FailureMask::sample(space, 0.3, &mut sampler);
@@ -902,8 +865,8 @@ mod tests {
     }
 
     /// Asserts, for 64 random ranks of `overlay`, that the positioned
-    /// source's entries from every bucket on equal the static lowering of
-    /// the regenerated table from that bucket on.
+    /// source's entries from every bucket on equal the lowering of the
+    /// regenerated table from that bucket on.
     fn assert_draws_match_the_lowered_rows<S: GeometryStrategy + Clone + 'static>(
         overlay: &ImplicitOverlay<S>,
         ranks: &mut ChaCha8Rng,
@@ -913,19 +876,11 @@ mod tests {
         let bits = kernel.space.bits();
         let mut cache = kernel.row_cache();
         let mut table = Vec::new();
-        let mut lowered = Vec::new();
+        let mut lowered = vec![INERT_ENTRY; bits as usize];
         for _ in 0..64 {
             let node = kernel.space.random_id(ranks);
             kernel.table_of(node, &mut table);
-            lowered.clear();
-            lower_static_row(
-                kernel.rule,
-                &kernel.population,
-                node,
-                &table,
-                &mut Vec::new(),
-                &mut lowered,
-            );
+            lower_row(kernel.rule, &kernel.population, node, &table, &mut lowered);
             let mut source = PositionedPrefix {
                 kernel,
                 rng: &mut cache.rng,
@@ -1001,7 +956,7 @@ mod tests {
         ];
         for overlay in &cached {
             let cache = overlay.implicit_kernel().unwrap().row_cache();
-            assert_eq!(cache.slots(), DEFAULT_ROW_CACHE_SLOTS);
+            assert_eq!(cache.slots(), ROW_CACHE_SLOTS);
             assert!(cache.resident_bytes() > 0, "{}", overlay.geometry_name());
         }
     }
@@ -1084,8 +1039,7 @@ mod tests {
     fn row_cache_accounts_hits_misses_and_bytes() {
         let overlay = ImplicitOverlay::ring(12, ChordVariant::Randomized, 4).unwrap();
         let kernel = overlay.implicit_kernel().unwrap();
-        let mut cache = kernel.row_cache_with_slots(3);
-        assert_eq!(cache.slots(), 4, "slot counts round up to powers of two");
+        let mut cache = kernel.row_cache();
         let mask = FailureMask::none(overlay.key_space());
         let lowered = kernel.compile_mask(&mask);
         // One-hop routes (every ring row holds its successor) read only the
@@ -1104,7 +1058,8 @@ mod tests {
         assert_eq!(route_one(0), (0, 1));
         assert_eq!(route_one(0), (1, 1));
         // Same slot, different rank: the collision evicts.
-        assert_eq!(route_one(4), (1, 2));
+        assert_eq!(route_one(ROW_CACHE_SLOTS as u64), (1, 2));
+        assert_eq!(route_one(0), (1, 3));
         assert!(cache.resident_bytes() > 0);
     }
 }

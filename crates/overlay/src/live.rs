@@ -327,7 +327,7 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
         let rule = strategy
             .kernel_rule()
             .expect("checked by LiveOverlay::build");
-        let kernel = RoutingKernel::compile_live(rule, &population, &arena);
+        let kernel = RoutingKernel::compile(rule, &population, &arena);
         let mut in_edges: Vec<Vec<u32>> = vec![Vec::new(); node_count];
         for rank in 0..node_count {
             for &entry in arena.neighbors(rank) {

@@ -4,11 +4,12 @@
 //! stores — and compiling it builds no arena.
 //!
 //! Every size here holds at least two 512-rank chunk floors, so every
-//! budget above one really splits the compile (the kernel's unit tests pin
-//! where the cuts fall). XOR and tree rows are fixed-width and fill slices
-//! of one preallocated plan; randomized-ring and Symphony rows go through
-//! per-chunk buffers. The 2^20 check is ignored in the debug test run and
-//! runs in CI's release equivalence step.
+//! budget above one really splits the compile (`fanout::balanced`'s unit
+//! tests pin where the cuts fall). Every row, `table_len_hint` entries
+//! wide, is lowered straight into its slice of one preallocated plan;
+//! Symphony rows keep the duplicate and zero advances their draws produce.
+//! The 2^20 check is ignored in the debug test run and runs in CI's release
+//! equivalence step.
 
 use dht_id::{KeySpace, Population};
 use dht_overlay::chord::ChordStrategy;
@@ -72,7 +73,7 @@ fn stream_compiles_equal_the_arena_compile_at_every_thread_count() {
     for bits in [10, 13, 16] {
         assert_every_plan_geometry(bits, &[1, 2, 3, 8]);
     }
-    // Wider Symphony rows, some of them shortened by duplicate advances.
+    // Wider Symphony rows, some of them holding duplicate advances.
     assert_stream_compile_matches(&SymphonyStrategy::new(2, 3), 12, 5, &[1, 3]);
 }
 
