@@ -133,9 +133,17 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// A digest as a `GOLDEN` literal: `0x` and four `_`-separated groups.
+fn golden_literal(digest: u64) -> String {
+    let [a, b, c, d] = [48, 32, 16, 0].map(|shift| (digest >> shift) & 0xffff);
+    format!("0x{a:04x}_{b:04x}_{c:04x}_{d:04x}")
+}
+
 /// The committed `specs/` bundle, pinned across commits: every file a batch
 /// run writes (15 reports, 3 CSVs and the manifest) keeps its FNV-1a 64
-/// digest, so a change that moves any report byte fails here.
+/// digest, so a change that moves any report byte fails here. A failure
+/// lists each moved, new or missing file as a ready-to-paste `GOLDEN` line
+/// next to its old digest.
 #[test]
 fn committed_spec_bundle_matches_its_golden_digests() {
     const GOLDEN: [(&str, u64); 19] = [
@@ -167,9 +175,31 @@ fn committed_spec_bundle_matches_its_golden_digests() {
         .map(|(file, bytes)| (file, fnv1a64(&bytes)))
         .collect();
     fs::remove_dir_all(&out).ok();
-    let golden: BTreeMap<String, u64> = GOLDEN
-        .iter()
-        .map(|&(file, digest)| (file.to_owned(), digest))
+    let golden: BTreeMap<&str, u64> = GOLDEN.into_iter().collect();
+    let mut files: Vec<&str> = golden.keys().copied().collect();
+    files.extend(digests.keys().map(String::as_str));
+    files.sort_unstable();
+    files.dedup();
+    let moved: Vec<String> = files
+        .into_iter()
+        .filter_map(|file| match (golden.get(file), digests.get(file)) {
+            (Some(old), Some(new)) if old == new => None,
+            (Some(old), Some(&new)) => Some(format!(
+                "(\"{file}\", {}), // was {}",
+                golden_literal(new),
+                golden_literal(*old)
+            )),
+            (None, Some(&new)) => Some(format!("(\"{file}\", {}), // new", golden_literal(new))),
+            (Some(&old), None) => Some(format!(
+                "// missing: (\"{file}\", {}),",
+                golden_literal(old)
+            )),
+            (None, None) => unreachable!("{file} comes from one of the two maps"),
+        })
         .collect();
-    assert_eq!(digests, golden);
+    assert!(
+        moved.is_empty(),
+        "the bundle moved; GOLDEN lines to paste:\n{}",
+        moved.join("\n")
+    );
 }
