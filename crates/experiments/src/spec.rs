@@ -193,11 +193,6 @@ pub enum ExperimentSpec {
         asymptotic_bits: u32,
         /// Failure-probability grid.
         grid: Vec<f64>,
-        /// Failure probability of the size sweep (unused by this panel but
-        /// part of the shared Fig. 7 configuration).
-        fixed_failure_probability: f64,
-        /// Identifier lengths of the size sweep (unused by this panel).
-        size_bits: Vec<u32>,
         /// Symphony near neighbours `k_n`.
         symphony_near_neighbors: u32,
         /// Symphony shortcuts `k_s`.
@@ -205,10 +200,6 @@ pub enum ExperimentSpec {
     },
     /// Fig. 7(b): routability vs system size at fixed `q`.
     Fig7b {
-        /// Identifier length of the asymptotic panel (unused by this panel).
-        asymptotic_bits: u32,
-        /// Failure-probability grid (unused by this panel).
-        grid: Vec<f64>,
         /// Failure probability of the size sweep.
         fixed_failure_probability: f64,
         /// Identifier lengths of the size sweep.
@@ -463,34 +454,26 @@ impl Family {
                 // (roughly 10^3 … 10^10) at the paper's q = 0.1, with
                 // Symphony at the paper's k_n = k_s = 1. Purely analytical:
                 // no randomness, no thread budget.
-                let asymptotic_bits = 100;
-                let grid = if smoke {
-                    percent_grid(80, 20)
-                } else {
-                    percent_grid(90, 5)
-                };
-                let fixed_failure_probability = 0.1;
-                let size_bits = if smoke {
-                    vec![10, 16, 22, 28, 34]
-                } else {
-                    (10..=34).step_by(2).collect()
-                };
                 let (symphony_near_neighbors, symphony_shortcuts) = (1, 1);
                 let experiment = if self == Family::Fig7a {
                     ExperimentSpec::Fig7a {
-                        asymptotic_bits,
-                        grid,
-                        fixed_failure_probability,
-                        size_bits,
+                        asymptotic_bits: 100,
+                        grid: if smoke {
+                            percent_grid(80, 20)
+                        } else {
+                            percent_grid(90, 5)
+                        },
                         symphony_near_neighbors,
                         symphony_shortcuts,
                     }
                 } else {
                     ExperimentSpec::Fig7b {
-                        asymptotic_bits,
-                        grid,
-                        fixed_failure_probability,
-                        size_bits,
+                        fixed_failure_probability: 0.1,
+                        size_bits: if smoke {
+                            vec![10, 16, 22, 28, 34]
+                        } else {
+                            (10..=34).step_by(2).collect()
+                        },
                         symphony_near_neighbors,
                         symphony_shortcuts,
                     }
@@ -997,13 +980,11 @@ pub fn run_spec(
             let table = render_records_table(&records);
             (records.to_value(), headline, table, Some(records))
         }
-        // Each Fig. 7 panel ignores the other panel's fields.
         ExperimentSpec::Fig7a {
             asymptotic_bits,
             grid,
             symphony_near_neighbors,
             symphony_shortcuts,
-            ..
         } => {
             let records = fig7a(
                 *asymptotic_bits,
@@ -1022,7 +1003,6 @@ pub fn run_spec(
             size_bits,
             symphony_near_neighbors,
             symphony_shortcuts,
-            ..
         } => {
             let points = fig7b(
                 *fixed_failure_probability,
@@ -1679,6 +1659,22 @@ mod tests {
         );
         let parsed = ScenarioSpec::from_json(&reordered).unwrap();
         assert_eq!(parsed.content_hash(), spec.content_hash());
+
+        // Fig. 7 specs written when both panels carried all six fields
+        // still parse, and the ignored panel's fields drop out of the hash.
+        for family in [Family::Fig7a, Family::Fig7b] {
+            let spec = family.default_spec(true);
+            let legacy = format!(
+                r#"{{"schema": "{SPEC_SCHEMA}", "name": "legacy", "seed": 0,
+                    "experiment": {{"{family:?}": {{"asymptotic_bits": 100,
+                      "grid": [0.0, 0.2, 0.4, 0.6, 0.8], "fixed_failure_probability": 0.1,
+                      "size_bits": [10, 16, 22, 28, 34], "symphony_near_neighbors": 1,
+                      "symphony_shortcuts": 1}}}}}}"#
+            );
+            let parsed = ScenarioSpec::from_json(&legacy).unwrap();
+            assert_eq!(parsed.experiment, spec.experiment, "{family}");
+            assert_eq!(parsed.content_hash(), spec.content_hash(), "{family}");
+        }
     }
 
     #[test]

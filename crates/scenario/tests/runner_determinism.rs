@@ -154,11 +154,11 @@ fn committed_spec_bundle_matches_its_golden_digests() {
         ("fig6b_ring.csv", 0x0ab1_07e9_a30b_bcfa),
         ("fig6b_ring.json", 0x21aa_1e1c_bd68_39aa),
         ("fig7a_asymptotic.csv", 0xbf59_f229_09ff_1d16),
-        ("fig7a_asymptotic.json", 0xb139_a96d_d0da_6c18),
-        ("fig7b_routability_vs_n.json", 0x4389_fd9d_ec2b_cd7e),
+        ("fig7a_asymptotic.json", 0xd899_f94d_ca31_5379),
+        ("fig7b_routability_vs_n.json", 0x6f6a_7786_c68b_2823),
         ("implicit_scale.json", 0xb94b_0206_0879_1669),
         ("live_churn.json", 0x186f_fef8_ed78_2b27),
-        ("manifest.json", 0x2e38_e289_d239_c8ea),
+        ("manifest.json", 0xc1ca_e1a8_8c98_0d3a),
         ("markov_validation.json", 0xc78a_7f96_2d09_c960),
         ("percolation_contrast.json", 0x7846_ca4b_454b_b265),
         ("ring_bound_gap.json", 0x872a_1775_ac1c_7cc5),
