@@ -220,5 +220,23 @@ mod tests {
                 record.failure_probability
             );
         }
+
+        // The bound's slack holds everywhere, is tight at low q ("very close
+        // to simulation ... for failure probability less than 20%") and
+        // grows with q.
+        let grid = [0.1, 0.3, 0.5, 0.7];
+        let records = fig6b(12, 12, 4_000, &grid, 2006, 1).unwrap();
+        let slack = |q: f64| {
+            records
+                .iter()
+                .find(|r| r.failure_probability == q)
+                .and_then(SimulationRecord::slack)
+                .unwrap()
+        };
+        for q in grid {
+            assert!(slack(q) > -2.0, "bound violated at q={q}: {}", slack(q));
+        }
+        assert!(slack(0.1).abs() < 5.0, "slack at q=0.1: {}", slack(0.1));
+        assert!(slack(0.7) > slack(0.1) - 1.0);
     }
 }

@@ -10,7 +10,7 @@
 //! | Module | Paper artifact |
 //! |--------|----------------|
 //! | [`fig3`] | Fig. 1–3, the worked 8-node hypercube example |
-//! | [`fig6`] | Fig. 6(a)/(b), analysis vs simulation at `N = 2^16` |
+//! | [`fig6`] | Fig. 6(a)/(b), analysis vs simulation at `N = 2^16`, and the slack of the §4.3.3 ring bound |
 //! | [`fig7`] | Fig. 7(a)/(b), asymptotic behaviour |
 //! | [`scalability_table`] | §5 scalable/unscalable classification |
 //! | [`markov_validation`] | closed forms vs the Markov chains of Fig. 4, 5, 8 |
@@ -18,7 +18,6 @@
 //! | [`failure_campaigns`] | beyond the paper: structured fault injection (correlated, adaptive, cascading) |
 //! | [`percolation_contrast`] | §1 reachable vs connected components |
 //! | [`symphony_ablation`] | §1/§3.5 remark: buying routability with more neighbours |
-//! | [`ring_bound_gap`] | §4.3.3 lower-bound tightness (Fig. 6b discussion) |
 //! | [`sparse_population`] | beyond the paper: resilience at `n < 2^d` occupancy |
 //! | [`implicit_scale`] | beyond the paper: static resilience at `2^26`–`2^30` via implicit tables |
 //!
@@ -49,7 +48,6 @@ pub mod live_churn;
 pub mod markov_validation;
 pub mod output;
 pub mod percolation_contrast;
-pub mod ring_bound_gap;
 pub mod scalability_table;
 pub mod sparse_population;
 pub mod spec;

@@ -19,7 +19,7 @@ pub fn render_records_table(records: &[SimulationRecord]) -> String {
     let _ = writeln!(
         out,
         "{:<10} {:<10} {:>5} {:>6} {:>12} {:>12} {:>8}",
-        "experiment", "geometry", "bits", "q", "analytic %", "simulated %", "gap"
+        "experiment", "geometry", "bits", "q", "analytic %", "simulated %", "slack"
     );
     for record in records {
         let _ = writeln!(
@@ -31,7 +31,7 @@ pub fn render_records_table(records: &[SimulationRecord]) -> String {
             record.failure_probability,
             format_option(record.analytical_failed_percent),
             format_option(record.simulated_failed_percent),
-            format_option(record.absolute_gap()),
+            format_option(record.slack()),
         );
     }
     out

@@ -37,7 +37,6 @@ use crate::live_churn::{chain_predicted_routability_with, render_live_churn_tabl
 use crate::markov_validation::{self, ValidationRow};
 use crate::output::render_records_table;
 use crate::percolation_contrast::{self, ContrastRow};
-use crate::ring_bound_gap::{self, BoundGapPoint};
 use crate::scalability_table;
 use crate::sparse_population::{render_sparse_table, sparse_population_resilience};
 use crate::symphony_ablation::{self, AblationCell};
@@ -239,17 +238,6 @@ pub enum ExperimentSpec {
         /// Largest `k_n` and `k_s` swept (grid is `1..=max` squared).
         max_connections: u32,
     },
-    /// Tightness of the Chord lower bound (Fig. 6(b) discussion).
-    RingBoundGap {
-        /// Identifier length for the analytical curves.
-        analytical_bits: u32,
-        /// Identifier length for the simulated overlay.
-        simulation_bits: u32,
-        /// Source/destination pairs per grid point.
-        pairs: u64,
-        /// Failure-probability grid.
-        grid: Vec<f64>,
-    },
     /// Static resilience over a sparsely occupied identifier space.
     SparsePopulation {
         /// Identifier length `d` of the space.
@@ -337,7 +325,6 @@ pub enum Family {
     MarkovValidation,
     PercolationContrast,
     SymphonyAblation,
-    RingBoundGap,
     SparsePopulation,
     LiveChurn,
     FailureCampaign,
@@ -346,7 +333,7 @@ pub enum Family {
 }
 
 /// All families, in the order the docs list them.
-pub const FAMILIES: [Family; 15] = [
+pub const FAMILIES: [Family; 14] = [
     Family::Fig3,
     Family::Fig6a,
     Family::Fig6b,
@@ -356,7 +343,6 @@ pub const FAMILIES: [Family; 15] = [
     Family::MarkovValidation,
     Family::PercolationContrast,
     Family::SymphonyAblation,
-    Family::RingBoundGap,
     Family::SparsePopulation,
     Family::LiveChurn,
     Family::FailureCampaign,
@@ -378,7 +364,6 @@ impl Family {
             Family::MarkovValidation => "markov_validation",
             Family::PercolationContrast => "percolation_contrast",
             Family::SymphonyAblation => "symphony_ablation",
-            Family::RingBoundGap => "ring_bound_gap",
             Family::SparsePopulation => "sparse_population",
             Family::LiveChurn => "live_churn",
             Family::FailureCampaign => "failure_campaigns",
@@ -416,7 +401,7 @@ impl Family {
                     trials: if smoke { 20_000 } else { 200_000 },
                 },
             ),
-            Family::Fig6a | Family::Fig6b | Family::RingBoundGap => {
+            Family::Fig6a | Family::Fig6b => {
                 // Paper scale: analytical and simulated at 2^16, failure
                 // probabilities 0–90% in 5% steps. Smoke: simulated at 2^10.
                 let analytical_bits = 16;
@@ -427,25 +412,20 @@ impl Family {
                 } else {
                     percent_grid(90, 5)
                 };
-                let experiment = match self {
-                    Family::Fig6a => ExperimentSpec::Fig6a {
+                let experiment = if self == Family::Fig6a {
+                    ExperimentSpec::Fig6a {
                         analytical_bits,
                         simulation_bits,
                         pairs,
                         grid,
-                    },
-                    Family::Fig6b => ExperimentSpec::Fig6b {
+                    }
+                } else {
+                    ExperimentSpec::Fig6b {
                         analytical_bits,
                         simulation_bits,
                         pairs,
                         grid,
-                    },
-                    _ => ExperimentSpec::RingBoundGap {
-                        analytical_bits,
-                        simulation_bits,
-                        pairs,
-                        grid,
-                    },
+                    }
                 };
                 (2006, Some(if smoke { 1 } else { 4 }), experiment)
             }
@@ -645,7 +625,6 @@ impl ExperimentSpec {
             ExperimentSpec::MarkovValidation { .. } => Family::MarkovValidation,
             ExperimentSpec::PercolationContrast { .. } => Family::PercolationContrast,
             ExperimentSpec::SymphonyAblation { .. } => Family::SymphonyAblation,
-            ExperimentSpec::RingBoundGap { .. } => Family::RingBoundGap,
             ExperimentSpec::SparsePopulation { .. } => Family::SparsePopulation,
             ExperimentSpec::LiveChurn { .. } => Family::LiveChurn,
             ExperimentSpec::FailureCampaign { .. } => Family::FailureCampaign,
@@ -1053,25 +1032,6 @@ pub fn run_spec(
                 format!("Symphony routability (%) vs (k_n, k_s) at q = {failure_probability}");
             let table = render_ablation_table(&cells, bits_list, *max_connections);
             (cells.to_value(), headline, table, None)
-        }
-        ExperimentSpec::RingBoundGap {
-            analytical_bits,
-            simulation_bits,
-            pairs,
-            grid,
-        } => {
-            let points = ring_bound_gap::run(
-                *analytical_bits,
-                *simulation_bits,
-                *pairs,
-                grid,
-                spec.seed,
-                threads,
-            )?;
-            let headline =
-                "Chord bound slack (analytical failed % minus simulated failed %)".to_owned();
-            let table = render_bound_gap_table(&points);
-            (points.to_value(), headline, table, None)
         }
         ExperimentSpec::SparsePopulation {
             bits,
@@ -1499,27 +1459,6 @@ fn render_contrast_table(rows: &[ContrastRow]) -> String {
     out
 }
 
-fn render_bound_gap_table(points: &[BoundGapPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>6} {:>14} {:>14} {:>10}",
-        "q", "analytical %", "simulated %", "slack"
-    );
-    for point in points {
-        let _ = writeln!(
-            out,
-            "{:>6.2} {:>14.2} {:>14.2} {:>10.2}",
-            point.failure_probability,
-            point.analytical_failed_percent,
-            point.simulated_failed_percent,
-            point.slack
-        );
-    }
-    out
-}
-
 fn render_ablation_table(
     cells: &[AblationCell],
     bits_list: &[u32],
@@ -1684,6 +1623,17 @@ mod tests {
         assert!(matches!(
             ScenarioSpec::from_json(&spec.to_json()),
             Err(SpecError::Invalid(_))
+        ));
+
+        // A retired family (its slack is now Fig. 6(b)'s) no longer parses.
+        let retired = format!(
+            r#"{{"schema": "{SPEC_SCHEMA}", "name": "ring_bound_gap", "seed": 2006,
+                "experiment": {{"RingBoundGap": {{"analytical_bits": 16,
+                  "simulation_bits": 10, "pairs": 2000, "grid": [0.2]}}}}}}"#
+        );
+        assert!(matches!(
+            ScenarioSpec::from_json(&retired),
+            Err(SpecError::Parse(_))
         ));
     }
 

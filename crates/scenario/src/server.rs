@@ -448,6 +448,8 @@ mod tests {
             r#"{"ImplicitScale":{"geometry":"ring","bits_list":[8],"failure_probability":1.5,"pairs":10}}"#,
             r#"{"PercolationContrast":{"bits":6,"failure_probability":0.1,"roots":0}}"#,
             r#"{"LiveChurn":{"bits":40,"session_times":[2.0],"lookup_rates":[10.0],"mean_downtime":0.5,"duration":2.0,"warmup":1.0,"replicas":1}}"#,
+            // A retired family is refused the same way.
+            r#"{"RingBoundGap":{"analytical_bits":12,"simulation_bits":8,"pairs":100,"grid":[0.1]}}"#,
         ];
         let mut server = ReportServer::new(1);
         for (id, experiment) in (1..).zip(experiments) {
@@ -462,7 +464,7 @@ mod tests {
         }
         let stats = server.handle_line("{\"id\":9,\"request\":\"Stats\"}");
         assert!(stats.starts_with("{\"id\":9,\"ok\":"), "{stats}");
-        assert_eq!(server.stats().errors, 5);
+        assert_eq!(server.stats().errors, 6);
     }
 
     #[test]

@@ -140,13 +140,13 @@ fn golden_literal(digest: u64) -> String {
 }
 
 /// The committed `specs/` bundle, pinned across commits: every file a batch
-/// run writes (15 reports, 3 CSVs and the manifest) keeps its FNV-1a 64
+/// run writes (14 reports, 3 CSVs and the manifest) keeps its FNV-1a 64
 /// digest, so a change that moves any report byte fails here. A failure
 /// lists each moved, new or missing file as a ready-to-paste `GOLDEN` line
 /// next to its old digest.
 #[test]
 fn committed_spec_bundle_matches_its_golden_digests() {
-    const GOLDEN: [(&str, u64); 19] = [
+    const GOLDEN: [(&str, u64); 18] = [
         ("failure_campaigns.json", 0x14b1_332f_5a02_1ad8),
         ("fig3_hypercube_example.json", 0x9a9d_7883_3d8c_2bc3),
         ("fig6a_failed_paths.csv", 0xfdb9_aab8_a243_f80d),
@@ -158,10 +158,9 @@ fn committed_spec_bundle_matches_its_golden_digests() {
         ("fig7b_routability_vs_n.json", 0x6f6a_7786_c68b_2823),
         ("implicit_scale.json", 0xb94b_0206_0879_1669),
         ("live_churn.json", 0x186f_fef8_ed78_2b27),
-        ("manifest.json", 0xc1ca_e1a8_8c98_0d3a),
+        ("manifest.json", 0xc868_9f8f_f786_18ba),
         ("markov_validation.json", 0xc78a_7f96_2d09_c960),
         ("percolation_contrast.json", 0x7846_ca4b_454b_b265),
-        ("ring_bound_gap.json", 0x872a_1775_ac1c_7cc5),
         ("scalability_table.json", 0xbcc3_05c2_4026_91a6),
         ("sparse_population.json", 0x801a_4ce8_b93b_a885),
         ("static_resilience.json", 0x8103_6669_69f2_b49a),

@@ -59,17 +59,13 @@ impl SimulationRecord {
         self
     }
 
-    /// Absolute difference between the analytical and simulated failed-path
-    /// percentages, when both are present.
+    /// Signed slack of the analysis over the simulation: analytical minus
+    /// simulated failed-path percentage, when both are present. Where the
+    /// analysis is an upper bound (the ring of Fig. 6(b)), it is
+    /// non-negative up to sampling error.
     #[must_use]
-    pub fn absolute_gap(&self) -> Option<f64> {
-        match (
-            self.analytical_failed_percent,
-            self.simulated_failed_percent,
-        ) {
-            (Some(a), Some(s)) => Some((a - s).abs()),
-            _ => None,
-        }
+    pub fn slack(&self) -> Option<f64> {
+        Some(self.analytical_failed_percent? - self.simulated_failed_percent?)
     }
 }
 
@@ -150,7 +146,7 @@ mod tests {
         let record = SimulationRecord::analytical("fig7a", "tree", 100, 0.1, 99.9);
         assert_eq!(record.analytical_failed_percent, Some(99.9));
         assert_eq!(record.simulated_failed_percent, None);
-        assert_eq!(record.absolute_gap(), None);
+        assert_eq!(record.slack(), None);
     }
 
     #[test]
@@ -158,8 +154,11 @@ mod tests {
         let record = SimulationRecord::analytical("fig6a", "xor", 16, 0.3, 24.7)
             .with_simulation(&fake_result(24.0));
         assert_eq!(record.simulated_failed_percent, Some(24.0));
-        assert!((record.absolute_gap().unwrap() - 0.7).abs() < 1e-9);
+        assert!((record.slack().unwrap() - 0.7).abs() < 1e-9);
         assert!(record.simulated_confidence_half_width.unwrap() > 0.0);
+        // The slack is signed: a simulation above the analysis reads below 0.
+        let record = record.with_simulation(&fake_result(25.0));
+        assert!((record.slack().unwrap() + 0.3).abs() < 1e-9);
     }
 
     #[test]
