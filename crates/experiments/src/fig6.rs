@@ -8,19 +8,15 @@
 //! the executable overlays of `dht-overlay` under the identical
 //! static-resilience model.
 
-use crate::spec::SpecError;
-use dht_overlay::{
-    CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay, Overlay, PlaxtonOverlay,
-};
-use dht_rcm_core::{routability, Geometry, RcmError, RoutingGeometry, SystemSize};
-use dht_sim::{SimulationRecord, StaticResilienceConfig, StaticResilienceExperiment};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use crate::spec::{analytic_geometry, build_overlay, Backend, SpecError};
+use dht_rcm_core::{routability, RcmError, SystemSize};
+use dht_sim::{sweep_failure_grid, SeedSequence, SimulationRecord, StaticResilienceConfig};
 
 /// Runs Fig. 6(a): tree, hypercube and XOR, analysis at `2^analytical_bits`
 /// plus simulation on overlays of `2^simulation_bits` nodes, `pairs`
-/// source/destination pairs per point of `grid`. `seed` drives overlay
-/// construction, failure patterns and sampling.
+/// source/destination pairs per point of `grid`. `seed` is split as the
+/// static-resilience family splits it: `SeedSequence` child 0 builds each
+/// overlay and child 1 roots its failure sweep.
 ///
 /// # Errors
 ///
@@ -34,18 +30,11 @@ pub fn fig6a(
     seed: u64,
     threads: usize,
 ) -> Result<Vec<SimulationRecord>, SpecError> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let tree = PlaxtonOverlay::build(simulation_bits, &mut rng)?;
-    let cube = CanOverlay::build(simulation_bits)?;
-    let xor = KademliaOverlay::build(simulation_bits, &mut rng)?;
     failed_path_records(
         "fig6a",
-        &[
-            (Geometry::tree(), &tree),
-            (Geometry::hypercube(), &cube),
-            (Geometry::xor(), &xor),
-        ],
+        &["tree", "hypercube", "xor"],
         analytical_bits,
+        simulation_bits,
         pairs,
         grid,
         seed,
@@ -54,7 +43,8 @@ pub fn fig6a(
 }
 
 /// Runs Fig. 6(b): ring (Chord) routing, analysis plus simulation, with the
-/// arguments of [`fig6a`].
+/// arguments of [`fig6a`]. Each record's [`SimulationRecord::slack`] is the
+/// bound's slack, non-negative where the bound holds.
 ///
 /// # Errors
 ///
@@ -67,14 +57,15 @@ pub fn fig6b(
     seed: u64,
     threads: usize,
 ) -> Result<Vec<SimulationRecord>, SpecError> {
-    // Classic (deterministic-finger) Chord, as simulated by Gummadi et al.;
-    // the paper's analysis uses the randomised variant, whose extra finger
-    // placement noise is exactly what the lower-bound model abstracts away.
-    let ring = ChordOverlay::build(simulation_bits, ChordVariant::Deterministic)?;
+    // The `ring` overlay is classic (deterministic-finger) Chord, as
+    // simulated by Gummadi et al.; the paper's analysis uses the randomised
+    // variant, whose extra finger placement noise is exactly what the
+    // lower-bound model abstracts away.
     failed_path_records(
         "fig6b",
-        &[(Geometry::ring(), &ring)],
+        &["ring"],
         analytical_bits,
+        simulation_bits,
         pairs,
         grid,
         seed,
@@ -83,34 +74,44 @@ pub fn fig6b(
 }
 
 /// Evaluates each geometry across the whole grid, both analytically and by
-/// simulation on its matching overlay. Grid point `k` simulates from seed
-/// `seed + 101·k`.
+/// simulation on its overlay.
+#[allow(clippy::too_many_arguments)]
 fn failed_path_records(
     experiment: &str,
-    panels: &[(Geometry, &dyn Overlay)],
+    geometries: &[&str],
     analytical_bits: u32,
+    simulation_bits: u32,
     pairs: u64,
     grid: &[f64],
     seed: u64,
     threads: usize,
 ) -> Result<Vec<SimulationRecord>, SpecError> {
     let analytical_size = SystemSize::power_of_two(analytical_bits)?;
-    let mut records = Vec::with_capacity(panels.len() * grid.len());
-    for (geometry, overlay) in panels {
-        for (index, &q) in grid.iter().enumerate() {
-            let analytical = match routability(geometry, analytical_size, q) {
+    let seeds = SeedSequence::new(seed);
+    let base = StaticResilienceConfig::new(0.0)?
+        .with_pairs(pairs)
+        .with_seed(seeds.child(1))
+        .with_threads(threads);
+    let mut records = Vec::with_capacity(geometries.len() * grid.len());
+    for &name in geometries {
+        let model = analytic_geometry(name)?;
+        let overlay = build_overlay(
+            name,
+            simulation_bits,
+            seeds.child(0),
+            Backend::Materialized,
+            threads,
+        )?;
+        for simulated in sweep_failure_grid(overlay.as_ref(), &base, grid)? {
+            let q = simulated.failure_probability;
+            let analytical = match routability(&model, analytical_size, q) {
                 Ok(report) => Some(report.failed_path_percent),
                 Err(RcmError::DegenerateSystem { .. }) => None,
                 Err(other) => return Err(other.into()),
             };
-            let sim_config = StaticResilienceConfig::new(q)?
-                .with_pairs(pairs)
-                .with_seed(seed.wrapping_add(index as u64 * 101))
-                .with_threads(threads);
-            let simulated = StaticResilienceExperiment::new(sim_config).run(*overlay);
             let mut record = SimulationRecord {
                 experiment: experiment.to_owned(),
-                geometry: geometry.name().to_owned(),
+                geometry: name.to_owned(),
                 bits: analytical_bits,
                 failure_probability: q,
                 analytical_failed_percent: analytical,
@@ -133,6 +134,40 @@ mod tests {
     /// The smoke scale of `Family::Fig6a.default_spec(true)`.
     fn smoke_grid() -> Vec<f64> {
         dht_mathkit::percent_grid(80, 20)
+    }
+
+    #[test]
+    fn fig6_simulates_each_geometry_as_static_resilience_does() {
+        // Both panels build and sweep each overlay by the static-resilience
+        // family's rule, so their simulated column is that family's
+        // measurement at the same seed.
+        use crate::spec::{run_spec, ExperimentSpec, ScenarioSpec, StaticResilienceReport};
+        use serde::Deserialize;
+        let grid = [0.1, 0.3, 0.5];
+        let mut records = fig6a(12, 8, 500, &grid, 2006, 1).unwrap();
+        records.extend(fig6b(12, 8, 500, &grid, 2006, 1).unwrap());
+        for geometry in ["ring", "tree", "hypercube", "xor"] {
+            let experiment = ExperimentSpec::StaticResilience {
+                geometry: geometry.to_owned(),
+                bits: 8,
+                grid: grid.to_vec(),
+                pairs: 500,
+                trials: 1,
+            };
+            let outcome = run_spec(&ScenarioSpec::new("static", 2006, experiment), None).unwrap();
+            let report = StaticResilienceReport::from_value(&outcome.report.payload).unwrap();
+            let expected: Vec<_> = report
+                .points
+                .iter()
+                .map(|point| Some(point.simulated.failed_path_percent))
+                .collect();
+            let simulated: Vec<_> = records
+                .iter()
+                .filter(|record| record.geometry == geometry)
+                .map(|record| record.simulated_failed_percent)
+                .collect();
+            assert_eq!(simulated, expected, "{geometry}");
+        }
     }
 
     #[test]

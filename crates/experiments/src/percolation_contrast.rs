@@ -6,12 +6,10 @@
 //! reports the gap, which is small for the robust geometries and large for
 //! the tree.
 
-use dht_overlay::{
-    CanOverlay, FailureMask, KademliaOverlay, Overlay, OverlayError, PlaxtonOverlay,
-};
+use crate::spec::{build_overlay, Backend, SpecError};
+use dht_overlay::{FailureMask, OverlayError};
 use dht_percolation::{connected_components, reachable_component};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use dht_sim::SeedSequence;
 use serde::{Deserialize, Serialize};
 
 /// Result of the contrast for one geometry.
@@ -42,29 +40,28 @@ impl ContrastRow {
 }
 
 /// Runs the contrast experiment on the tree, XOR and hypercube overlays.
+/// `seed` is split as the static-resilience family splits it:
+/// `SeedSequence` child 0 builds each overlay and child 1 draws the failure
+/// mask, which is therefore the same for all three.
 ///
 /// # Errors
 ///
-/// Returns [`OverlayError::InvalidParameter`] if `q` is outside `[0, 1]` or
-/// `roots` is zero, and propagates [`OverlayError`] from overlay
-/// construction.
-pub fn run(bits: u32, q: f64, roots: u32, seed: u64) -> Result<Vec<ContrastRow>, OverlayError> {
+/// Returns [`SpecError::Overlay`] holding [`OverlayError::InvalidParameter`]
+/// if `q` is outside `[0, 1]` or `roots` is zero, and propagates overlay
+/// construction errors.
+pub fn run(bits: u32, q: f64, roots: u32, seed: u64) -> Result<Vec<ContrastRow>, SpecError> {
     crate::check_failure_probability(q)?;
     if roots == 0 {
         return Err(OverlayError::InvalidParameter {
             message: "the contrast needs at least one root".to_owned(),
-        });
+        }
+        .into());
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let overlays: Vec<(&'static str, Box<dyn Overlay>)> = vec![
-        ("tree", Box::new(PlaxtonOverlay::build(bits, &mut rng)?)),
-        ("xor", Box::new(KademliaOverlay::build(bits, &mut rng)?)),
-        ("hypercube", Box::new(CanOverlay::build(bits)?)),
-    ];
-    let mut rows = Vec::with_capacity(overlays.len());
-    for (name, overlay) in &overlays {
-        let mut mask_rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(1));
-        let mask = FailureMask::sample(overlay.key_space(), q, &mut mask_rng);
+    let seeds = SeedSequence::new(seed);
+    let mut rows = Vec::with_capacity(3);
+    for name in ["tree", "xor", "hypercube"] {
+        let overlay = build_overlay(name, bits, seeds.child(0), Backend::Materialized, 1)?;
+        let mask = FailureMask::sample_seeded(overlay.population(), q, seeds.child(1), 1);
         let components = connected_components(overlay.as_ref(), &mask);
         let alive = mask.alive_count();
         let mut connected_total = 0.0;
@@ -84,7 +81,7 @@ pub fn run(bits: u32, q: f64, roots: u32, seed: u64) -> Result<Vec<ContrastRow>,
             examined += 1;
         }
         rows.push(ContrastRow {
-            geometry: (*name).to_owned(),
+            geometry: name.to_owned(),
             bits,
             failure_probability: q,
             roots_examined: examined,

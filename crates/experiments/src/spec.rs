@@ -25,8 +25,13 @@
 //! A spec carries one root seed. Workloads that need several independent
 //! streams split it with [`dht_sim::SeedSequence`] children — grid sweeps
 //! seed point `k` with child `k` ([`dht_sim::sweep_failure_grid`],
-//! [`crate::live_churn::run_grid`]), and the static-resilience family uses
-//! child 0 for overlay construction and child 1 as the measurement root.
+//! [`crate::live_churn::run_grid`]). The static-resilience family, both
+//! Fig. 6 panels and the percolation contrast build each overlay with
+//! [`build_overlay`] from child 0 and take child 1 as the measurement root:
+//! of the failure sweep, or of the contrast's one failure mask. Two families
+//! draw from the root seed directly: fig3 runs its Monte-Carlo trials on one
+//! stream, and sparse_population samples its population and builds its
+//! overlays from one shared stream.
 
 use crate::failure_campaigns::{default_plan_templates, render_failure_campaign_table};
 use crate::fig3;
@@ -1291,7 +1296,7 @@ pub fn build_full_overlay(
 
 /// The analytical geometry model matching an overlay geometry name
 /// (symphony at the paper's `(1, 1)`).
-fn analytic_geometry(name: &str) -> Result<Geometry, SpecError> {
+pub(crate) fn analytic_geometry(name: &str) -> Result<Geometry, SpecError> {
     Ok(match name {
         "ring" => Geometry::ring(),
         "xor" => Geometry::xor(),

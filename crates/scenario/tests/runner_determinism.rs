@@ -149,10 +149,10 @@ fn committed_spec_bundle_matches_its_golden_digests() {
     const GOLDEN: [(&str, u64); 18] = [
         ("failure_campaigns.json", 0x14b1_332f_5a02_1ad8),
         ("fig3_hypercube_example.json", 0x9a9d_7883_3d8c_2bc3),
-        ("fig6a_failed_paths.csv", 0xfdb9_aab8_a243_f80d),
-        ("fig6a_failed_paths.json", 0x039d_63c0_37c3_919f),
-        ("fig6b_ring.csv", 0x0ab1_07e9_a30b_bcfa),
-        ("fig6b_ring.json", 0x21aa_1e1c_bd68_39aa),
+        ("fig6a_failed_paths.csv", 0xaf37_5fcd_aafd_678e),
+        ("fig6a_failed_paths.json", 0xb3c0_40be_5edd_b416),
+        ("fig6b_ring.csv", 0x4139_c2a2_3451_ccf9),
+        ("fig6b_ring.json", 0xcecb_0354_4ed2_988d),
         ("fig7a_asymptotic.csv", 0xbf59_f229_09ff_1d16),
         ("fig7a_asymptotic.json", 0xd899_f94d_ca31_5379),
         ("fig7b_routability_vs_n.json", 0x6f6a_7786_c68b_2823),
@@ -160,7 +160,7 @@ fn committed_spec_bundle_matches_its_golden_digests() {
         ("live_churn.json", 0x186f_fef8_ed78_2b27),
         ("manifest.json", 0xc868_9f8f_f786_18ba),
         ("markov_validation.json", 0xc78a_7f96_2d09_c960),
-        ("percolation_contrast.json", 0x7846_ca4b_454b_b265),
+        ("percolation_contrast.json", 0xf7e0_866f_c61b_71ff),
         ("scalability_table.json", 0xbcc3_05c2_4026_91a6),
         ("sparse_population.json", 0x801a_4ce8_b93b_a885),
         ("static_resilience.json", 0x8103_6669_69f2_b49a),
