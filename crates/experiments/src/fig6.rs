@@ -255,23 +255,43 @@ mod tests {
                 record.failure_probability
             );
         }
+    }
 
-        // The bound's slack holds everywhere, is tight at low q ("very close
-        // to simulation ... for failure probability less than 20%") and
-        // grows with q.
-        let grid = [0.1, 0.3, 0.5, 0.7];
-        let records = fig6b(12, 12, 4_000, &grid, 2006, 1).unwrap();
-        let slack = |q: f64| {
+    /// Fig. 6(b)'s bound slack, analytical minus simulated failed-path
+    /// percentage, at each q of `BOUND_GRID` (2^12 ring, 4 000 pairs).
+    const BOUND_GRID: [f64; 4] = [0.1, 0.3, 0.5, 0.7];
+
+    fn bound_slack() -> impl Fn(f64) -> f64 {
+        let records = fig6b(12, 12, 4_000, &BOUND_GRID, 2006, 1).unwrap();
+        assert_eq!(records.len(), BOUND_GRID.len());
+        move |q| {
             records
                 .iter()
                 .find(|r| r.failure_probability == q)
                 .and_then(SimulationRecord::slack)
                 .unwrap()
-        };
-        for q in grid {
+        }
+    }
+
+    #[test]
+    fn fig6b_bound_holds_everywhere() {
+        let slack = bound_slack();
+        for q in BOUND_GRID {
             assert!(slack(q) > -2.0, "bound violated at q={q}: {}", slack(q));
         }
+    }
+
+    #[test]
+    fn fig6b_bound_is_tight_at_low_failure_probability() {
+        // Fig. 6(b): "very close to simulation ... for failure probability
+        // less than 20%".
+        let slack = bound_slack();
         assert!(slack(0.1).abs() < 5.0, "slack at q=0.1: {}", slack(0.1));
+    }
+
+    #[test]
+    fn fig6b_slack_grows_with_failure_probability() {
+        let slack = bound_slack();
         assert!(slack(0.7) > slack(0.1) - 1.0);
     }
 }
