@@ -1,16 +1,18 @@
-//! The shared compressed-sparse-row store for overlay routing tables.
+//! The shared fixed-width store for overlay routing tables.
 
 use dht_id::NodeId;
 
-/// A compressed-sparse-row arena holding every routing-table entry of an
-/// overlay in one flat allocation.
+/// Every routing-table entry of an overlay in one flat allocation, as rows
+/// of one fixed width.
 ///
-/// The seed implementation stored one `Vec<NodeId>` per node, which cost a
-/// pointer chase per `neighbors()` call and a separate heap allocation per
-/// node. The arena flattens all tables into a single `entries` vector with an
-/// `offsets` prefix-sum, so a node's table is a contiguous slice, construction
-/// performs O(1) allocations, and the total entry count — the overlay's edge
-/// count — is a field read instead of an O(N) walk.
+/// A geometry's table has a fixed set of slots — one per tree level,
+/// hypercube dimension, XOR bucket or ring finger, `k_n + k_s` for Symphony
+/// ([`GeometryStrategy::table_width`](crate::GeometryStrategy::table_width))
+/// — and a slot with no target holds the node itself. So every table fills
+/// its row: the table of the rank-`r` node is `entries[r × width..(r + 1) ×
+/// width]`, a contiguous slice with no per-node offset, construction
+/// performs O(1) allocations, and the entry count — the overlay's edge count
+/// — is `node_count × width`.
 ///
 /// Nodes are addressed by their *rank* in the overlay's
 /// [`Population`](dht_id::Population) (for a full population the rank equals
@@ -23,47 +25,35 @@ use dht_id::NodeId;
 /// use dht_overlay::RoutingArena;
 ///
 /// let space = KeySpace::new(4)?;
-/// let mut arena = RoutingArena::new();
+/// let mut arena = RoutingArena::with_capacity(2, 2);
 /// arena.push_table(&[space.wrap(1), space.wrap(2)]);
-/// arena.push_table(&[space.wrap(3)]);
+/// arena.push_table(&[space.wrap(3), space.wrap(1)]);
 /// assert_eq!(arena.node_count(), 2);
-/// assert_eq!(arena.entry_count(), 3);
-/// assert_eq!(arena.neighbors(1), &[space.wrap(3)]);
+/// assert_eq!(arena.entry_count(), 4);
+/// assert_eq!(arena.neighbors(1), &[space.wrap(3), space.wrap(1)]);
 /// # Ok::<(), dht_id::IdError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingArena {
-    /// `offsets[i]..offsets[i + 1]` delimits the table of the rank-`i` node.
-    offsets: Vec<u32>,
-    /// Every routing-table entry, tables back to back in rank order.
+    /// Entries per row, at least 1.
+    width: usize,
+    /// Every routing-table entry, rows back to back in rank order.
     entries: Vec<NodeId>,
 }
 
-impl Default for RoutingArena {
-    fn default() -> Self {
-        RoutingArena::new()
-    }
-}
-
 impl RoutingArena {
-    /// An empty arena.
+    /// An empty arena of `width`-entry rows with room for `nodes` rows, so
+    /// construction does not reallocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0: every routing table has at least one slot.
     #[must_use]
-    pub fn new() -> Self {
+    pub fn with_capacity(width: usize, nodes: usize) -> Self {
+        assert!(width > 0, "routing tables have at least one slot");
         RoutingArena {
-            offsets: vec![0],
-            entries: Vec::new(),
-        }
-    }
-
-    /// An empty arena with room for `nodes` tables totalling `entries`
-    /// entries, so construction does not reallocate.
-    #[must_use]
-    pub fn with_capacity(nodes: usize, entries: usize) -> Self {
-        let mut offsets = Vec::with_capacity(nodes + 1);
-        offsets.push(0);
-        RoutingArena {
-            offsets,
-            entries: Vec::with_capacity(entries),
+            width,
+            entries: Vec::with_capacity(nodes * width),
         }
     }
 
@@ -71,21 +61,23 @@ impl RoutingArena {
     ///
     /// # Panics
     ///
-    /// Panics if the total entry count would exceed `u32::MAX` (a `2^24`-node
-    /// overlay with full tables stays well below this).
+    /// Panics if `table` does not fill exactly one row.
     pub fn push_table(&mut self, table: &[NodeId]) -> usize {
+        assert_eq!(table.len(), self.width, "tables fill the row width");
         let rank = self.node_count();
         self.entries.extend_from_slice(table);
-        let end = u32::try_from(self.entries.len())
-            .expect("routing arenas hold at most u32::MAX entries");
-        self.offsets.push(end);
         rank
+    }
+
+    /// Entries per row: every table's length.
+    pub(crate) fn width(&self) -> usize {
+        self.width
     }
 
     /// Number of node tables stored.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.entries.len() / self.width
     }
 
     /// Total number of directed routing-table entries, in O(1).
@@ -97,16 +89,14 @@ impl RoutingArena {
     /// `true` when no table has been pushed yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.node_count() == 0
+        self.entries.is_empty()
     }
 
-    /// Bytes of heap the arena keeps resident: the entry slab plus the
-    /// offsets prefix-sum (counted at `len`, not capacity — construction
-    /// pre-sizes both exactly).
+    /// Bytes of heap the arena keeps resident: the entry slab (counted at
+    /// `len`, not capacity — construction pre-sizes it exactly).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<NodeId>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
     }
 
     /// The routing table of the node with the given rank, as a slice into the
@@ -117,31 +107,23 @@ impl RoutingArena {
     /// Panics if `rank >= node_count()`.
     #[must_use]
     pub fn neighbors(&self, rank: usize) -> &[NodeId] {
-        let start = self.offsets[rank] as usize;
-        let end = self.offsets[rank + 1] as usize;
-        &self.entries[start..end]
+        &self.entries[rank * self.width..(rank + 1) * self.width]
     }
 
-    /// Overwrites the routing table of the rank-`rank` node in place.
-    ///
-    /// Delta-patching for live churn: the CSR layout is preserved (offsets
-    /// untouched), so the replacement must have exactly the existing row's
-    /// width — live overlays use fixed-width tables precisely so repairs
-    /// never resize rows.
+    /// Overwrites the routing table of the rank-`rank` node in place — the
+    /// arena half of a live repair.
     ///
     /// # Panics
     ///
-    /// Panics if `rank >= node_count()` or `table.len()` differs from the
-    /// stored row width.
+    /// Panics if `rank >= node_count()` or `table` does not fill exactly one
+    /// row.
     pub fn rewrite_table(&mut self, rank: usize, table: &[NodeId]) {
-        let start = self.offsets[rank] as usize;
-        let end = self.offsets[rank + 1] as usize;
         assert_eq!(
             table.len(),
-            end - start,
+            self.width,
             "rewrite_table must preserve the row width"
         );
-        self.entries[start..end].copy_from_slice(table);
+        self.entries[rank * self.width..(rank + 1) * self.width].copy_from_slice(table);
     }
 }
 
@@ -156,52 +138,63 @@ mod tests {
 
     #[test]
     fn empty_arena_has_no_nodes_or_entries() {
-        let arena = RoutingArena::new();
+        let arena = RoutingArena::with_capacity(3, 4);
         assert!(arena.is_empty());
         assert_eq!(arena.node_count(), 0);
         assert_eq!(arena.entry_count(), 0);
-        assert_eq!(arena, RoutingArena::default());
+        assert_eq!(arena.resident_bytes(), 0);
     }
 
     #[test]
     fn tables_round_trip_in_rank_order() {
         let space = KeySpace::new(6).unwrap();
-        let mut arena = RoutingArena::with_capacity(3, 6);
+        let mut arena = RoutingArena::with_capacity(3, 3);
         assert_eq!(arena.push_table(&ids(space, &[1, 2, 3])), 0);
-        assert_eq!(arena.push_table(&[]), 1);
-        assert_eq!(arena.push_table(&ids(space, &[9, 10])), 2);
+        // A node with no target for a slot keeps itself in that slot.
+        assert_eq!(arena.push_table(&ids(space, &[5, 5, 5])), 1);
+        assert_eq!(arena.push_table(&ids(space, &[9, 10, 9])), 2);
         assert_eq!(arena.node_count(), 3);
-        assert_eq!(arena.entry_count(), 5);
+        assert_eq!(arena.entry_count(), 9);
+        assert_eq!(arena.resident_bytes(), 9 * std::mem::size_of::<NodeId>());
         assert_eq!(arena.neighbors(0), ids(space, &[1, 2, 3]).as_slice());
-        assert_eq!(arena.neighbors(1), &[]);
-        assert_eq!(arena.neighbors(2), ids(space, &[9, 10]).as_slice());
+        assert_eq!(arena.neighbors(1), ids(space, &[5, 5, 5]).as_slice());
+        assert_eq!(arena.neighbors(2), ids(space, &[9, 10, 9]).as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "row width")]
+    fn push_table_rejects_a_table_of_another_width() {
+        let space = KeySpace::new(6).unwrap();
+        let mut arena = RoutingArena::with_capacity(3, 2);
+        arena.push_table(&ids(space, &[1, 2, 3]));
+        arena.push_table(&ids(space, &[9, 10]));
     }
 
     #[test]
     fn rewrite_table_patches_a_row_in_place() {
         let space = KeySpace::new(6).unwrap();
-        let mut arena = RoutingArena::new();
+        let mut arena = RoutingArena::with_capacity(3, 2);
         arena.push_table(&ids(space, &[1, 2, 3]));
-        arena.push_table(&ids(space, &[9, 10]));
+        arena.push_table(&ids(space, &[9, 10, 11]));
         arena.rewrite_table(0, &ids(space, &[4, 5, 6]));
         assert_eq!(arena.neighbors(0), ids(space, &[4, 5, 6]).as_slice());
-        assert_eq!(arena.neighbors(1), ids(space, &[9, 10]).as_slice());
-        assert_eq!(arena.entry_count(), 5);
+        assert_eq!(arena.neighbors(1), ids(space, &[9, 10, 11]).as_slice());
+        assert_eq!(arena.entry_count(), 6);
     }
 
     #[test]
     #[should_panic(expected = "row width")]
     fn rewrite_table_rejects_width_changes() {
         let space = KeySpace::new(6).unwrap();
-        let mut arena = RoutingArena::new();
+        let mut arena = RoutingArena::with_capacity(2, 1);
         arena.push_table(&ids(space, &[1, 2]));
         arena.rewrite_table(0, &ids(space, &[1]));
     }
 
     #[test]
-    #[should_panic(expected = "index out of bounds")]
+    #[should_panic(expected = "out of range")]
     fn out_of_range_rank_panics() {
-        let arena = RoutingArena::new();
+        let arena = RoutingArena::with_capacity(2, 0);
         let _ = arena.neighbors(0);
     }
 }

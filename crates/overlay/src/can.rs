@@ -7,26 +7,46 @@ use crate::traits::{validate_bits, OverlayError};
 use dht_id::{distance::hamming, NodeId, Population};
 use rand::Rng;
 
-/// The hypercube geometry as a [`GeometryStrategy`]: one link per dimension,
+/// The hypercube geometry as a [`GeometryStrategy`]: one slot per dimension,
 /// greedy forwarding on the Hamming distance.
 ///
-/// Over a sparse population only the occupied single-bit flips are linked, so
-/// node degrees shrink with the occupancy and — unlike the ring and prefix
-/// geometries — an intact sparse hypercube is *not* guaranteed to be
+/// Over a sparse population only the occupied single-bit flips are linked;
+/// the slot of an unoccupied flip holds the node itself, which no hop takes.
+/// So node degrees shrink with the occupancy and — unlike the ring and
+/// prefix geometries — an intact sparse hypercube is *not* guaranteed to be
 /// routable: greedy Hamming routing has no detour around a missing
 /// coordinate neighbour.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CanStrategy;
+
+/// `node`'s hypercube slots, most significant dimension first: the flip when
+/// it is occupied and `linked` accepts it, `node` itself otherwise — the one
+/// table rule of the static (`linked` always true) and live (`linked` the
+/// alive test) families.
+fn flip_slots<'a>(
+    population: &'a Population,
+    node: NodeId,
+    linked: impl Fn(NodeId) -> bool + 'a,
+) -> impl Iterator<Item = NodeId> + 'a {
+    (0..population.space().bits()).map(move |bit| {
+        let flip = node
+            .flip_bit(bit)
+            .expect("bit index is within the key space");
+        if population.contains(flip) && linked(flip) {
+            flip
+        } else {
+            node
+        }
+    })
+}
 
 impl GeometryStrategy for CanStrategy {
     fn geometry_name(&self) -> &'static str {
         "hypercube"
     }
 
-    fn table_len_hint(&self, population: &Population) -> usize {
-        // Expected degree d·occupancy; sizing for the full d only wastes
-        // capacity at low occupancy.
-        (population.space().bits() as f64 * population.occupancy()).ceil() as usize
+    fn table_width(&self, population: &Population) -> usize {
+        population.space().bits() as usize
     }
 
     fn build_table<R: Rng + ?Sized>(
@@ -36,14 +56,7 @@ impl GeometryStrategy for CanStrategy {
         _rng: &mut R,
         table: &mut Vec<NodeId>,
     ) {
-        for bit in 0..population.space().bits() {
-            let neighbor = node
-                .flip_bit(bit)
-                .expect("bit index is within the key space");
-            if population.contains(neighbor) {
-                table.push(neighbor);
-            }
-        }
+        table.extend(flip_slots(population, node, |_| true));
     }
 
     fn next_hop(
@@ -88,13 +101,6 @@ impl GeometryStrategy for CanStrategy {
         true
     }
 
-    fn live_table_width(&self, population: &Population) -> usize {
-        // Unlike the variable-width static tables, the live family keeps one
-        // slot per dimension (self placeholders for unoccupied or dead flips)
-        // so in-place repair never resizes a row.
-        population.space().bits() as usize
-    }
-
     fn build_live_table(
         &self,
         population: &Population,
@@ -103,16 +109,7 @@ impl GeometryStrategy for CanStrategy {
         alive: &FailureMask,
         table: &mut Vec<NodeId>,
     ) {
-        for bit in 0..population.space().bits() {
-            let neighbor = node
-                .flip_bit(bit)
-                .expect("bit index is within the key space");
-            if population.contains(neighbor) && alive.is_alive(neighbor) {
-                table.push(neighbor);
-            } else {
-                table.push(node);
-            }
-        }
+        table.extend(flip_slots(population, node, |flip| alive.is_alive(flip)));
     }
 
     fn live_repair_candidates(
@@ -124,16 +121,11 @@ impl GeometryStrategy for CanStrategy {
         direct: &mut Vec<NodeId>,
     ) {
         // A hypercube link is mutual: the only tables a join changes are the
-        // occupied alive single-bit flips, whose stale entries were self
-        // placeholders (no reverse edge records them, hence `direct`).
-        for bit in 0..population.space().bits() {
-            let neighbor = node
-                .flip_bit(bit)
-                .expect("bit index is within the key space");
-            if population.contains(neighbor) && alive.is_alive(neighbor) {
-                direct.push(neighbor);
-            }
-        }
+        // occupied alive single-bit flips — the joiner's own links — whose
+        // stale entries were self placeholders (no reverse edge records
+        // them, hence `direct`).
+        let links = flip_slots(population, node, |flip| alive.is_alive(flip));
+        direct.extend(links.filter(|&slot| slot != node));
     }
 }
 
@@ -173,7 +165,8 @@ impl GeometryOverlay<CanStrategy> {
     }
 
     /// Builds the overlay over an arbitrary (possibly sparse) population;
-    /// each node links to the occupied identifiers one bit-flip away.
+    /// each node links to the occupied identifiers one bit-flip away and
+    /// holds itself in the slot of each unoccupied flip.
     ///
     /// # Errors
     ///
@@ -281,15 +274,23 @@ mod tests {
     fn sparse_hypercube_links_only_occupied_flips() {
         let space = KeySpace::new(4).unwrap();
         // 0000, 0001, 0011: 0000 links only to 0001; 0001 to both others.
+        // Every unoccupied flip's slot holds the node itself.
         let population = Population::sparse(
             space,
             [space.wrap(0b0000), space.wrap(0b0001), space.wrap(0b0011)],
         )
         .unwrap();
         let overlay = CanOverlay::build_over(population).unwrap();
-        assert_eq!(overlay.neighbors(space.wrap(0b0000)), &[space.wrap(0b0001)]);
-        assert_eq!(overlay.neighbors(space.wrap(0b0001)).len(), 2);
-        assert_eq!(overlay.edge_count(), 4);
+        let ids = |values: [u64; 4]| values.map(|value| space.wrap(value));
+        assert_eq!(
+            overlay.neighbors(space.wrap(0b0000)),
+            ids([0b0000, 0b0000, 0b0000, 0b0001])
+        );
+        assert_eq!(
+            overlay.neighbors(space.wrap(0b0001)),
+            ids([0b0001, 0b0001, 0b0011, 0b0000])
+        );
+        assert_eq!(overlay.edge_count(), 3 * 4);
         // 0000 -> 0011 routes through 0001.
         let mask = FailureMask::none_over(overlay.population());
         assert_eq!(

@@ -51,7 +51,7 @@ impl GeometryStrategy for ChordStrategy {
         "ring"
     }
 
-    fn table_len_hint(&self, population: &Population) -> usize {
+    fn table_width(&self, population: &Population) -> usize {
         population.space().bits() as usize
     }
 
@@ -125,10 +125,6 @@ impl GeometryStrategy for ChordStrategy {
 
     fn supports_live(&self) -> bool {
         true
-    }
-
-    fn live_table_width(&self, population: &Population) -> usize {
-        population.space().bits() as usize
     }
 
     fn build_live_table(

@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The five geometry modules of this crate each provide one implementation
 /// (e.g. [`crate::chord::ChordStrategy`]); [`GeometryOverlay`] supplies
-/// everything else — CSR storage, population handling, validation and the
+/// everything else — table storage, population handling, validation and the
 /// [`Overlay`] plumbing — exactly once.
 ///
 /// Strategies are `Send + Sync` (like [`Overlay`] itself): they are immutable
@@ -24,18 +24,27 @@ pub trait GeometryStrategy: Send + Sync {
     /// e.g. `"xor"`.
     fn geometry_name(&self) -> &'static str;
 
-    /// Expected routing-table length per node, used to pre-size the arena.
-    fn table_len_hint(&self, population: &Population) -> usize;
+    /// The number of slots in every routing table over `population`: one
+    /// per tree level, hypercube dimension, XOR bucket or ring finger, or
+    /// `k_n + k_s` for Symphony.
+    ///
+    /// Exact, not a hint: [`GeometryStrategy::build_table`] and
+    /// [`GeometryStrategy::build_live_table`] each append exactly this many
+    /// entries for every node, so every table fills one fixed-width row of
+    /// the [`RoutingArena`] and of the kernel's plan.
+    fn table_width(&self, population: &Population) -> usize;
 
-    /// Appends the routing-table entries of `node` to `table`, choosing
-    /// targets among the occupied identifiers of `population`.
+    /// Appends the [`table_width`](GeometryStrategy::table_width) routing-table
+    /// entries of `node` to `table`, choosing targets among the occupied
+    /// identifiers of `population`.
     ///
     /// For a full population implementations must reproduce the paper's
     /// construction (and its RNG stream) exactly; for a sparse one they remap
     /// each conceptual target onto the occupied set (successor, bucket
-    /// sampling, …). Positional tables (tree levels, ring fingers) push the
-    /// node itself as a placeholder for an unsatisfiable slot — `next_hop`
-    /// implementations treat a self-entry as absent.
+    /// sampling, …). A slot with no target — an empty tree level or XOR
+    /// bucket, an unoccupied hypercube flip — holds the node itself as a
+    /// placeholder, and `next_hop` implementations treat a self-entry as
+    /// absent (it makes no progress).
     fn build_table<R: Rng + ?Sized>(
         &self,
         population: &Population,
@@ -76,8 +85,7 @@ pub trait GeometryStrategy: Send + Sync {
     /// be regenerated bit-identically by seeking a counter-mode RNG — no
     /// table ever needs to stay resident. Returning `Some(words)` asserts
     /// exactly that: *every* node consumes exactly `words` 32-bit words, in
-    /// rank order, independent of what the draws produce, and builds a table
-    /// of exactly [`GeometryStrategy::table_len_hint`] entries. The
+    /// rank order, independent of what the draws produce. The
     /// cross-backend equivalence suite holds implementations to this
     /// bit-for-bit. A [seeded](GeometryOverlay::seeded) overlay relies on it
     /// too: its kernel compiles rank chunks from positioned streams, and it
@@ -122,21 +130,10 @@ pub trait GeometryStrategy: Send + Sync {
         false
     }
 
-    /// The fixed per-node table width of the live construction family.
-    ///
-    /// Live tables are fixed-width by contract (self-entries pad
-    /// unsatisfiable slots) so [`crate::RoutingArena::rewrite_table`] and the
-    /// kernel's in-place row repair never resize rows.
-    fn live_table_width(&self, population: &Population) -> usize {
-        let _ = population;
-        panic!(
-            "geometry `{}` does not support live churn",
-            self.geometry_name()
-        );
-    }
-
     /// Builds `node`'s live routing table against the current `alive` set,
-    /// appending exactly [`GeometryStrategy::live_table_width`] entries.
+    /// appending exactly [`GeometryStrategy::table_width`] entries, so
+    /// [`RoutingArena::rewrite_table`] and the kernel's in-place row repair
+    /// never resize a row.
     ///
     /// **Purity contract:** the table must be a pure function of
     /// `(population, node, node_seed, alive)`. All randomness comes from
@@ -338,7 +335,7 @@ impl<S: GeometryStrategy> GeometryOverlay<S> {
         &self.strategy
     }
 
-    /// The CSR arena holding every routing table, replayed from the
+    /// The arena holding every routing table, replayed from the
     /// construction stream on first call for a seeded overlay.
     #[must_use]
     pub fn arena(&self) -> &RoutingArena {
@@ -358,9 +355,8 @@ fn build_arena<S: GeometryStrategy, R: Rng + ?Sized>(
     strategy: &S,
     rng: &mut R,
 ) -> RoutingArena {
-    let nodes = population.node_count() as usize;
-    let width = strategy.table_len_hint(population);
-    let mut arena = RoutingArena::with_capacity(nodes, nodes * width);
+    let width = strategy.table_width(population);
+    let mut arena = RoutingArena::with_capacity(width, population.node_count() as usize);
     let mut table = Vec::with_capacity(width);
     for node in population.iter_nodes() {
         table.clear();
@@ -397,16 +393,10 @@ impl<S: GeometryStrategy> Overlay for GeometryOverlay<S> {
             .next_hop(self.neighbors(current), current, target, alive)
     }
 
-    /// The arena's entry count, or — before a seeded overlay's arena is
-    /// built — `node_count × table_len_hint`, the fixed row width a stream
-    /// stride implies (the implicit backend's formula).
+    /// `node_count × table_width`: every table fills its row, so counting
+    /// builds nothing.
     fn edge_count(&self) -> u64 {
-        match self.arena.get() {
-            Some(arena) => arena.entry_count(),
-            None => {
-                self.population.node_count() * self.strategy.table_len_hint(&self.population) as u64
-            }
-        }
+        self.population.node_count() * self.strategy.table_width(&self.population) as u64
     }
 
     /// Compiled on first call: closed-form geometries compile no plan, a
@@ -468,7 +458,7 @@ mod tests {
             "successor"
         }
 
-        fn table_len_hint(&self, _population: &Population) -> usize {
+        fn table_width(&self, _population: &Population) -> usize {
             1
         }
 
@@ -526,6 +516,51 @@ mod tests {
         assert_eq!(overlay.neighbors(s.wrap(5)), &[s.wrap(9)]);
         assert_eq!(overlay.neighbors(s.wrap(40)), &[s.wrap(5)]);
         assert_eq!(overlay.neighbors(s.wrap(7)), &[] as &[NodeId]);
+    }
+
+    /// Builds every node's static table over `population` and its live
+    /// table at the all-alive mask, asserts that each is exactly
+    /// `table_width` entries, and returns both, static first.
+    fn both_tables<S: GeometryStrategy>(
+        strategy: &S,
+        population: &Population,
+    ) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+        let name = strategy.geometry_name();
+        let width = strategy.table_width(population);
+        let alive = FailureMask::none_over(population);
+        let mut rng = ChaCha8Rng::seed_from_u64(30);
+        population
+            .iter_nodes()
+            .map(|node| {
+                let (mut table, mut live) = (Vec::new(), Vec::new());
+                strategy.build_table(population, node, &mut rng, &mut table);
+                strategy.build_live_table(population, node, 7, &alive, &mut live);
+                assert_eq!(table.len(), width, "{name} static table of {node:?}");
+                assert_eq!(live.len(), width, "{name} live table of {node:?}");
+                (table, live)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_table_is_exactly_table_width_entries() {
+        use crate::chord::{ChordStrategy, ChordVariant};
+        let s = space(10);
+        let mut rng = ChaCha8Rng::seed_from_u64(30);
+        let sparse = Population::sample_uniform(s, 300, &mut rng).unwrap();
+        for population in [Population::full(s), sparse] {
+            for variant in [ChordVariant::Deterministic, ChordVariant::Randomized] {
+                both_tables(&ChordStrategy::new(variant), &population);
+            }
+            both_tables(&crate::kademlia::KademliaStrategy, &population);
+            both_tables(&crate::plaxton::PlaxtonStrategy, &population);
+            both_tables(&crate::symphony::SymphonyStrategy::new(2, 3), &population);
+            // The hypercube draws nothing and reads liveness only: with every
+            // node alive its live table is its static one.
+            for (table, live) in both_tables(&crate::can::CanStrategy, &population) {
+                assert_eq!(table, live);
+            }
+        }
     }
 
     #[test]

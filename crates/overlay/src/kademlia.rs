@@ -159,7 +159,7 @@ impl GeometryStrategy for KademliaStrategy {
         "xor"
     }
 
-    fn table_len_hint(&self, population: &Population) -> usize {
+    fn table_width(&self, population: &Population) -> usize {
         population.space().bits() as usize
     }
 
@@ -215,10 +215,6 @@ impl GeometryStrategy for KademliaStrategy {
 
     fn supports_live(&self) -> bool {
         true
-    }
-
-    fn live_table_width(&self, population: &Population) -> usize {
-        population.space().bits() as usize
     }
 
     fn build_live_table(

@@ -19,9 +19,9 @@
 //! * neighbour tables become dense `u32` rank indices, packed with their hop
 //!   keys into 8-byte entries (half the scalar arena's `NodeId`), in rows of
 //!   one fixed width: rank `r`'s row is entries `r × width..(r + 1) × width`,
-//!   with no per-node offset. The width is the geometry's table size (`d`,
-//!   or `k_n + k_s` for Symphony); only a sparse hypercube, whose unoccupied
-//!   flips have no link, pads short rows with inert entries;
+//!   with no per-node offset. The width is the geometry's
+//!   [`table_width`](GeometryStrategy::table_width) (`d`, or `k_n + k_s` for
+//!   Symphony), the length of every table, full or sparse, static or live;
 //! * each entry's **hop key** is precomputed per geometry — clockwise advance
 //!   for ring/Symphony (largest first), XOR-bucket position for
 //!   Kademlia/Plaxton, flipped-bit weight for the hypercube — and laid out in
@@ -256,9 +256,10 @@ impl RoutingKernel {
     /// compile of static and live arenas alike.
     ///
     /// Ranks follow the arena/population convention (occupied identifiers in
-    /// ascending order). The plan width is the widest arena row (at least
-    /// 1). Construction is O(ranks × width) plus, for the ring rule, a
-    /// per-row sort by advance.
+    /// ascending order). The plan width is the arena's row width, the
+    /// strategy's [`table_width`](GeometryStrategy::table_width).
+    /// Construction is O(ranks × width) plus, for the ring rule, a per-row
+    /// sort by advance.
     #[must_use]
     pub(crate) fn compile(
         rule: KernelRule,
@@ -266,9 +267,7 @@ impl RoutingKernel {
         arena: &RoutingArena,
     ) -> Self {
         debug_assert_eq!(arena.node_count() as u64, population.node_count());
-        let widest = (0..arena.node_count()).map(|rank| arena.neighbors(rank).len());
-        let width = widest.max().unwrap_or(0).max(1);
-        Self::compile_rows(rule, population, 1, width, |_| {
+        Self::compile_rows(rule, population, 1, arena.width(), |_| {
             move |rank, row| {
                 let node = population.node_at(rank as u64);
                 lower_row(rule, population, node, arena.neighbors(rank), row);
@@ -280,8 +279,7 @@ impl RoutingKernel {
     /// stream a `ChaCha8Rng::seed_from_u64(stream_seed)` build draws — into
     /// the plan [`RoutingKernel::compile`] makes of the built arena, byte for
     /// byte, without building the arena. The plan width is the strategy's
-    /// [`table_len_hint`](GeometryStrategy::table_len_hint), every row's
-    /// table length over a full population.
+    /// [`table_width`](GeometryStrategy::table_width).
     ///
     /// Rank chunks compile on up to `threads` threads. Each replays its own
     /// stretch of the stream: its generator starts at word `first ×
@@ -307,7 +305,7 @@ impl RoutingKernel {
         let words_per_node = strategy
             .implicit_stream_words(population)
             .expect("stream compiles need a fixed per-node stream stride");
-        let width = strategy.table_len_hint(population);
+        let width = strategy.table_width(population);
         let bits = population.space().bits();
         let positioned = strategy.row_form(population) == RowForm::PositionedPrefix;
         debug_assert!(!positioned || words_per_node == 2 * u64::from(bits));
@@ -408,8 +406,7 @@ impl RoutingKernel {
     ///
     /// # Panics
     ///
-    /// Panics if `table` is wider than the plan's rows (live tables keep
-    /// the width they were compiled at).
+    /// Panics if `table` does not fill exactly one plan row.
     pub(crate) fn relower_rank(&mut self, rank: usize, node: NodeId, table: &[NodeId]) {
         let start = rank * self.width;
         let row = &mut self.entries[start..start + self.width];
@@ -468,9 +465,8 @@ impl RoutingKernel {
         self.space
     }
 
-    /// Number of plan entries, `node_count × width` (directed edges, with
-    /// the placeholders and padding of fixed-width rows); 0 for a
-    /// closed-form kernel.
+    /// Number of plan entries, `node_count × width` (directed edges,
+    /// placeholders included); 0 for a closed-form kernel.
     #[must_use]
     pub fn entry_count(&self) -> u64 {
         self.entries.len() as u64
@@ -851,9 +847,9 @@ fn ring_hop(
     remaining: u64,
 ) -> Option<(u64, u32)> {
     for entry in entries {
-        // Rows keep their zero-advance self entries, and any padding, at
-        // the tail (sorted descending); a zero advance never makes greedy
-        // progress, so reaching the tail means the hop fails.
+        // Rows keep their zero-advance self entries at the tail (sorted
+        // descending); a zero advance never makes greedy progress, so
+        // reaching the tail means the hop fails.
         if entry.key == 0 {
             return None;
         }
@@ -956,13 +952,12 @@ fn rank_in(population: &Population, node: NodeId) -> u32 {
 /// leading-zero dispatch can index directly. Hypercube rows keep build
 /// order — bit 0 (most significant) downward — so the first entry whose
 /// bit survives in the XOR diff is the scalar rule's minimum. Owner
-/// placeholders of prefix and hypercube tables lower to [`INERT_ENTRY`],
-/// and so does every slot past the table: only a sparse hypercube's tables
-/// are shorter than their row.
+/// placeholders of prefix and hypercube tables lower to [`INERT_ENTRY`].
 ///
 /// # Panics
 ///
-/// Panics if `table` is wider than `row`.
+/// Panics if `table` does not fill `row`: every table is
+/// [`table_width`](GeometryStrategy::table_width) entries, the plan's width.
 fn lower_row(
     rule: KernelRule,
     population: &Population,
@@ -970,16 +965,10 @@ fn lower_row(
     table: &[NodeId],
     row: &mut [PlanEntry],
 ) {
-    assert!(
-        table.len() <= row.len(),
-        "a {}-entry table does not fit a {}-entry plan row",
-        table.len(),
-        row.len()
-    );
+    assert_eq!(table.len(), row.len(), "a table fills its plan row exactly");
     let space = population.space();
     let rank_of = |entry| rank_in(population, entry);
-    let (lowered, padding) = row.split_at_mut(table.len());
-    let slots = lowered.iter_mut().zip(table);
+    let slots = row.iter_mut().zip(table);
     match rule {
         KernelRule::RingAdvance => {
             for (slot, &entry) in slots {
@@ -990,7 +979,7 @@ fn lower_row(
                 };
             }
             // Equal advances name one identifier: tied entries are equal.
-            lowered.sort_unstable_by_key(|entry| std::cmp::Reverse(entry.key));
+            row.sort_unstable_by_key(|entry| std::cmp::Reverse(entry.key));
         }
         KernelRule::PrefixXor | KernelRule::PrefixTree => {
             debug_assert_eq!(
@@ -1008,12 +997,10 @@ fn lower_row(
             }
         }
     }
-    padding.fill(INERT_ENTRY);
 }
 
 /// An entry that never routes (hop key 0, no target): what an owner's own
-/// slot lowers to, what pads a row past its table, and what an empty
-/// row-cache slot holds.
+/// slot lowers to, and what an empty row-cache slot holds.
 const INERT_ENTRY: PlanEntry = PlanEntry {
     key: 0,
     target: NO_ENTRY,
@@ -1044,7 +1031,8 @@ fn prefix_entry(node: NodeId, entry: NodeId, rank_of: impl Fn(NodeId) -> u32) ->
 }
 
 /// A hypercube entry: the weight of the flipped bit and the neighbour's
-/// rank, or [`INERT_ENTRY`] for a live row's self placeholder.
+/// rank, or [`INERT_ENTRY`] for the self placeholder of an unoccupied or
+/// dead flip.
 fn cube_entry(node: NodeId, entry: NodeId, rank_of: impl Fn(NodeId) -> u32) -> PlanEntry {
     if entry == node {
         return INERT_ENTRY;
@@ -1249,44 +1237,32 @@ mod tests {
         }
     }
 
-    /// Asserts the one plan layout on `plan`, compiled from `arena`: every
-    /// rank's row is `width` entries of 8 bytes, its lowered table followed
-    /// by inert padding.
-    fn assert_fixed_width(plan: &RoutingKernel, arena: &RoutingArena, width: usize) {
-        let node_count = arena.node_count();
-        assert_eq!(plan.entry_count(), (node_count * width) as u64);
+    /// Asserts the one plan layout on `plan`: `node_count` rows of `width`
+    /// entries, 8 bytes each.
+    fn assert_fixed_width(plan: &RoutingKernel, node_count: u64, width: usize) {
+        assert_eq!(plan.width, width);
+        assert_eq!(plan.entry_count(), node_count * width as u64);
         assert_eq!(plan.plan_bytes(), 8 * plan.entry_count() as usize);
-        for rank in 0..node_count {
-            let row = &plan.entries[rank * width..(rank + 1) * width];
-            let table = arena.neighbors(rank).len();
-            assert!(row[table..].iter().all(|&entry| entry == INERT_ENTRY));
-        }
     }
 
     /// Compiles `overlay`'s arena into a plan (closed forms included) and
-    /// asserts its layout at the widest arena row; returns the plan and
-    /// that width.
+    /// asserts its layout at the strategy's table width.
     fn compiled_fixed_width<S: crate::GeometryStrategy>(
         overlay: &crate::GeometryOverlay<S>,
-    ) -> (RoutingKernel, usize) {
-        let rule = overlay
-            .strategy()
-            .kernel_rule()
-            .expect("every geometry compiles");
+    ) -> RoutingKernel {
+        let strategy = overlay.strategy();
+        let rule = strategy.kernel_rule().expect("every geometry compiles");
         let population = Arc::new(overlay.population().clone());
-        let arena = overlay.arena();
-        let plan = RoutingKernel::compile(rule, &population, arena);
-        let widest = (0..arena.node_count()).map(|rank| arena.neighbors(rank).len());
-        let width = widest.max().unwrap().max(1);
-        assert_fixed_width(&plan, arena, width);
-        (plan, width)
+        let plan = RoutingKernel::compile(rule, &population, overlay.arena());
+        let width = strategy.table_width(&population);
+        assert_fixed_width(&plan, population.node_count(), width);
+        plan
     }
 
     #[test]
     fn every_plan_is_fixed_width_rows_of_eight_byte_entries() {
-        // The five geometries (both Chord variants) over a full 2^12
-        // population, where every row is the geometry's table size, and
-        // over a sparse 2^12 one.
+        // The five geometries (both Chord variants) over a full and a
+        // sparse 2^12 population: every row is the geometry's table width.
         let mut rng = ChaCha8Rng::seed_from_u64(28);
         let space = KeySpace::new(12).unwrap();
         let sparse = Population::sample_uniform(space, 700, &mut rng).unwrap();
@@ -1310,36 +1286,36 @@ mod tests {
             compiled_fixed_width(&CanOverlay::build_over(population).unwrap());
         }
 
-        // A sparse hypercube row holds its occupied flips, most significant
-        // bit first, then inert padding up to the widest row.
+        // A sparse hypercube row holds one entry per dimension, most
+        // significant bit first: the occupied flip, or an inert entry for
+        // the self placeholder of an unoccupied one.
         let cube = CanOverlay::build_over(sparse.clone()).unwrap();
-        let (plan, width) = compiled_fixed_width(&cube);
+        let plan = compiled_fixed_width(&cube);
         for (rank, node) in sparse.iter_nodes().enumerate() {
-            let mut expected: Vec<PlanEntry> = (0..12)
+            let expected: Vec<PlanEntry> = (0..12)
                 .rev()
                 .map(|bit| 1u64 << bit)
-                .filter_map(|weight| {
-                    let rank = sparse.rank_of_value(node.value() ^ weight)?;
-                    Some(PlanEntry {
+                .map(|weight| match sparse.rank_of_value(node.value() ^ weight) {
+                    Some(rank) => PlanEntry {
                         key: weight as u32,
                         target: rank as u32,
-                    })
+                    },
+                    None => INERT_ENTRY,
                 })
                 .collect();
-            expected.resize(width, INERT_ENTRY);
-            let row = &plan.entries[rank * width..(rank + 1) * width];
+            let row = &plan.entries[rank * 12..(rank + 1) * 12];
             assert_eq!(row, expected, "rank {rank}");
         }
 
-        // A sparse hypercube whose nodes share no link compiles one inert
-        // entry per node and drops every route where it starts.
+        // A sparse hypercube whose nodes share no link compiles only inert
+        // entries, one per dimension, and drops every route where it starts.
         let linkless = [0b00_0000, 0b00_0011, 0b00_1100, 0b11_0000, 0b11_1111];
         let space = KeySpace::new(6).unwrap();
         let population =
             Population::sparse(space, linkless.map(|value| space.wrap(value))).unwrap();
         let cube = CanOverlay::build_over(population).unwrap();
-        let (plan, _) = compiled_fixed_width(&cube);
-        assert_eq!(plan.entries, [INERT_ENTRY; 5]);
+        let plan = compiled_fixed_width(&cube);
+        assert_eq!(plan.entries, [INERT_ENTRY; 5 * 6]);
         let mask = FailureMask::none_over(cube.population());
         let pairs: Vec<(u64, u64)> = linkless
             .iter()
@@ -1360,11 +1336,11 @@ mod tests {
             crate::GeometryOverlay::seeded(12, crate::symphony::SymphonyStrategy::new(1, 1), 7, 2)
                 .unwrap();
         let plan = seeded.kernel().unwrap();
-        assert_fixed_width(plan, seeded.arena(), 2);
+        assert_fixed_width(plan, 1 << 12, 2);
         assert!(plan.entries.chunks_exact(2).any(|row| row[0] == row[1]));
 
         // A live plan after churn: repairs relower rows in place, at the
-        // live table width.
+        // same table width.
         let live_space = KeySpace::new(10).unwrap();
         let mut live = crate::LiveOverlay::build(
             Population::full(live_space),
@@ -1379,7 +1355,7 @@ mod tests {
             live.join(live_space.wrap(value));
         }
         assert!(live.repairs() > 0);
-        assert_fixed_width(live.routing_kernel(), live.arena(), 10);
+        assert_fixed_width(live.routing_kernel(), 1 << 10, 10);
         assert!(live
             .routing_kernel()
             .plan_eq(live.rebuilt().routing_kernel()));

@@ -2,7 +2,7 @@
 //! materialized tables.
 //!
 //! A materialized overlay pays memory proportional to its edge count — the
-//! CSR [`RoutingArena`](crate::RoutingArena) plus the compiled
+//! fixed-width [`RoutingArena`](crate::RoutingArena) plus the compiled
 //! [`RoutingKernel`](super::RoutingKernel) plan — which is what caps it at
 //! [`MAX_OVERLAY_BITS`](crate::traits::MAX_OVERLAY_BITS) bits. But over a
 //! **full population** every routing table is a pure function of the node
@@ -204,7 +204,7 @@ impl ImplicitKernel {
                 ),
             });
         };
-        let row_width = strategy.table_len_hint(population);
+        let row_width = strategy.table_width(population);
         let generator = strategy.clone();
         let generator_population = Arc::clone(population);
         Ok(ImplicitKernel {
@@ -730,8 +730,8 @@ impl<S: GeometryStrategy> Overlay for ImplicitOverlay<S> {
     }
 
     fn edge_count(&self) -> u64 {
-        // Full-population rows are fixed-width, so the conceptual edge count
-        // matches the materialized arena's entry count.
+        // Every table fills its row, so the conceptual edge count matches
+        // the materialized arena's entry count.
         self.population.node_count() * self.kernel.row_width() as u64
     }
 

@@ -22,8 +22,8 @@
 //! strategy (`ChordOverlay = GeometryOverlay<ChordStrategy>`), which pairs a
 //! per-geometry [`generic::GeometryStrategy`] (table construction plus the
 //! greedy next-hop rule) with a [`dht_id::Population`] and stores every
-//! routing table in a single flat CSR [`RoutingArena`] — `neighbors()` is a
-//! slice into that arena and the edge count is O(1). A
+//! routing table in a single flat [`RoutingArena`] of fixed-width rows —
+//! `neighbors()` is a slice into that arena and the edge count is O(1). A
 //! [seeded](GeometryOverlay::seeded) overlay builds that arena only when a
 //! scalar caller first reads it, and compiles its kernel straight from the
 //! construction stream instead. The alias adds only

@@ -14,10 +14,12 @@
 //! Churn happens over a fixed [`Population`] universe: the occupied
 //! identifiers never change, only their *liveness* (tracked by a
 //! [`FailureMask`]) flips. A "join" is a universe member coming back online.
-//! This keeps ranks stable — the CSR [`RoutingArena`] rows and the compiled
-//! kernel's plan rows never move — so a repair is a row rewrite
-//! ([`RoutingArena::rewrite_table`]) plus a single-row kernel re-lowering
-//! (dirty-rank invalidation), never a rebuild.
+//! This keeps ranks stable, and every table is the strategy's
+//! [`table_width`](GeometryStrategy::table_width) — so the fixed-width
+//! [`RoutingArena`] rows and the compiled kernel's plan rows never move or
+//! resize, and a repair is a row rewrite ([`RoutingArena::rewrite_table`])
+//! plus a single-row kernel re-lowering (dirty-rank invalidation), never a
+//! rebuild.
 //!
 //! # The canonical-state invariant
 //!
@@ -234,8 +236,7 @@ pub struct LiveOverlay<S> {
     population: Arc<Population>,
     strategy: S,
     master_seed: u64,
-    /// The fixed per-node table width of the live family.
-    width: usize,
+    /// Every live or tombstoned table, one `table_width` row per rank.
     arena: RoutingArena,
     mask: FailureMask,
     /// Rank-indexed alive bits (bit `r` set iff the rank-`r` node is alive),
@@ -303,8 +304,8 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
         mask: FailureMask,
     ) -> Self {
         let node_count = usize::try_from(population.node_count()).expect("overlay sizes fit usize");
-        let width = strategy.live_table_width(&population);
-        let mut arena = RoutingArena::with_capacity(node_count, node_count * width);
+        let width = strategy.table_width(&population);
+        let mut arena = RoutingArena::with_capacity(width, node_count);
         let mut table: Vec<NodeId> = Vec::with_capacity(width);
         let mut rank_words = vec![0u64; node_count.div_ceil(64)];
         for (rank, node) in population.iter_nodes().enumerate() {
@@ -317,7 +318,6 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
                     &mask,
                     &mut table,
                 );
-                assert_eq!(table.len(), width, "live tables are fixed-width");
                 rank_words[rank >> 6] |= 1u64 << (rank & 63);
             } else {
                 table.resize(width, node);
@@ -342,7 +342,6 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
             population,
             strategy,
             master_seed,
-            width,
             arena,
             mask,
             rank_words,
@@ -413,7 +412,7 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
         // reverse index; the departed rank itself is skipped by the alive
         // check in repair_dirty.
         let dirty: Vec<u32> = self.in_edges[rank].clone();
-        let tombstone = vec![node; self.width];
+        let tombstone = vec![node; self.arena.width()];
         self.set_row(rank, &tombstone);
         self.repair_dirty(dirty);
         true
@@ -466,7 +465,7 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
     fn repair_row(&mut self, rank: usize) {
         let node = self.population.node_at(rank as u64);
         debug_assert!(self.mask.is_alive(node), "only alive rows are repaired");
-        let mut table: Vec<NodeId> = Vec::with_capacity(self.width);
+        let mut table: Vec<NodeId> = Vec::with_capacity(self.arena.width());
         self.strategy.build_live_table(
             &self.population,
             node,
@@ -474,7 +473,6 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
             &self.mask,
             &mut table,
         );
-        debug_assert_eq!(table.len(), self.width, "live tables are fixed-width");
         self.set_row(rank, &table);
     }
 
@@ -567,7 +565,7 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
         &self.kernel
     }
 
-    /// The CSR arena holding every (live or tombstoned) routing table.
+    /// The arena holding every (live or tombstoned) routing table.
     #[must_use]
     pub fn arena(&self) -> &RoutingArena {
         &self.arena
@@ -683,7 +681,7 @@ mod tests {
             fn geometry_name(&self) -> &'static str {
                 "nolive"
             }
-            fn table_len_hint(&self, _population: &Population) -> usize {
+            fn table_width(&self, _population: &Population) -> usize {
                 1
             }
             fn build_table<R: rand::Rng + ?Sized>(

@@ -19,7 +19,7 @@ impl GeometryStrategy for PlaxtonStrategy {
         "tree"
     }
 
-    fn table_len_hint(&self, population: &Population) -> usize {
+    fn table_width(&self, population: &Population) -> usize {
         population.space().bits() as usize
     }
 
@@ -78,10 +78,6 @@ impl GeometryStrategy for PlaxtonStrategy {
 
     fn supports_live(&self) -> bool {
         true
-    }
-
-    fn live_table_width(&self, population: &Population) -> usize {
-        population.space().bits() as usize
     }
 
     fn build_live_table(

@@ -196,8 +196,9 @@ mod tests {
     use crate::arena::RoutingArena;
     use dht_id::{KeySpace, Population};
 
-    /// A toy line overlay: node v's only neighbour is v+1. Useful to exercise
-    /// the driver without pulling in a real geometry.
+    /// A toy line overlay: node v's only neighbour is v+1, and the last
+    /// node's one slot holds itself. Useful to exercise the driver without
+    /// pulling in a real geometry.
     struct LineOverlay {
         population: Population,
         arena: RoutingArena,
@@ -207,12 +208,12 @@ mod tests {
         fn new(bits: u32) -> Self {
             let space = KeySpace::new(bits).unwrap();
             let population = Population::full(space);
-            let mut arena = RoutingArena::new();
+            let mut arena = RoutingArena::with_capacity(1, space.population() as usize);
             for node in population.iter_nodes() {
                 if node.value() < space.max_value() {
                     arena.push_table(&[space.wrap(node.value() + 1)]);
                 } else {
-                    arena.push_table(&[]);
+                    arena.push_table(&[node]);
                 }
             }
             LineOverlay { population, arena }

@@ -52,7 +52,7 @@ impl GeometryStrategy for SymphonyStrategy {
         "symphony"
     }
 
-    fn table_len_hint(&self, _population: &Population) -> usize {
+    fn table_width(&self, _population: &Population) -> usize {
         (self.near_neighbors + self.shortcuts) as usize
     }
 
@@ -104,10 +104,6 @@ impl GeometryStrategy for SymphonyStrategy {
 
     fn supports_live(&self) -> bool {
         true
-    }
-
-    fn live_table_width(&self, _population: &Population) -> usize {
-        (self.near_neighbors + self.shortcuts) as usize
     }
 
     fn build_live_table(

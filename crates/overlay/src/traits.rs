@@ -11,7 +11,7 @@ pub enum OverlayError {
     /// The identifier length is outside the supported range.
     ///
     /// There are two ceilings, one per backend: materialized overlays store
-    /// every table row in the CSR arena and stop at [`MAX_OVERLAY_BITS`];
+    /// every table row in the arena and stop at [`MAX_OVERLAY_BITS`];
     /// the implicit backend regenerates rows on demand and extends full
     /// populations to [`MAX_IMPLICIT_OVERLAY_BITS`]. `max_bits` records
     /// which ceiling the failed construction was checked against.
@@ -58,7 +58,7 @@ impl std::error::Error for OverlayError {}
 
 /// Largest identifier length an executable overlay will **materialise**.
 ///
-/// The CSR [`crate::RoutingArena`] stores all routing tables in one flat
+/// The [`crate::RoutingArena`] stores all routing tables in one flat
 /// allocation (no per-node `Vec` headers or allocator slop), which is what
 /// lets this sit at `2^24`. This is the ceiling of the *materialized*
 /// backend only: full populations can go up to
@@ -130,7 +130,7 @@ pub trait Overlay: Send + Sync {
     /// Total number of directed routing-table entries in the overlay.
     ///
     /// The default walks every occupied node; [`crate::GeometryOverlay`]
-    /// overrides it with the O(1) entry count of its CSR arena.
+    /// overrides it with `node_count × table_width`, in O(1).
     fn edge_count(&self) -> u64 {
         self.population()
             .iter_nodes()
@@ -179,7 +179,7 @@ pub trait Overlay: Send + Sync {
 
     /// Bytes of routing state this overlay keeps resident in memory.
     ///
-    /// Materialized overlays count their CSR arena plus any compiled kernel
+    /// Materialized overlays count their arena plus any compiled kernel
     /// plan; the implicit backend counts only its constant-size descriptor
     /// (row caches are caller-owned scratch and accounted separately, as is
     /// the [`FailureMask`]). The default approximates a materialized table
