@@ -366,12 +366,16 @@ fn lower_adaptive<O: Overlay + ?Sized>(overlay: &O, fraction: f64, rounds: u32) 
     }
     // Reverse-edge index over the whole identifier space: indeg[v] = number
     // of *alive* occupied nodes whose routing table points at v. Built once,
-    // then maintained incrementally as victims drop.
+    // then maintained incrementally as victims drop. A node's own
+    // placeholder slots (an empty bucket or tree level, an unoccupied
+    // hypercube flip) are not in-edges.
     #[allow(clippy::cast_possible_truncation)]
     let mut indeg = vec![0u32; population.space().population() as usize];
     for node in population.iter_nodes() {
         for &entry in overlay.neighbors(node) {
-            indeg[entry.value() as usize] += 1;
+            if entry != node {
+                indeg[entry.value() as usize] += 1;
+            }
         }
     }
     let rounds = u64::from(rounds).min(total);
@@ -391,8 +395,10 @@ fn lower_adaptive<O: Overlay + ?Sized>(overlay: &O, fraction: f64, rounds: u32) 
         for &victim in &candidates[..round_budget as usize] {
             let _ = mask.kill(victim);
             for &entry in overlay.neighbors(victim) {
-                let slot = &mut indeg[entry.value() as usize];
-                *slot = slot.saturating_sub(1);
+                if entry != victim {
+                    let slot = &mut indeg[entry.value() as usize];
+                    *slot = slot.saturating_sub(1);
+                }
             }
         }
     }
@@ -556,41 +562,53 @@ mod tests {
 
     #[test]
     fn adaptive_adversary_prefers_high_in_degree_nodes() {
-        // A sparse ring has uneven in-degree (successor/finger resolution
-        // concentrates on some nodes); the adversary's victims must have
-        // in-degree at least as high as every survivor in round one.
+        // A sparse ring and a sparse XOR overlay have uneven in-degree
+        // (successor, finger and bucket resolution concentrate on some
+        // nodes); the adversary's victims must have in-degree at least as
+        // high as every survivor in round one. In-degree counts real
+        // in-edges: a node's own placeholder slots (the XOR overlay's empty
+        // buckets) are not edges.
         let space = KeySpace::new(8).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let population = Population::sample_uniform(space, 100, &mut rng).unwrap();
-        let overlay =
-            ChordOverlay::build_over(population, ChordVariant::Deterministic, &mut NoRandomness)
-                .unwrap();
+        let ring = ChordOverlay::build_over(
+            population.clone(),
+            ChordVariant::Deterministic,
+            &mut NoRandomness,
+        )
+        .unwrap();
+        let xor = KademliaOverlay::build_over(population, &mut rng).unwrap();
         let plan = FailurePlan::AdaptiveAdversary {
             fraction: 0.2,
             rounds: 1,
         };
-        let mask = plan.lower(&overlay, 0);
-        let mut indeg = vec![0u32; space.population() as usize];
-        for node in overlay.population().iter_nodes() {
-            for &entry in overlay.neighbors(node) {
-                indeg[entry.value() as usize] += 1;
+        for overlay in [&ring as &dyn Overlay, &xor] {
+            let mask = plan.lower(overlay, 0);
+            let mut indeg = vec![0u32; space.population() as usize];
+            for node in overlay.population().iter_nodes() {
+                for &entry in overlay.neighbors(node) {
+                    if entry != node {
+                        indeg[entry.value() as usize] += 1;
+                    }
+                }
             }
+            let min_victim = overlay
+                .population()
+                .iter_nodes()
+                .filter(|&node| mask.is_failed(node))
+                .map(|node| indeg[node.value() as usize])
+                .min()
+                .unwrap();
+            let max_survivor = overlay
+                .population()
+                .iter_nodes()
+                .filter(|&node| mask.is_alive(node))
+                .map(|node| indeg[node.value() as usize])
+                .max()
+                .unwrap();
+            let name = overlay.geometry_name();
+            assert!(min_victim >= max_survivor, "{name}");
         }
-        let min_victim = overlay
-            .population()
-            .iter_nodes()
-            .filter(|&node| mask.is_failed(node))
-            .map(|node| indeg[node.value() as usize])
-            .min()
-            .unwrap();
-        let max_survivor = overlay
-            .population()
-            .iter_nodes()
-            .filter(|&node| mask.is_alive(node))
-            .map(|node| indeg[node.value() as usize])
-            .max()
-            .unwrap();
-        assert!(min_victim >= max_survivor);
     }
 
     #[test]
