@@ -17,11 +17,6 @@ pub enum SimError {
         /// Human-readable description of the violated constraint.
         message: String,
     },
-    /// Too few nodes survived the failure pattern to sample any pair.
-    NotEnoughSurvivors {
-        /// Number of surviving nodes observed.
-        survivors: u64,
-    },
     /// Writing a report failed.
     Io {
         /// The underlying error message.
@@ -38,10 +33,6 @@ impl fmt::Display for SimError {
             SimError::InvalidConfiguration { message } => {
                 write!(f, "invalid configuration: {message}")
             }
-            SimError::NotEnoughSurvivors { survivors } => write!(
-                f,
-                "need at least two surviving nodes to sample a pair, found {survivors}"
-            ),
             SimError::Io { message } => write!(f, "report output failed: {message}"),
         }
     }
@@ -215,8 +206,6 @@ mod tests {
 
     #[test]
     fn error_display_is_descriptive() {
-        let err = SimError::NotEnoughSurvivors { survivors: 1 };
-        assert!(err.to_string().contains("two surviving"));
         let err: SimError = std::io::Error::other("disk full").into();
         assert!(err.to_string().contains("disk full"));
     }
