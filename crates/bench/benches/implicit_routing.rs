@@ -12,8 +12,8 @@
 //! runs; those entries are the headline numbers the scale work moves.
 //!
 //! Environment: `BENCH_SMOKE=1` shrinks the measurement budget,
-//! `BENCH_OUTPUT`/`BENCH_BASELINE`/`BENCH_TOLERANCE` control the report —
-//! see [`dht_bench::perf`].
+//! `BENCH_OUTPUT`/`BENCH_BASELINE` control the report — see
+//! [`dht_bench::perf`].
 
 use dht_bench::perf;
 use dht_experiments::implicit_scale::build_implicit_overlay;

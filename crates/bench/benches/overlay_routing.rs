@@ -9,8 +9,8 @@
 //! against a committed baseline.
 //!
 //! Environment: `BENCH_SMOKE=1` shrinks the measurement budget,
-//! `BENCH_OUTPUT`/`BENCH_BASELINE`/`BENCH_TOLERANCE` control the report —
-//! see [`dht_bench::perf`].
+//! `BENCH_OUTPUT`/`BENCH_BASELINE` control the report — see
+//! [`dht_bench::perf`].
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dht_bench::perf;

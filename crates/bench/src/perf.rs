@@ -20,9 +20,8 @@
 //!   `BENCH_routing.json` at the workspace root.
 //! * `BENCH_BASELINE=<path>` — after measuring, compare against the report
 //!   at `<path>` and **exit non-zero** when any matching entry's median
-//!   ns/route regressed more than the tolerance, or when that report is
-//!   missing, unreadable or unparseable.
-//! * `BENCH_TOLERANCE=<fraction>` — regression tolerance, default `0.25`.
+//!   ns/route or ns/hop regressed more than [`DEFAULT_TOLERANCE`] (25 %),
+//!   or when that report is missing, unreadable or unparseable.
 
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -35,7 +34,8 @@ use std::time::Instant;
 /// per-hop trajectory); v1 reports are regenerated rather than migrated.
 pub const SCHEMA: &str = "dht-bench/routing-v2";
 
-/// Default regression tolerance: fail when the median is >25% slower.
+/// The regression tolerance of the `BENCH_BASELINE` gate: fail when a
+/// median is >25% slower.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
 /// One measured configuration of a routing bench.
@@ -171,17 +171,6 @@ pub fn baseline_path() -> Option<PathBuf> {
     std::env::var_os("BENCH_BASELINE").map(|path| resolve(PathBuf::from(path)))
 }
 
-/// The regression tolerance (`BENCH_TOLERANCE`, default
-/// [`DEFAULT_TOLERANCE`]).
-#[must_use]
-pub fn tolerance() -> f64 {
-    std::env::var("BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-        .unwrap_or(DEFAULT_TOLERANCE)
-}
-
 /// Loads a report: `Ok(None)` when no file exists at `path`.
 ///
 /// # Errors
@@ -239,7 +228,7 @@ fn merge_into(path: &Path, fresh: Vec<RoutingBenchEntry>) -> io::Result<RoutingB
 /// error: the gate must not pass against a file it could not read.
 pub fn baseline_regressions(current: &[RoutingBenchEntry]) -> io::Result<Vec<String>> {
     match baseline_path() {
-        Some(path) => regressions_against(&path, current, tolerance()),
+        Some(path) => regressions_against(&path, current, DEFAULT_TOLERANCE),
         None => Ok(Vec::new()),
     }
 }
@@ -301,7 +290,7 @@ pub fn enforce_baseline(current: &[RoutingBenchEntry]) {
         if baseline_path().is_some() {
             println!(
                 "perf trajectory held (tolerance +{:.0}%)",
-                100.0 * tolerance()
+                100.0 * DEFAULT_TOLERANCE
             );
         }
         return;
