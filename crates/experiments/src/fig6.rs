@@ -115,6 +115,7 @@ fn failed_path_records(
                 bits: analytical_bits,
                 failure_probability: q,
                 analytical_failed_percent: analytical,
+                simulated_bits: None,
                 simulated_failed_percent: None,
                 simulated_confidence_half_width: None,
             };
@@ -167,6 +168,10 @@ mod tests {
                 .map(|record| record.simulated_failed_percent)
                 .collect();
             assert_eq!(simulated, expected, "{geometry}");
+        }
+        // Each record names both sizes: analysed at 2^12, simulated at 2^8.
+        for record in &records {
+            assert_eq!((record.bits, record.simulated_bits), (12, Some(8)));
         }
     }
 

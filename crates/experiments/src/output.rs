@@ -18,18 +18,21 @@ pub fn render_records_table(records: &[SimulationRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<10} {:<10} {:>5} {:>6} {:>12} {:>12} {:>8}",
-        "experiment", "geometry", "bits", "q", "analytic %", "simulated %", "slack"
+        "{:<10} {:<10} {:>5} {:>6} {:>12} {:>9} {:>12} {:>8}",
+        "experiment", "geometry", "bits", "q", "analytic %", "sim bits", "simulated %", "slack"
     );
     for record in records {
         let _ = writeln!(
             out,
-            "{:<10} {:<10} {:>5} {:>6.2} {:>12} {:>12} {:>8}",
+            "{:<10} {:<10} {:>5} {:>6.2} {:>12} {:>9} {:>12} {:>8}",
             record.experiment,
             record.geometry,
             record.bits,
             record.failure_probability,
             format_option(record.analytical_failed_percent),
+            record
+                .simulated_bits
+                .map_or_else(|| "-".to_owned(), |bits| bits.to_string()),
             format_option(record.simulated_failed_percent),
             format_option(record.slack()),
         );

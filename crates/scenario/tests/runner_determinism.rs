@@ -149,12 +149,12 @@ fn committed_spec_bundle_matches_its_golden_digests() {
     const GOLDEN: [(&str, u64); 18] = [
         ("failure_campaigns.json", 0x14b1_332f_5a02_1ad8),
         ("fig3_hypercube_example.json", 0x9a9d_7883_3d8c_2bc3),
-        ("fig6a_failed_paths.csv", 0xaf37_5fcd_aafd_678e),
-        ("fig6a_failed_paths.json", 0xb3c0_40be_5edd_b416),
-        ("fig6b_ring.csv", 0x4139_c2a2_3451_ccf9),
-        ("fig6b_ring.json", 0xcecb_0354_4ed2_988d),
-        ("fig7a_asymptotic.csv", 0xbf59_f229_09ff_1d16),
-        ("fig7a_asymptotic.json", 0xd899_f94d_ca31_5379),
+        ("fig6a_failed_paths.csv", 0x9d77_c51b_7e14_88a6),
+        ("fig6a_failed_paths.json", 0xc669_7890_d38d_3c9e),
+        ("fig6b_ring.csv", 0x932b_9183_a54f_dd2d),
+        ("fig6b_ring.json", 0x1c46_85cb_e93b_3f61),
+        ("fig7a_asymptotic.csv", 0x5c25_61e9_838a_4551),
+        ("fig7a_asymptotic.json", 0xaf8c_e628_000f_e79d),
         ("fig7b_routability_vs_n.json", 0x6f6a_7786_c68b_2823),
         ("implicit_scale.json", 0xb94b_0206_0879_1669),
         ("live_churn.json", 0x186f_fef8_ed78_2b27),

@@ -17,12 +17,15 @@ pub struct SimulationRecord {
     pub experiment: String,
     /// Geometry name (e.g. `"xor"`).
     pub geometry: String,
-    /// Identifier length `d` (system size is `2^d`).
+    /// Identifier length `d` of the analysis (system size is `2^d`).
     pub bits: u32,
     /// Node failure probability.
     pub failure_probability: f64,
     /// Analytical failed-path percentage, when available.
     pub analytical_failed_percent: Option<f64>,
+    /// Identifier length of the simulated overlay, when a simulation is
+    /// attached: it may be smaller than `bits`.
+    pub simulated_bits: Option<u32>,
     /// Simulated failed-path percentage, when available.
     pub simulated_failed_percent: Option<f64>,
     /// Half-width of the 95% confidence interval on the simulated value (in
@@ -46,14 +49,17 @@ impl SimulationRecord {
             bits,
             failure_probability: q,
             analytical_failed_percent: Some(failed_percent),
+            simulated_bits: None,
             simulated_failed_percent: None,
             simulated_confidence_half_width: None,
         }
     }
 
-    /// Attaches a simulated measurement to the record.
+    /// Attaches a simulated measurement, and the size it was simulated at,
+    /// to the record.
     #[must_use]
     pub fn with_simulation(mut self, result: &StaticResilienceResult) -> Self {
+        self.simulated_bits = Some(result.bits);
         self.simulated_failed_percent = Some(result.failed_path_percent);
         self.simulated_confidence_half_width = Some(result.confidence.half_width() * 100.0);
         self
@@ -91,17 +97,20 @@ impl SimulationRecord {
 pub fn write_csv<W: Write>(records: &[SimulationRecord], writer: &mut W) -> Result<(), SimError> {
     writeln!(
         writer,
-        "experiment,geometry,bits,failure_probability,analytical_failed_percent,simulated_failed_percent,simulated_confidence_half_width"
+        "experiment,geometry,bits,failure_probability,analytical_failed_percent,simulated_bits,simulated_failed_percent,simulated_confidence_half_width"
     )?;
     for record in records {
         writeln!(
             writer,
-            "{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{}",
             record.experiment,
             record.geometry,
             record.bits,
             record.failure_probability,
             format_optional(record.analytical_failed_percent),
+            record
+                .simulated_bits
+                .map_or_else(String::new, |bits| bits.to_string()),
             format_optional(record.simulated_failed_percent),
             format_optional(record.simulated_confidence_half_width),
         )?;
@@ -121,7 +130,7 @@ mod tests {
     fn fake_result(failed_percent: f64) -> StaticResilienceResult {
         StaticResilienceResult {
             geometry: "xor".into(),
-            bits: 16,
+            bits: 10,
             failure_probability: 0.3,
             occupied_nodes: 1 << 16,
             trials: 1,
@@ -154,6 +163,8 @@ mod tests {
         let record = SimulationRecord::analytical("fig6a", "xor", 16, 0.3, 24.7)
             .with_simulation(&fake_result(24.0));
         assert_eq!(record.simulated_failed_percent, Some(24.0));
+        // The record keeps the analysed size and names the simulated one.
+        assert_eq!((record.bits, record.simulated_bits), (16, Some(10)));
         assert!((record.slack().unwrap() - 0.7).abs() < 1e-9);
         assert!(record.simulated_confidence_half_width.unwrap() > 0.0);
         // The slack is signed: a simulation above the analysis reads below 0.
@@ -174,7 +185,8 @@ mod tests {
         let lines: Vec<&str> = text.trim().lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[1].starts_with("fig6a,tree,16,0.1,65"));
-        assert!(lines[2].contains(",3.4"));
+        assert!(lines[1].ends_with(",,,"), "no simulation: {}", lines[1]);
+        assert!(lines[2].contains(",10,3.4"));
     }
 
     #[test]
