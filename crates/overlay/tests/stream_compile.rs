@@ -5,7 +5,7 @@
 //!
 //! Every size here holds at least two 512-rank chunk floors, so every
 //! budget above one really splits the compile (`fanout::balanced`'s unit
-//! tests pin where the cuts fall). Every row, `table_len_hint` entries
+//! tests pin where the cuts fall). Every row, `table_width` entries
 //! wide, is lowered straight into its slice of one preallocated plan;
 //! Symphony rows keep the duplicate and zero advances their draws produce.
 //! The 2^20 check is ignored in the debug test run and runs in CI's release
